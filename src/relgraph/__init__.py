@@ -29,6 +29,7 @@ from .core import (
     Relation,
     UniverseMismatchError,
     WeightedGraph,
+    WitnessCheckError,
     chromatic_number,
     complement,
     complete_graph,

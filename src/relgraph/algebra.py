@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .core import (
     Graph,
@@ -20,6 +19,7 @@ from .core import (
     Relation,
     UniverseMismatchError,
     WeightedGraph,
+    check_witness,
     weighted_graph,
 )
 
@@ -41,32 +41,27 @@ def _require_full_image(rel: Relation) -> None:
         raise ImageNotFullError(f"target vertices without pre-image: {missing}")
 
 
-@lru_cache(maxsize=4096)
-def neighbor_union_table(g: Graph) -> tuple[int, ...]:
-    """For every vertex subset mask, the union of member adjacency masks."""
-    table = [0] * (1 << g.n)
-    adj = g.adjacency
-    for mask in range(1, 1 << g.n):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] | adj[low.bit_length() - 1]
-    return tuple(table)
-
-
 def apply_strong(g: Graph, rel: Relation) -> Graph:
     """Graph on the relation's target set generated through ``rel``.
 
     Requires every target vertex to have a pre-image, so the result's
     vertex set is well defined. Equals the relational product
-    transpose(R) . G . R.
+    transpose(R) . G . R, computed one target column at a time: column b's
+    neighbour mask is the union of its pre-images' adjacency rows, so a
+    call costs O(|R| + m^2) mask operations for m target vertices.
     """
     _check_universes(g, rel)
     _require_full_image(rel)
-    cols = rel.column_masks()
-    nbr = neighbor_union_table(g)
     m = rel.image_size
+    adj = g.adjacency
+    cols = [0] * m
+    nbr = [0] * m
+    for x, b in rel.pairs:
+        cols[b] |= 1 << x
+        nbr[b] |= adj[x]
     edges = set()
     for b in range(m):
-        nb = nbr[cols[b]]
+        nb = nbr[b]
         for c in range(b, m):
             if nb & cols[c]:
                 edges.add((b, c))
@@ -144,8 +139,11 @@ def decompose(rel: Relation) -> Decomposition:
         mid, rel.image_size, frozenset((i, b) for i, (_, b) in enumerate(pairs))
     )
     out = Decomposition(dom, mid, pairs, ident, dup, con)
-    assert dup.is_injective and con.is_functional
-    assert out.recomposed() == rel
+    check_witness(
+        dup.is_injective and con.is_functional,
+        "decompose: duplicator not injective or contractor not functional",
+    )
+    check_witness(out.recomposed() == rel, "decompose: parts do not recompose")
     return out
 
 
@@ -224,7 +222,9 @@ def hall_check(rel: Relation) -> HallReport:
     image = set()
     for x in violating:
         image |= set(rel.image_of(x))
-    assert len(violating) > len(image)
+    check_witness(
+        len(violating) > len(image), "hall_check: violating set meets Hall's bound"
+    )
     return HallReport(False, violating, None)
 
 
@@ -255,7 +255,6 @@ def nohall_split(
         if report.satisfied:
             raise HallSatisfiedError("relation satisfies the Hall condition")
         s = report.violating_set
-    assert s is not None
     image_of_s = sorted({b for x in s for b in rel.image_of(x)})
     outside = sorted(set(range(g.n)) - s)
     z = len(image_of_s) + len(outside)
@@ -279,8 +278,11 @@ def nohall_split(
     first = Relation(g.n, z, frozenset(first_pairs))
     second = Relation(z, rel.image_size, frozenset(second_pairs))
     smaller = apply_strong(g, first)
-    assert first.compose(second) == rel
-    assert smaller.n == g.n - (len(s) - len(image_of_s))
+    check_witness(first.compose(second) == rel, "nohall_split: factors do not compose")
+    check_witness(
+        smaller.n == g.n - (len(s) - len(image_of_s)),
+        "nohall_split: order did not drop by the deficiency",
+    )
     return first, smaller, second
 
 

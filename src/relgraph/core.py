@@ -32,6 +32,19 @@ class CapExceededError(ValueError):
     """Input exceeds the configured exhaustive-search cap."""
 
 
+class WitnessCheckError(RuntimeError):
+    """A witness or solution failed its independent re-check before return."""
+
+
+def check_witness(ok: bool, what: str) -> None:
+    """Raise :class:`WitnessCheckError` unless ``ok``.
+
+    Used instead of ``assert`` so the re-checks also run under ``python -O``.
+    """
+    if not ok:
+        raise WitnessCheckError(what)
+
+
 def _normalize_edges(edges) -> frozenset[tuple[int, int]]:
     return frozenset((u, v) if u <= v else (v, u) for u, v in edges)
 

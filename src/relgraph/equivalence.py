@@ -19,6 +19,7 @@ from .core import (
     Graph,
     Partition,
     Relation,
+    check_witness,
     compose_rel,
     disjoint_union,
     empty_graph,
@@ -36,7 +37,7 @@ class ThinQuotient:
 
     ``class_relation`` maps each vertex to its class; applying the quotient
     graph through its transpose reconstructs the source exactly, which the
-    constructor path asserts.
+    constructor path checks.
     """
 
     source: Graph
@@ -63,8 +64,11 @@ def thin_quotient(g: Graph) -> ThinQuotient:
     thin = Graph(k, frozenset(edges))
     rel = Relation(g.n, k, frozenset((v, index[v]) for v in range(g.n)))
     out = ThinQuotient(g, partition, thin, rel)
-    assert apply_strong(thin, rel.transpose()) == g
-    assert is_thin(thin)
+    check_witness(
+        apply_strong(thin, rel.transpose()) == g,
+        "thin_quotient: quotient does not regenerate the graph",
+    )
+    check_witness(is_thin(thin), "thin_quotient: quotient is not thin")
     return out
 
 
@@ -138,8 +142,8 @@ def strongly_equivalent(g: Graph, h: Graph) -> EquivalenceWitness | None:
     iso_rel = Relation(k, k, frozenset((i, iso[i]) for i in range(k)))
     forward = compose_rel(tq_g.class_relation, iso_rel, tq_h.class_relation.transpose())
     backward = forward.transpose()
-    assert apply_strong(g, forward) == h
-    assert apply_strong(h, backward) == g
+    check_witness(apply_strong(g, forward) == h, "strongly_equivalent: forward witness")
+    check_witness(apply_strong(h, backward) == g, "strongly_equivalent: backward witness")
     return EquivalenceWitness("strong", forward, backward)
 
 
@@ -210,7 +214,7 @@ def rcore_with_witness(g: Graph) -> tuple[Graph, Relation, Relation]:
     """Reduced form plus full-domain relations to and from it.
 
     Returns (core, forward, backward) with core = g*forward and
-    g = core*backward; both directions are asserted before returning.
+    g = core*backward; both directions are checked before returning.
     """
     if g.n == 0:
         empty = Relation(0, 0, frozenset())
@@ -222,22 +226,20 @@ def rcore_with_witness(g: Graph) -> tuple[Graph, Relation, Relation]:
     core_part, fwd, bwd = _rcore_witness_no_isolated(base)
 
     if not isolated:
-        assert apply_strong(g, fwd) == core_part
-        assert apply_strong(core_part, bwd) == g
-        return core_part, fwd, bwd
-
-    # Re-attach a single isolated vertex; all stripped vertices collapse
-    # onto it and it fans back out over them.
-    core = disjoint_union(core_part, empty_graph(1))
-    iso_core = core_part.n
-    fwd_pairs = {(live[x], b) for x, b in fwd.pairs}
-    fwd_pairs |= {(v, iso_core) for v in isolated}
-    bwd_pairs = {(a, live[y]) for a, y in bwd.pairs}
-    bwd_pairs |= {(iso_core, v) for v in isolated}
-    forward = Relation(g.n, core.n, frozenset(fwd_pairs))
-    backward = Relation(core.n, g.n, frozenset(bwd_pairs))
-    assert apply_strong(g, forward) == core
-    assert apply_strong(core, backward) == g
+        core, forward, backward = core_part, fwd, bwd
+    else:
+        # Re-attach a single isolated vertex; all stripped vertices collapse
+        # onto it and it fans back out over them.
+        core = disjoint_union(core_part, empty_graph(1))
+        iso_core = core_part.n
+        fwd_pairs = {(live[x], b) for x, b in fwd.pairs}
+        fwd_pairs |= {(v, iso_core) for v in isolated}
+        bwd_pairs = {(a, live[y]) for a, y in bwd.pairs}
+        bwd_pairs |= {(iso_core, v) for v in isolated}
+        forward = Relation(g.n, core.n, frozenset(fwd_pairs))
+        backward = Relation(core.n, g.n, frozenset(bwd_pairs))
+    check_witness(apply_strong(g, forward) == core, "rcore: forward witness")
+    check_witness(apply_strong(core, backward) == g, "rcore: backward witness")
     return core, forward, backward
 
 
@@ -278,8 +280,12 @@ def _rcore_witness_no_isolated(g: Graph) -> tuple[Graph, Relation, Relation]:
                     | {(dense(y), i) for y in contributors}
                 ),
             )
-            assert apply_strong(current, shrink) == smaller
-            assert apply_strong(smaller, grow) == current
+            check_witness(
+                apply_strong(current, shrink) == smaller, "rcore: deletion shrink step"
+            )
+            check_witness(
+                apply_strong(smaller, grow) == current, "rcore: deletion grow step"
+            )
             forward = forward.compose(shrink)
             backward = grow.compose(backward)
             current = smaller
@@ -328,6 +334,6 @@ def weakly_equivalent(g: Graph, h: Graph) -> EquivalenceWitness | None:
     iso_rel = Relation(k, k, frozenset((i, iso[i]) for i in range(k)))
     forward = compose_rel(fwd_g, iso_rel, bwd_h)
     backward = compose_rel(fwd_h, iso_rel.transpose(), bwd_g)
-    assert apply_strong(g, forward) == h
-    assert apply_strong(h, backward) == g
+    check_witness(apply_strong(g, forward) == h, "weakly_equivalent: forward witness")
+    check_witness(apply_strong(h, backward) == g, "weakly_equivalent: backward witness")
     return EquivalenceWitness("weak", forward, backward)

@@ -18,6 +18,7 @@ from .core import (
     CapExceededError,
     Graph,
     Relation,
+    check_witness,
     disjoint_union,
     empty_graph,
     identity_relation,
@@ -168,7 +169,7 @@ def graph_core_with_witness(
         o = loops[0]
         rel = Relation(g.n, g.n, frozenset((x, o) for x in range(g.n)))
         witness = RetractionWitness("retraction", frozenset({o}), rel)
-        assert is_retraction(g, [o], rel)
+        check_witness(is_retraction(g, [o], rel), "graph_core: loop retraction")
         return induced_subgraph(g, [o]), witness
     if g.n == 0:
         return g, RetractionWitness(
@@ -182,8 +183,8 @@ def graph_core_with_witness(
             rel = Relation(
                 g.n, g.n, frozenset((v, c) for v, c in sorted(mapping.items()))
             )
-            assert rel.is_functional
-            assert is_retraction(g, sub, rel)
+            check_witness(rel.is_functional, "graph_core: retraction not functional")
+            check_witness(is_retraction(g, sub, rel), "graph_core: retraction witness")
             witness = RetractionWitness("retraction", frozenset(sub), rel)
             return induced_subgraph(g, sub), witness
     raise AssertionError("identity retraction must succeed at full size")
@@ -269,7 +270,7 @@ def cocore_with_witness(g: Graph) -> tuple[Graph, RetractionWitness]:
         pairs = {(0, v) for v in range(g.n)}
         rel = Relation(g.n, g.n, frozenset(pairs))
         core = induced_subgraph(g, keep)
-        assert is_coretraction(g, keep, rel)
+        check_witness(is_coretraction(g, keep, rel), "cocore: isolated-vertex witness")
         return core, RetractionWitness("coretraction", frozenset(keep), rel)
 
     rest = induced_subgraph(g, live)
@@ -290,7 +291,7 @@ def cocore_with_witness(g: Graph) -> tuple[Graph, RetractionWitness]:
                 pairs.add((y, d))
     rel = Relation(g.n, g.n, frozenset(pairs))
     core = induced_subgraph(g, keep)
-    assert is_coretraction(g, keep, rel), "coretraction witness failed to validate"
+    check_witness(is_coretraction(g, keep, rel), "cocore: coretraction witness")
     return core, RetractionWitness("coretraction", frozenset(keep), rel)
 
 

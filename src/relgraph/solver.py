@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import apply_strong, apply_weak, neighbor_union_table
+from .algebra import apply_strong, apply_weak
 from .core import (
     CapExceededError,
     Graph,
     LoopsNotAllowedError,
     Relation,
+    check_witness,
     chromatic_number,
     complement,
     components,
@@ -88,9 +89,24 @@ class _Budget:
 _NO_BUDGET = _Budget(None, None)
 
 
+def _subset_neighbors(g: Graph) -> list[int]:
+    """For every vertex-subset mask of ``g``, the union of its members' rows.
+
+    The table has 2^n entries, at most 65,536 under SOLVER_VERTEX_CAP. Each
+    solver entry point builds it once, after the certificates have had
+    their chance to decide the query, passes it down, and drops it on
+    return.
+    """
+    table = [0]
+    for row in g.adjacency:
+        table += [t | row for t in table]
+    return table
+
+
 def _search_columns(
     src: Graph,
     tgt: Graph,
+    nbr: list[int],
     *,
     weak: bool = False,
     full_domain: bool = False,
@@ -101,10 +117,11 @@ def _search_columns(
 ):
     """Yield solutions as tuples of pre-image masks indexed by target vertex.
 
-    ``required``/``universe`` give per-target-vertex masks that each column
-    must contain / stay inside. ``first_slice=(offset, step)`` restricts the
-    first column's candidates to that arithmetic slice, which is how worker
-    threads partition the tree.
+    ``nbr`` is ``_subset_neighbors(src)``. ``required``/``universe`` give
+    per-target-vertex masks that each column must contain / stay inside.
+    ``first_slice=(offset, step)`` restricts the first column's candidates
+    to that arithmetic slice, which is how worker threads partition the
+    tree.
     """
     n, m = src.n, tgt.n
     full = (1 << n) - 1
@@ -114,7 +131,6 @@ def _search_columns(
         return
     if n == 0:
         return
-    nbr = neighbor_union_table(src)
     sadj = src.adjacency
     tadj = tgt.adjacency
     order = sorted(range(m), key=lambda b: (-tgt.degree(b), b))
@@ -236,13 +252,17 @@ def _iter_column_solutions(
     full_domain: bool,
     budget: _Budget,
     workers: int = 1,
+    nbr: list[int] | None = None,
 ):
     """Component-wise search over the target, recombined exactly.
 
     Solutions restricted to distinct target components must have source
     domains with no edges between them; recombination filters on that and,
-    under a full-domain constraint, on global coverage.
+    under a full-domain constraint, on global coverage. ``nbr`` is
+    ``_subset_neighbors(src)``, built here unless the caller has it already.
     """
+    if nbr is None:
+        nbr = _subset_neighbors(src)
     comps = sorted(components(tgt), key=min)
     if len(comps) <= 1:
         if workers > 1 and tgt.n > 0 and src.n > 0:
@@ -250,6 +270,7 @@ def _iter_column_solutions(
                 _search_columns(
                     src,
                     tgt,
+                    nbr,
                     weak=weak,
                     full_domain=full_domain,
                     budget=budget,
@@ -262,7 +283,7 @@ def _iter_column_solutions(
                     yield from lst
         else:
             yield from _search_columns(
-                src, tgt, weak=weak, full_domain=full_domain, budget=budget
+                src, tgt, nbr, weak=weak, full_domain=full_domain, budget=budget
             )
         return
 
@@ -271,7 +292,7 @@ def _iter_column_solutions(
         sub = induced_subgraph(tgt, verts)
         entries = []
         for colmasks in _search_columns(
-            src, sub, weak=weak, full_domain=False, budget=budget
+            src, sub, nbr, weak=weak, full_domain=False, budget=budget
         ):
             dom = 0
             for msk in colmasks:
@@ -287,7 +308,6 @@ def _iter_column_solutions(
     if any(not entries for _, entries in per):
         return
 
-    nbr = neighbor_union_table(src)
     full = (1 << src.n) - 1
     possible_after = [0] * (len(per) + 1)
     for idx in range(len(per) - 1, -1, -1):
@@ -593,9 +613,8 @@ class SolutionSet:
     complete: bool
 
 
-def _solution_checker(g: Graph, h: Graph, weak: bool, fulldom: bool):
+def _solution_checker(g: Graph, h: Graph, nbr: list[int], weak: bool, fulldom: bool):
     """Fast column-mask validity test used by the antichain computation."""
-    nbr = neighbor_union_table(g)
     tadj = h.adjacency
     full = (1 << g.n) - 1
 
@@ -620,14 +639,19 @@ def _solution_checker(g: Graph, h: Graph, weak: bool, fulldom: bool):
 
 
 def _antichains(
-    g: Graph, h: Graph, weak: bool, fulldom: bool, col_list: list[tuple[int, ...]]
+    g: Graph,
+    h: Graph,
+    nbr: list[int],
+    weak: bool,
+    fulldom: bool,
+    col_list: list[tuple[int, ...]],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Minimal/maximal solution indices via one-step perturbation.
 
     Sandwich closure makes this exact: a solution strictly contains another
     iff dropping some single pair still solves, and dually for maximality.
     """
-    check = _solution_checker(g, h, weak, fulldom)
+    check = _solution_checker(g, h, nbr, weak, fulldom)
     minimal, maximal = [], []
     for idx, cols in enumerate(col_list):
         cols = list(cols)
@@ -715,15 +739,22 @@ def solve(
             witness = complete_source_solution(g.n, h, weak=weak)
             if witness is not None:
                 produced = apply_weak(g, witness) if weak else apply_strong(g, witness)
-                assert produced == h
+                check_witness(produced == h, "solve: complete-source witness")
                 return SolutionSet((witness,), (), (), True), None
 
+    nbr = _subset_neighbors(g)
     budget = _Budget(query.node_budget, query.time_budget)
     found: list[tuple[int, ...]] = []
     complete = True
     try:
         for colmasks in _iter_column_solutions(
-            g, h, weak=weak, full_domain=fulldom, budget=budget, workers=workers
+            g,
+            h,
+            weak=weak,
+            full_domain=fulldom,
+            budget=budget,
+            workers=workers,
+            nbr=nbr,
         ):
             found.append(colmasks)
             if query.enumeration == "exists":
@@ -735,13 +766,16 @@ def solve(
     rels = tuple(_relation_of(cols, g.n, h.n) for cols in found)
     for rel in rels:  # re-validate on insertion
         produced = apply_weak(g, rel) if weak else apply_strong(g, rel)
-        assert produced == h, "solver produced a non-solution"
-        assert query.domain != "full" or rel.has_full_domain
+        check_witness(produced == h, "solve: solver produced a non-solution")
+        check_witness(
+            query.domain != "full" or rel.has_full_domain,
+            "solve: full-domain solution misses a source vertex",
+        )
 
     minimal: tuple[int, ...] = ()
     maximal: tuple[int, ...] = ()
     if complete and query.enumeration in ("all", "minimal", "maximal"):
-        minimal, maximal = _antichains(g, h, weak, fulldom, found)
+        minimal, maximal = _antichains(g, h, nbr, weak, fulldom, found)
 
     cert_out = None
     if complete and not rels:
@@ -840,6 +874,7 @@ def search_with_pinned_columns(
     for colmasks in _search_columns(
         src,
         tgt,
+        _subset_neighbors(src),
         weak=weak,
         full_domain=full_domain,
         required=required,

@@ -29,6 +29,29 @@ def naive_neighbor_table(g: rg.Graph) -> np.ndarray:
     return np.array(tab, dtype=np.int64)
 
 
+def matrix_composition(g: rg.Graph, rel: rg.Relation, weak: bool = False) -> rg.Graph:
+    """Composition as the integer matrix product transpose(R) . A . R.
+
+    Target vertices b, c are adjacent when entry (b, c) is nonzero; the
+    weak form drops the diagonal. Shares no code with ``apply_strong``.
+    """
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1
+    r = np.zeros((rel.domain_size, rel.image_size), dtype=np.int64)
+    for x, b in rel.pairs:
+        r[x, b] = 1
+    product = r.T @ a @ r
+    m = rel.image_size
+    edges = [
+        (b, c)
+        for b in range(m)
+        for c in range(b, m)
+        if product[b, c] and not (weak and b == c)
+    ]
+    return rg.Graph(m, frozenset(edges))
+
+
 def naive_solution_masks(g: rg.Graph, h: rg.Graph, weak: bool):
     """All solution bitmasks (bit b*n+x set for pair (x, b)) and the
     full-domain subset, by exhaustive filtering."""

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 import relgraph as rg
-from helpers import random_graph, random_image_full_relation, random_full_relation
+from helpers import (
+    matrix_composition,
+    random_full_relation,
+    random_graph,
+    random_image_full_relation,
+)
 
 
 def triangle_to_edge():
@@ -43,6 +48,24 @@ def test_weak_composition_drops_loops():
         rg.apply_weak(rg.graph_from_edges(1, [(0, 0)]), rg.identity_relation(1))
     g = rg.path_graph(4)
     assert rg.apply_weak(g, rg.identity_relation(4)) == g
+
+
+def test_composition_matches_matrix_product():
+    rng = random.Random(29)
+    for i in range(600):
+        n, m = rng.randint(1, 12), rng.randint(1, 8)
+        loops = i % 2 == 0
+        g = random_graph(rng, n, p=rng.uniform(0.1, 0.9), loops=loops)
+        extra = 0.05 if i % 3 == 0 else rng.uniform(0.2, 0.8)  # sparse or dense
+        r = random_image_full_relation(rng, n, m, extra=extra)
+        assert rg.apply_strong(g, r) == matrix_composition(g, r)
+        if not loops:
+            assert rg.apply_weak(g, r) == matrix_composition(g, r, weak=True)
+    # beyond any per-graph table of all 2^n source subsets
+    g = random_graph(rng, 64, p=0.1)
+    r = random_full_relation(rng, 64, 40, extra=0.02)
+    assert rg.apply_strong(g, r) == matrix_composition(g, r)
+    assert rg.apply_weak(g, r) == matrix_composition(g, r, weak=True)
 
 
 def test_weak_equals_irreflexive_part_of_strong():

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +170,76 @@ def test_equivalences_are_equivalence_relations_on_pool():
                 for k in range(len(pool)):
                     if results[i, j] and results[j, k]:
                         assert results[i, k]
+
+
+WITNESS_CHECKS_UNDER_O = """
+import relgraph as rg
+from relgraph import equivalence
+
+try:
+    assert False
+except AssertionError:
+    raise SystemExit("assert statements are still active")
+
+
+def corrupted(rel):
+    # Every pair: still full domain and image, but generates loops.
+    everything = {(x, b) for x in range(rel.domain_size) for b in range(rel.image_size)}
+    return rg.Relation(rel.domain_size, rel.image_size, frozenset(everything))
+
+
+def expect_check_error(call):
+    try:
+        call()
+    except rg.WitnessCheckError:
+        return
+    raise SystemExit(f"{call} returned without a witness check firing")
+
+
+c4, p3 = rg.cycle_graph(4), rg.path_graph(3)
+if rg.weakly_equivalent(c4, p3) is None:
+    raise SystemExit("C4 and P3 must be weakly equivalent")
+
+# A deletion trace with a corrupted forward relation: rcore_with_witness's
+# own check must fire, and with it weakly_equivalent's.
+build = equivalence._rcore_witness_no_isolated
+
+
+def bad_build(g):
+    core, forward, backward = build(g)
+    return core, corrupted(forward), backward
+
+
+equivalence._rcore_witness_no_isolated = bad_build
+expect_check_error(lambda: rg.rcore_with_witness(c4))
+expect_check_error(lambda: rg.weakly_equivalent(c4, p3))
+equivalence._rcore_witness_no_isolated = build
+
+# A reduced form with a corrupted backward relation: weakly_equivalent's
+# check on the composed witness must fire.
+rcore_with_witness = equivalence.rcore_with_witness
+
+
+def bad_rcore(g):
+    core, forward, backward = rcore_with_witness(g)
+    return core, forward, corrupted(backward)
+
+
+equivalence.rcore_with_witness = bad_rcore
+expect_check_error(lambda: rg.weakly_equivalent(c4, p3))
+print("checked")
+"""
+
+
+def test_witness_checks_survive_python_O():
+    src = str(Path(rg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WITNESS_CHECKS_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "checked"
