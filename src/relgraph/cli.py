@@ -240,7 +240,7 @@ def _cmd_solve(args) -> int:
             node_budget=node_budget,
             time_budget=time_budget,
         )
-        result, cert = solve(query, workers=args.workers)
+        result, cert = solve(query)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
 
@@ -441,7 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
     what.add_argument("--exists", action="store_true")
     p.add_argument("--minimal", action="store_true")
     p.add_argument("--maximal", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("graph")

@@ -2,9 +2,11 @@
 
 The search assigns one pre-image set per target vertex (a "column"),
 pruning as soon as a pair of assigned columns generates an edge pattern
-that disagrees with the target. Connected components of the target are
-solved independently and recombined, rejecting combinations whose source
-domains touch. Structural invariants (component counts, chromatic numbers,
+that disagrees with the target. One search covers the whole target: a
+column must avoid the neighbourhood of every assigned column it is not
+adjacent to, which also keeps the source domains of different target
+components apart. Solutions stay column masks until ``solve`` returns
+them as relations. Structural invariants (component counts, chromatic numbers,
 distances, path and complete-graph characterizations) serve both as
 no-instance certificates and as search accelerators; they are only ever
 applied under the hypotheses that make them sound, so a certificate is
@@ -13,9 +15,7 @@ always confirmed by exhaustive search.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -59,31 +59,27 @@ class PreconditionViolatedError(ValueError):
 
 
 class _Budget:
-    """Shared node/time budget; thread-safe so workers drain it globally."""
+    """Node/time budget of one search; ``spend`` is called once per candidate."""
 
-    __slots__ = ("nodes_left", "deadline", "lock", "_ticks", "unlimited")
+    __slots__ = ("nodes_left", "deadline", "_ticks", "unlimited")
 
     def __init__(self, node_budget: int | None, time_budget: float | None):
         self.nodes_left = node_budget
         self.deadline = (
             time.monotonic() + time_budget if time_budget is not None else None
         )
-        self.lock = threading.Lock()
         self._ticks = 0
         self.unlimited = node_budget is None and time_budget is None
 
-    def spend(self, amount: int = 1) -> None:
-        if self.unlimited:
-            return
-        with self.lock:
-            if self.nodes_left is not None:
-                self.nodes_left -= amount
-                if self.nodes_left < 0:
-                    raise BudgetExhaustedError("node budget exhausted")
-            self._ticks += 1
-            if self.deadline is not None and self._ticks % 256 == 0:
-                if time.monotonic() > self.deadline:
-                    raise BudgetExhaustedError("time budget exhausted")
+    def spend(self) -> None:
+        if self.nodes_left is not None:
+            self.nodes_left -= 1
+            if self.nodes_left < 0:
+                raise BudgetExhaustedError("node budget exhausted")
+        self._ticks += 1
+        if self.deadline is not None and self._ticks % 256 == 0:
+            if time.monotonic() > self.deadline:
+                raise BudgetExhaustedError("time budget exhausted")
 
 
 _NO_BUDGET = _Budget(None, None)
@@ -113,15 +109,13 @@ def _search_columns(
     required: list[int] | None = None,
     universe: list[int] | None = None,
     budget: _Budget = _NO_BUDGET,
-    first_slice: tuple[int, int] | None = None,
 ):
     """Yield solutions as tuples of pre-image masks indexed by target vertex.
 
     ``nbr`` is ``_subset_neighbors(src)``. ``required``/``universe`` give
     per-target-vertex masks that each column must contain / stay inside.
-    ``first_slice=(offset, step)`` restricts the first column's candidates
-    to that arithmetic slice, which is how worker threads partition the
-    tree.
+    The target may be disconnected: columns of different components are
+    non-adjacent, so the ``forbidden`` mask keeps their domains apart.
     """
     n, m = src.n, tgt.n
     full = (1 << n) - 1
@@ -151,11 +145,6 @@ def _search_columns(
         if not opts:
             return
         cand.append(opts)
-    if first_slice is not None:
-        off, step = first_slice
-        cand[0] = cand[0][off::step]
-        if not cand[0]:
-            return
 
     # Position mask of target vertices adjacent to b: when a source vertex
     # becomes adjacent to column b's contents, it may only appear in those.
@@ -245,113 +234,44 @@ def _search_columns(
 
 
 def _iter_column_solutions(
-    src: Graph,
-    tgt: Graph,
-    *,
-    weak: bool,
-    full_domain: bool,
-    budget: _Budget,
-    workers: int = 1,
-    nbr: list[int] | None = None,
+    src: Graph, tgt: Graph, *, weak: bool, full_domain: bool, budget: _Budget
 ):
-    """Component-wise search over the target, recombined exactly.
+    """``_search_columns`` on the whole target, with the subset table built here."""
+    nbr = _subset_neighbors(src)
+    return _search_columns(
+        src, tgt, nbr, weak=weak, full_domain=full_domain, budget=budget
+    )
 
-    Solutions restricted to distinct target components must have source
-    domains with no edges between them; recombination filters on that and,
-    under a full-domain constraint, on global coverage. ``nbr`` is
-    ``_subset_neighbors(src)``, built here unless the caller has it already.
-    """
-    if nbr is None:
-        nbr = _subset_neighbors(src)
-    comps = sorted(components(tgt), key=min)
-    if len(comps) <= 1:
-        if workers > 1 and tgt.n > 0 and src.n > 0:
-            jobs = [
-                _search_columns(
-                    src,
-                    tgt,
-                    nbr,
-                    weak=weak,
-                    full_domain=full_domain,
-                    budget=budget,
-                    first_slice=(k, workers),
-                )
-                for k in range(workers)
-            ]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for lst in pool.map(lambda it: list(it), jobs):
-                    yield from lst
-        else:
-            yield from _search_columns(
-                src, tgt, nbr, weak=weak, full_domain=full_domain, budget=budget
-            )
-        return
 
-    def enumerate_component(comp):
-        verts = sorted(comp)
-        sub = induced_subgraph(tgt, verts)
-        entries = []
-        for colmasks in _search_columns(
-            src, sub, nbr, weak=weak, full_domain=False, budget=budget
-        ):
-            dom = 0
-            for msk in colmasks:
-                dom |= msk
-            entries.append((colmasks, dom))
-        return verts, entries
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per = list(pool.map(enumerate_component, comps))
-    else:
-        per = [enumerate_component(c) for c in comps]
-    if any(not entries for _, entries in per):
-        return
-
-    full = (1 << src.n) - 1
-    possible_after = [0] * (len(per) + 1)
-    for idx in range(len(per) - 1, -1, -1):
-        acc = possible_after[idx + 1]
-        for _, dom in per[idx][1]:
-            acc |= dom
-        possible_after[idx] = acc
-
-    picks: list[tuple[tuple[int, ...], int]] = []
-
-    def rec(idx: int, covered: int):
-        if idx == len(per):
-            if full_domain and covered != full:
-                return
-            merged = [0] * tgt.n
-            for (verts, _), (colmasks, _) in zip(per, picks):
-                for local, b in enumerate(verts):
-                    merged[b] = colmasks[local]
-            yield tuple(merged)
-            return
-        for colmasks, dom in per[idx][1]:
-            budget.spend()
-            if any(nbr[dom] & d for _, d in picks):
-                continue
-            cov = covered | dom
-            if full_domain and cov | possible_after[idx + 1] != full:
-                continue
-            picks.append((colmasks, dom))
-            yield from rec(idx + 1, cov)
-            picks.pop()
-
-    yield from rec(0, 0)
+@lru_cache(maxsize=1 << SOLVER_VERTEX_CAP)
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _relation_of(colmasks: tuple[int, ...], n: int, m: int) -> Relation:
-    pairs = set()
-    for b, mask in enumerate(colmasks):
-        x = 0
-        while mask:
-            if mask & 1:
-                pairs.add((x, b))
-            mask >>= 1
-            x += 1
-    return Relation(n, m, frozenset(pairs))
+    return Relation(
+        n, m, frozenset((x, b) for b, mask in enumerate(colmasks) for x in _bits(mask))
+    )
+
+
+def _canonical_key(m: int):
+    """Sort key putting column-mask solutions in the canonical order.
+
+    The canonical order compares solutions by their sorted pair lists.
+    Pair (x, b) is numbered x*m + b, which orders pairs as tuples do, so
+    the sorted numbers compare as the sorted pair lists.
+    """
+
+    def key(cols: tuple[int, ...]) -> list[int]:
+        return sorted(x * m + b for b, mask in enumerate(cols) for x in _bits(mask))
+
+    return key
 
 
 @dataclass(frozen=True)
@@ -613,29 +533,35 @@ class SolutionSet:
     complete: bool
 
 
-def _solution_checker(g: Graph, h: Graph, nbr: list[int], weak: bool, fulldom: bool):
-    """Fast column-mask validity test used by the antichain computation."""
-    tadj = h.adjacency
+def _check_solutions(
+    g: Graph, h: Graph, found: list[tuple[int, ...]], weak: bool, fulldom: bool
+) -> None:
+    """Re-check column-mask solutions against ``h``'s adjacency rows.
+
+    Each column's neighbourhood is the OR of its members' adjacency rows in
+    ``g``, a route independent of the search's subset table and pruning.
+    """
+    sadj, tadj = g.adjacency, h.adjacency
     full = (1 << g.n) - 1
-
-    def ok(cols: list[int]) -> bool:
-        for b in range(h.n):
-            if cols[b] == 0:
-                return False
-            if not weak and bool(nbr[cols[b]] & cols[b]) != bool(tadj[b] >> b & 1):
-                return False
-            for c in range(b + 1, h.n):
-                if bool(nbr[cols[b]] & cols[c]) != bool(tadj[b] >> c & 1):
-                    return False
-        if fulldom:
-            cov = 0
-            for m in cols:
-                cov |= m
-            if cov != full:
-                return False
-        return True
-
-    return ok
+    for cols in found:
+        check_witness(all(cols), "solve: a target vertex has no pre-image")
+        covered = 0
+        for b, mask in enumerate(cols):
+            covered |= mask
+            nb = 0
+            for x in _bits(mask):
+                nb |= sadj[x]
+            row = 0
+            for c, col in enumerate(cols):
+                if nb & col:
+                    row |= 1 << c
+            if weak:
+                row &= ~(1 << b)
+            check_witness(row == tadj[b], "solve: solver produced a non-solution")
+        check_witness(
+            not fulldom or covered == full,
+            "solve: full-domain solution misses a source vertex",
+        )
 
 
 def _antichains(
@@ -650,39 +576,52 @@ def _antichains(
 
     Sandwich closure makes this exact: a solution strictly contains another
     iff dropping some single pair still solves, and dually for maximality.
+    Changing one pair of column b changes only the edges at b, so only the
+    m column pairs that involve b are re-checked.
     """
-    check = _solution_checker(g, h, nbr, weak, fulldom)
+    tadj = h.adjacency
+    full = (1 << g.n) - 1
+    every = [1 << x for x in range(g.n)]
+
+    def fits(cols: tuple[int, ...], b: int, mask: int) -> bool:
+        """Whether ``cols`` still solves with column b replaced by ``mask``."""
+        nb = nbr[mask]
+        row = tadj[b]
+        for c, col in enumerate(cols):
+            if c == b:
+                if weak:
+                    continue
+                col = mask
+            if bool(nb & col) != bool(row >> c & 1):
+                return False
+        return True
+
     minimal, maximal = [], []
     for idx, cols in enumerate(col_list):
-        cols = list(cols)
         is_min = True
-        for b in range(h.n):
-            mask = cols[b]
-            x = 0
-            probe = mask
-            while probe and is_min:
-                if probe & 1:
-                    cols[b] = mask & ~(1 << x)
-                    if check(cols):
-                        is_min = False
-                probe >>= 1
-                x += 1
-            cols[b] = mask
+        for b, mask in enumerate(cols):
+            others = 0
+            if fulldom:
+                for c, col in enumerate(cols):
+                    if c != b:
+                        others |= col
+            for x in _bits(mask):
+                smaller = mask & ~(1 << x)
+                if smaller and (not fulldom or others | smaller == full) and fits(
+                    cols, b, smaller
+                ):
+                    is_min = False
+                    break
             if not is_min:
                 break
         if is_min:
             minimal.append(idx)
         is_max = True
-        for b in range(h.n):
-            mask = cols[b]
-            for x in range(g.n):
-                if mask >> x & 1:
-                    continue
-                cols[b] = mask | (1 << x)
-                if check(cols):
+        for b, mask in enumerate(cols):
+            for bit in every:
+                if not mask & bit and fits(cols, b, mask | bit):
                     is_max = False
                     break
-            cols[b] = mask
             if not is_max:
                 break
         if is_max:
@@ -706,7 +645,7 @@ def iter_solutions(query: SolveQuery, *, use_fast_paths: bool = True):
 
 
 def solve(
-    query: SolveQuery, *, use_fast_paths: bool = True, workers: int = 1
+    query: SolveQuery, *, use_fast_paths: bool = True
 ) -> tuple[SolutionSet, Certificate | None]:
     """Enumerate or decide the query; attach a certificate to no-instances.
 
@@ -747,14 +686,8 @@ def solve(
     found: list[tuple[int, ...]] = []
     complete = True
     try:
-        for colmasks in _iter_column_solutions(
-            g,
-            h,
-            weak=weak,
-            full_domain=fulldom,
-            budget=budget,
-            workers=workers,
-            nbr=nbr,
+        for colmasks in _search_columns(
+            g, h, nbr, weak=weak, full_domain=fulldom, budget=budget
         ):
             found.append(colmasks)
             if query.enumeration == "exists":
@@ -762,15 +695,8 @@ def solve(
     except BudgetExhaustedError:
         complete = False
 
-    found.sort(key=lambda cols: tuple(sorted(_mask_pairs(cols))))
-    rels = tuple(_relation_of(cols, g.n, h.n) for cols in found)
-    for rel in rels:  # re-validate on insertion
-        produced = apply_weak(g, rel) if weak else apply_strong(g, rel)
-        check_witness(produced == h, "solve: solver produced a non-solution")
-        check_witness(
-            query.domain != "full" or rel.has_full_domain,
-            "solve: full-domain solution misses a source vertex",
-        )
+    found.sort(key=_canonical_key(h.n))
+    _check_solutions(g, h, found, weak, fulldom)
 
     minimal: tuple[int, ...] = ()
     maximal: tuple[int, ...] = ()
@@ -778,7 +704,7 @@ def solve(
         minimal, maximal = _antichains(g, h, nbr, weak, fulldom, found)
 
     cert_out = None
-    if complete and not rels:
+    if complete and not found:
         cert_out = certify(g, h, query.mode, query.domain) if not use_fast_paths else None
         if cert_out is None:
             cert_out = Certificate(
@@ -786,19 +712,8 @@ def solve(
                 "exhaustive search found no solution and no structural "
                 "invariant explains the failure",
             )
+    rels = tuple(_relation_of(cols, g.n, h.n) for cols in found)
     return SolutionSet(rels, minimal, maximal, complete), cert_out
-
-
-def _mask_pairs(cols: tuple[int, ...]) -> list[tuple[int, int]]:
-    pairs = []
-    for b, mask in enumerate(cols):
-        x = 0
-        while mask:
-            if mask & 1:
-                pairs.append((x, b))
-            mask >>= 1
-            x += 1
-    return pairs
 
 
 @lru_cache(maxsize=65536)
@@ -870,7 +785,7 @@ def search_with_pinned_columns(
     Exposed for the retraction/coretraction searches; returns the first
     solution as a Relation (or None), or all of them when ``find_all``.
     """
-    out = []
+    found = []
     for colmasks in _search_columns(
         src,
         tgt,
@@ -881,11 +796,13 @@ def search_with_pinned_columns(
         universe=universe,
         budget=_NO_BUDGET,
     ):
-        rel = _relation_of(colmasks, src.n, tgt.n)
         if not find_all:
-            return rel
-        out.append(rel)
-    return sorted(out, key=lambda r: tuple(sorted(r.pairs))) if find_all else None
+            return _relation_of(colmasks, src.n, tgt.n)
+        found.append(colmasks)
+    if not find_all:
+        return None
+    found.sort(key=_canonical_key(tgt.n))
+    return [_relation_of(cols, src.n, tgt.n) for cols in found]
 
 
 def subgraph_reduce(

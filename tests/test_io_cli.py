@@ -182,13 +182,6 @@ def test_cli_env_default_budget(files, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_cli_workers_flag(files, capsys):
-    assert main(["solve", "--all", "--workers", "2", files["c3"], files["k2"]]) == 0
-    out_multi = capsys.readouterr().out
-    main(["solve", "--all", files["c3"], files["k2"]])
-    assert capsys.readouterr().out == out_multi
-
-
 def test_json_and_text_decide_identically(files, tmp_path, capsys):
     c5 = _write(tmp_path, "c5.graph", rio.format_graph(rg.cycle_graph(5)))
     commands = [

@@ -121,18 +121,6 @@ def test_budget_exhaustion_reports_incomplete():
     assert ss2.complete and ss2.solutions
 
 
-def test_workers_produce_identical_output():
-    g, h = rg.cycle_graph(5), rg.complete_graph(2)
-    base, _ = rg.solve(rg.SolveQuery(rg.cycle_graph(4), h))
-    multi, _ = rg.solve(rg.SolveQuery(rg.cycle_graph(4), h), workers=3)
-    assert base == multi
-    comp_g = rg.disjoint_union(rg.complete_graph(2), rg.complete_graph(2))
-    comp_h = rg.disjoint_union(rg.complete_graph(2), rg.empty_graph(1))
-    a, _ = rg.solve(rg.SolveQuery(comp_g, comp_h))
-    b, _ = rg.solve(rg.SolveQuery(comp_g, comp_h), workers=2)
-    assert a == b
-
-
 def test_component_recombination_matches_direct_search():
     rng = random.Random(37)
     for _ in range(40):
@@ -149,6 +137,50 @@ def test_component_recombination_matches_direct_search():
             assert sorted(relation_to_mask(r) for r in ss.solutions) == sorted(
                 int(x) for x in any_masks
             )
+
+
+def test_solve_matches_naive_oracle_randomized():
+    """Every flag combination against the naive oracle: the solution set, the
+    canonical order, the exists answer, and the inclusion antichains."""
+    rng = random.Random(53)
+    for trial in range(150):
+        g = random_graph(rng, rng.randint(1, 4), p=0.5, loops=trial % 3 == 0)
+        if trial % 2:
+            h = rg.disjoint_union(
+                random_graph(rng, rng.randint(1, 2), p=0.7, loops=trial % 5 == 0),
+                random_graph(rng, rng.randint(1, 2), p=0.7, loops=trial % 7 == 0),
+            )
+        else:
+            h = random_graph(rng, rng.randint(1, 3), p=0.6, loops=trial % 4 == 0)
+        for weak in (False, True):
+            if weak and not g.is_simple:
+                continue
+            mode = "weak" if weak else "strong"
+            for domain, masks in zip(("any", "full"), naive_solution_masks(g, h, weak)):
+                want = sorted(int(x) for x in masks)
+                ss, cert = rg.solve(rg.SolveQuery(g, h, mode=mode, domain=domain))
+                assert ss.complete and (cert is None) == bool(want)
+                got = [relation_to_mask(r) for r in ss.solutions]
+                assert sorted(got) == want, (g, h, mode, domain)
+                keys = [tuple(sorted(r.pairs)) for r in ss.solutions]
+                assert keys == sorted(set(keys))
+                below = {s for s in want if not any(o != s and o & s == o for o in want)}
+                above = {s for s in want if not any(o != s and o & s == s for o in want)}
+                assert {got[i] for i in ss.minimal_elements} == below
+                assert {got[i] for i in ss.maximal_elements} == above
+                ex, _ = rg.solve(
+                    rg.SolveQuery(g, h, mode=mode, domain=domain, enumeration="exists")
+                )
+                assert ex.complete and len(ex.solutions) == min(len(want), 1)
+                assert set(ex.solutions) <= set(ss.solutions)
+
+
+def test_exists_on_disconnected_target_stops_at_first_solution():
+    g = rg.cycle_graph(6)
+    h = rg.disjoint_union(rg.path_graph(3), rg.path_graph(3))
+    ss, cert = rg.solve(rg.SolveQuery(g, h, enumeration="exists", node_budget=100))
+    assert ss.complete and cert is None and len(ss.solutions) == 1
+    assert rg.apply_strong(g, ss.solutions[0]) == h
 
 
 def test_complete_source_decisions_match_search_spot():
