@@ -278,13 +278,12 @@ def _cmd_solve(args) -> int:
             text += f"# certificate {cert.kind}: {cert.detail}\n"
         _emit(doc, args.json, text)
         return EXIT_NEGATIVE
-    text = f"# solutions {len(result.solutions)}\n"
+    parts = [f"# solutions {len(result.solutions)}\n"]
     if args.minimal or args.maximal:
-        text += f"# minimal indices: {' '.join(map(str, result.minimal_elements))}\n"
-        text += f"# maximal indices: {' '.join(map(str, result.maximal_elements))}\n"
-    for i in picked:
-        text += rio.format_relation(result.solutions[i], note=f"solution {i}")
-    _emit(doc, args.json, text)
+        parts.append(f"# minimal indices: {' '.join(map(str, result.minimal_elements))}\n")
+        parts.append(f"# maximal indices: {' '.join(map(str, result.maximal_elements))}\n")
+    parts += (rio.format_relation(result.solutions[i], note=f"solution {i}") for i in picked)
+    _emit(doc, args.json, "".join(parts))
     return EXIT_OK
 
 

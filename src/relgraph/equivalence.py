@@ -23,11 +23,11 @@ from .core import (
     compose_rel,
     disjoint_union,
     empty_graph,
-    identity_relation,
     induced_subgraph,
     partition_from_classes,
 )
 from .generate import all_graphs, canonical_key, graph_of
+from .retract import _sweep, _sweep_reattach
 from .solver import relation_exists
 
 
@@ -147,45 +147,6 @@ def strongly_equivalent(g: Graph, h: Graph) -> EquivalenceWitness | None:
     return EquivalenceWitness("strong", forward, backward)
 
 
-def _deletable(nbhd: dict[int, int], i: int, alive: list[int]) -> tuple[bool, list[int], int | None]:
-    """Deletion test for the reduced-form algorithm on neighborhood masks.
-
-    Vertex i goes when (1) its neighborhood is the union of the contained
-    neighborhoods of other live vertices and (2) some other live vertex's
-    neighborhood contains it. Returns (deletable, contributors, container).
-    """
-    ni = nbhd[i]
-    union = 0
-    contributors = []
-    container = None
-    for j in alive:
-        if j == i:
-            continue
-        nj = nbhd[j]
-        if nj & ~ni == 0:
-            union |= nj
-            contributors.append(j)
-        if ni & ~nj == 0 and container is None:
-            container = j
-    return union == ni and container is not None, contributors, container
-
-
-def _rcore_literal(g: Graph) -> list[int]:
-    """Single ascending pass over the original neighborhood table.
-
-    Deleted vertices get empty neighborhoods but linger inside other
-    vertices' stale sets, exactly as the one-pass formulation reads.
-    """
-    alive = list(range(g.n))
-    nbhd = {v: g.adjacency[v] for v in range(g.n)}
-    for i in range(g.n):
-        ok, _, _ = _deletable(nbhd, i, alive)
-        if ok:
-            alive.remove(i)
-            nbhd[i] = 0
-    return alive
-
-
 def rcore(g: Graph, mode: str = "fixpoint") -> Graph:
     """Minimum-order representative of the weak equivalence class.
 
@@ -198,16 +159,7 @@ def rcore(g: Graph, mode: str = "fixpoint") -> Graph:
         return core
     if mode != "literal":
         raise ValueError(f"unknown mode {mode!r}")
-    if g.n == 0:
-        return g
-    isolated = set(g.isolated_vertices())
-    if not isolated:
-        return induced_subgraph(g, _rcore_literal(g))
-    rest = induced_subgraph(g, set(range(g.n)) - isolated)
-    if rest.n == 0:
-        return empty_graph(1)
-    alive = _rcore_literal(rest)
-    return disjoint_union(induced_subgraph(rest, alive), empty_graph(1))
+    return _sweep_reattach(g, rcore=True, fixpoint=False)
 
 
 def rcore_with_witness(g: Graph) -> tuple[Graph, Relation, Relation]:
@@ -244,54 +196,28 @@ def rcore_with_witness(g: Graph) -> tuple[Graph, Relation, Relation]:
 
 
 def _rcore_witness_no_isolated(g: Graph) -> tuple[Graph, Relation, Relation]:
-    if g.n == 0:
-        empty = Relation(0, 0, frozenset())
-        return g, empty, empty
-    alive = list(range(g.n))
-    current = g
-    forward = identity_relation(g.n)
-    backward = identity_relation(g.n)
-    changed = True
-    while changed:
-        changed = False
-        for orig in list(alive):
-            i = alive.index(orig)
-            nbhd = {v: current.adjacency[v] for v in range(current.n)}
-            ok, contributors, container = _deletable(
-                nbhd, i, list(range(current.n))
-            )
-            if not ok:
-                continue
-            smaller = induced_subgraph(current, set(range(current.n)) - {i})
-            dense = lambda w: w - 1 if w > i else w
-            shrink = Relation(
-                current.n,
-                smaller.n,
-                frozenset(
-                    {(w, dense(w)) for w in range(current.n) if w != i}
-                    | {(i, dense(container))}
-                ),
-            )
-            grow = Relation(
-                smaller.n,
-                current.n,
-                frozenset(
-                    {(dense(w), w) for w in range(current.n) if w != i}
-                    | {(dense(y), i) for y in contributors}
-                ),
-            )
-            check_witness(
-                apply_strong(current, shrink) == smaller, "rcore: deletion shrink step"
-            )
-            check_witness(
-                apply_strong(smaller, grow) == current, "rcore: deletion grow step"
-            )
-            forward = forward.compose(shrink)
-            backward = grow.compose(backward)
-            current = smaller
-            alive.pop(i)
-            changed = True
-    return current, forward, backward
+    """One fixpoint sweep, then both witnesses from its trace in one reverse pass.
+
+    A deleted vertex goes forward wherever its container goes; its pre-image
+    under backward is the union of its contributors' pre-images. Every
+    container and contributor was live when the vertex went, so the reverse
+    pass has already placed it.
+    """
+    survivors, trace = _sweep(g.adjacency, (1 << g.n) - 1, rcore=True, fixpoint=True)
+    keep = [v for v in range(g.n) if survivors >> v & 1]
+    image = {v: a for a, v in enumerate(keep)}
+    pre = {v: 1 << a for a, v in enumerate(keep)}
+    for v, contributors, container in reversed(trace):
+        image[v] = image[container]
+        pre[v] = 0
+        for c in contributors:
+            pre[v] |= pre[c]
+    k = len(keep)
+    forward = Relation(g.n, k, frozenset(image.items()))
+    backward = Relation(
+        k, g.n, frozenset((a, v) for v in range(g.n) for a in range(k) if pre[v] >> a & 1)
+    )
+    return induced_subgraph(g, keep), forward, backward
 
 
 def rcore_oracle(g: Graph, cap: int = 7) -> Graph:

@@ -41,21 +41,13 @@ def property_n_star(g: Graph) -> bool:
     """No neighborhood is a union of other vertices' neighborhoods.
 
     Greedy test: the union of all neighborhoods contained in N(x) is the
-    largest candidate union, so comparing it against N(x) is exact. The
-    covering family must be nonempty; a lone isolated vertex does not
-    defeat itself.
+    largest candidate union, so comparing it against N(x) is exact. That is
+    the R-cocore deletion rule, so a pass of ``_sweep`` over the vertices
+    with an edge must delete none of them. The covering family must be
+    nonempty; a lone isolated vertex does not defeat itself, two do.
     """
-    adj = g.adjacency
-    for x in range(g.n):
-        union = 0
-        any_contained = False
-        for y in range(g.n):
-            if y != x and adj[y] & ~adj[x] == 0:
-                union |= adj[y]
-                any_contained = True
-        if any_contained and union == adj[x]:
-            return False
-    return True
+    _, trace = _sweep(g.adjacency, _non_isolated(g), rcore=False, fixpoint=False)
+    return not trace and len(g.isolated_vertices()) <= 1
 
 
 def _identity_within(sub: list[int], rel: Relation) -> bool:
@@ -190,47 +182,63 @@ def graph_core_with_witness(
     raise AssertionError("identity retraction must succeed at full size")
 
 
-def _cocore_literal(g: Graph) -> list[int]:
-    """One ascending pass; neighborhoods frozen, deleted entries zeroed.
+def _sweep(
+    adj: tuple[int, ...], alive: int, *, rcore: bool, fixpoint: bool
+) -> tuple[int, list[tuple[int, tuple[int, ...], int | None]]]:
+    """The neighbourhood-deletion rule behind R-cores and R-cocores.
 
-    A vertex is dropped when its (original) neighborhood equals the union
-    of the still-live contained neighborhoods.
+    Visits the vertices of the mask ``alive`` in ascending order. Vertex i
+    goes when its neighbourhood is the union of the neighbourhoods of other
+    live vertices contained in it ("contributors") and, for R-cores, some
+    other live vertex's neighbourhood contains it (the first such is its
+    "container"). With ``fixpoint`` neighbourhoods are restricted to the live
+    vertices and sweeps repeat until none deletes; without it one pass reads
+    the original neighbourhoods, stale entries of deleted vertices included.
+
+    Returns the surviving vertex mask and the trace of deletions, in order,
+    as ``(vertex, contributors, container)``.
     """
-    alive = list(range(g.n))
-    nbhd = {v: g.adjacency[v] for v in range(g.n)}
-    for i in range(g.n):
-        ni = nbhd[i]
-        union = 0
-        for j in alive:
-            if j != i and nbhd[j] & ~ni == 0:
-                union |= nbhd[j]
-        if union == ni:
-            alive.remove(i)
-            nbhd[i] = 0
-    return alive
-
-
-def _cocore_fixpoint(g: Graph) -> list[int]:
-    """Cleaned variant: neighborhoods recomputed inside the survivors,
-    sweeps repeated until stable."""
-    alive = list(range(g.n))
+    live = [v for v in range(len(adj)) if alive >> v & 1]
+    trace = []
     changed = True
     while changed:
         changed = False
-        for i in list(alive):
-            mask = 0
-            for v in alive:
-                mask |= 1 << v
-            nbhd = {v: g.adjacency[v] & mask for v in alive}
-            ni = nbhd[i]
+        for i in tuple(live):
+            restrict = alive if fixpoint else -1
+            ni = adj[i] & restrict
             union = 0
-            for j in alive:
-                if j != i and nbhd[j] & ~ni == 0:
-                    union |= nbhd[j]
-            if union == ni:
-                alive.remove(i)
-                changed = True
-    return alive
+            contributors = []
+            container = None
+            for j in live:
+                if j == i:
+                    continue
+                nj = adj[j] & restrict
+                if nj & ~ni == 0:
+                    union |= nj
+                    contributors.append(j)
+                if rcore and container is None and ni & ~nj == 0:
+                    container = j
+            if union == ni and (container is not None or not rcore):
+                live.remove(i)
+                alive &= ~(1 << i)
+                trace.append((i, tuple(contributors), container))
+                changed = fixpoint
+    return alive, trace
+
+
+def _non_isolated(g: Graph) -> int:
+    return sum(1 << v for v in range(g.n) if g.adjacency[v])
+
+
+def _sweep_reattach(g: Graph, *, rcore: bool, fixpoint: bool) -> Graph:
+    """Sweep the non-isolated vertices; isolated ones come back as one vertex."""
+    if g.n == 0:
+        return g
+    survivors, _ = _sweep(g.adjacency, _non_isolated(g), rcore=rcore, fixpoint=fixpoint)
+    core = induced_subgraph(g, [v for v in range(g.n) if survivors >> v & 1])
+    if g.isolated_vertices():
+        return disjoint_union(core, empty_graph(1))
+    return core
 
 
 def cocore(g: Graph, mode: str = "literal") -> Graph:
@@ -239,15 +247,7 @@ def cocore(g: Graph, mode: str = "literal") -> Graph:
         return core
     if mode != "fixpoint":
         raise ValueError(f"unknown mode {mode!r}")
-    if g.n == 0:
-        return g
-    isolated = set(g.isolated_vertices())
-    if not isolated:
-        return induced_subgraph(g, _cocore_fixpoint(g))
-    rest = induced_subgraph(g, set(range(g.n)) - isolated)
-    if rest.n == 0:
-        return empty_graph(1)
-    return disjoint_union(induced_subgraph(rest, _cocore_fixpoint(rest)), empty_graph(1))
+    return _sweep_reattach(g, rcore=False, fixpoint=True)
 
 
 def cocore_with_witness(g: Graph) -> tuple[Graph, RetractionWitness]:
@@ -262,33 +262,17 @@ def cocore_with_witness(g: Graph) -> tuple[Graph, RetractionWitness]:
         return g, RetractionWitness(
             "coretraction", frozenset(), Relation(0, 0, frozenset())
         )
-    isolated = set(g.isolated_vertices())
-    live = sorted(set(range(g.n)) - isolated)
-    if not live:
-        # all isolated: a single isolated vertex regenerates them
-        keep = [0]
-        pairs = {(0, v) for v in range(g.n)}
-        rel = Relation(g.n, g.n, frozenset(pairs))
-        core = induced_subgraph(g, keep)
-        check_witness(is_coretraction(g, keep, rel), "cocore: isolated-vertex witness")
-        return core, RetractionWitness("coretraction", frozenset(keep), rel)
-
-    rest = induced_subgraph(g, live)
-    alive_dense = _cocore_literal(rest)
-    keep = sorted(live[i] for i in alive_dense)
-    if isolated:
-        keep.append(min(isolated))
-    deleted = [v for v in range(g.n) if v not in set(keep)]
     adj = g.adjacency
+    survivors, _ = _sweep(adj, _non_isolated(g), rcore=False, fixpoint=False)
+    keep = [v for v in range(g.n) if survivors >> v & 1]
     pairs = {(x, x) for x in keep}
-    for d in deleted:
-        if d in isolated:
-            anchor = min(isolated)
-            pairs.add((anchor, d))
-            continue
-        for y in keep:
-            if y not in isolated and adj[y] and adj[y] & ~adj[d] == 0:
-                pairs.add((y, d))
+    for d in range(g.n):
+        if adj[d] and not survivors >> d & 1:
+            pairs |= {(y, d) for y in keep if adj[y] & ~adj[d] == 0}
+    isolated = g.isolated_vertices()
+    if isolated:
+        keep.append(isolated[0])
+        pairs |= {(isolated[0], v) for v in isolated}
     rel = Relation(g.n, g.n, frozenset(pairs))
     core = induced_subgraph(g, keep)
     check_witness(is_coretraction(g, keep, rel), "cocore: coretraction witness")

@@ -35,7 +35,6 @@ from .core import (
     graph_from_edges,
     induced_subgraph,
     is_complete,
-    is_connected,
     path_length_of,
     radius,
 )
@@ -233,16 +232,6 @@ def _search_columns(
     yield from dfs(0, 0)
 
 
-def _iter_column_solutions(
-    src: Graph, tgt: Graph, *, weak: bool, full_domain: bool, budget: _Budget
-):
-    """``_search_columns`` on the whole target, with the subset table built here."""
-    nbr = _subset_neighbors(src)
-    return _search_columns(
-        src, tgt, nbr, weak=weak, full_domain=full_domain, budget=budget
-    )
-
-
 @lru_cache(maxsize=1 << SOLVER_VERTEX_CAP)
 def _bits(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of ``mask``, ascending."""
@@ -343,6 +332,114 @@ def complete_source_solution(
     return Relation(k, h.n, frozenset(pairs))
 
 
+# Each no-instance rule takes (g, h, weak, domain) and returns its Certificate
+# when its hypotheses hold and the invariant it cites fails, else None.
+
+
+def _components_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
+    if domain != "full" or g.isolated_vertices() or h.isolated_vertices():
+        return None
+    b0g, b0h = _component_count(g), _component_count(h)
+    if b0g >= b0h:
+        return None
+    return Certificate(
+        "components",
+        f"source has {b0g} connected components but target has {b0h}; "
+        "a full-domain composition cannot increase the count",
+        (("source_components", b0g), ("target_components", b0h)),
+    )
+
+
+def _chromatic_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
+    if weak or domain != "full" or not (g.is_simple and h.is_simple):
+        return None
+    cg, ch = _chromatic(g), _chromatic(h)
+    if cg <= ch:
+        return None
+    return Certificate(
+        "chromatic",
+        f"chromatic number {cg} of the source exceeds {ch} of the target; "
+        "a full-domain composition cannot lower it",
+        (("source_chromatic", cg), ("target_chromatic", ch)),
+    )
+
+
+def _distance_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
+    if domain != "full" or _component_count(g) != 1:
+        return None
+    dg = _diameter(g)
+    if dg < 2:
+        return None
+    dh = _diameter(h)
+    if dh <= dg:
+        return None
+    return Certificate(
+        "distance",
+        f"target diameter {dh} exceeds source diameter {dg}",
+        (("source_diameter", dg), ("target_diameter", str(dh))),
+    )
+
+
+def _radius_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
+    if domain != "full" or g.n < 2 or _component_count(g) != 1:
+        return None
+    bound = max(_radius(g), 2)
+    rh = _radius(h)
+    if rh <= bound:
+        return None
+    return Certificate(
+        "radius",
+        f"target radius {rh} exceeds max(source radius, 2) = {bound}",
+        (("target_radius", str(rh)), ("bound", str(bound))),
+    )
+
+
+def _path_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
+    if weak or domain != "full":
+        return None
+    k, l = path_length_of(g), path_length_of(h)
+    if k is None or l is None or min(k, l) < 1 or k >= l or (k == 1 and l == 2):
+        return None
+    return Certificate(
+        "pathChar",
+        f"no relation takes a path of length {k} onto a path of length {l}",
+        (("source_length", k), ("target_length", l)),
+    )
+
+
+def _complete_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
+    if g.n < 1 or not is_complete(g) or not h.is_simple:
+        return None
+    if domain == "any":
+        if complete_source_decision(g.n, h, weak=weak):
+            return None
+    elif weak:
+        return None
+    else:
+        parts = _complement_clique_parts(h)
+        if parts is not None and len(parts) == g.n:
+            return None
+    return Certificate(
+        "completeChar",
+        f"the target's complement does not split into "
+        f"{'at most' if domain == 'any' else 'exactly'} {g.n} "
+        "disjoint complete graphs"
+        + (" (counting only components with two or more vertices)" if weak else ""),
+        (("source_order", g.n),),
+    )
+
+
+# In the order certify tries them, keyed by Certificate.kind.
+_RULES = {
+    "components": _components_rule,
+    "chromatic": _chromatic_rule,
+    "distance": _distance_rule,
+    "radius": _radius_rule,
+    "pathChar": _path_rule,
+    "completeChar": _complete_rule,
+}
+
+
 def certify(
     g: Graph, h: Graph, mode: str = "strong", domain: str = "any"
 ) -> Certificate | None:
@@ -353,75 +450,10 @@ def certify(
     when no rule applies (which does not mean a solution exists).
     """
     weak = mode == "weak"
-    fulldom = domain == "full"
-
-    if fulldom and not g.isolated_vertices() and not h.isolated_vertices():
-        b0g, b0h = _component_count(g), _component_count(h)
-        if b0g < b0h:
-            return Certificate(
-                "components",
-                f"source has {b0g} connected components but target has {b0h}; "
-                "a full-domain composition cannot increase the count",
-                (("source_components", b0g), ("target_components", b0h)),
-            )
-
-    if not weak and fulldom and g.is_simple and h.is_simple:
-        cg, ch = _chromatic(g), _chromatic(h)
-        if cg > ch:
-            return Certificate(
-                "chromatic",
-                f"chromatic number {cg} of the source exceeds {ch} of the target; "
-                "a full-domain composition cannot lower it",
-                (("source_chromatic", cg), ("target_chromatic", ch)),
-            )
-
-    if fulldom and g.n >= 1 and is_connected(g):
-        dg = _diameter(g)
-        if dg >= 2:
-            dh = _diameter(h)
-            if dh > dg:
-                return Certificate(
-                    "distance",
-                    f"target diameter {dh} exceeds source diameter {dg}",
-                    (("source_diameter", dg), ("target_diameter", str(dh))),
-                )
-        if g.n >= 2:
-            bound = max(_radius(g), 2)
-            rh = _radius(h)
-            if rh > bound:
-                return Certificate(
-                    "radius",
-                    f"target radius {rh} exceeds max(source radius, 2) = {bound}",
-                    (("target_radius", str(rh)), ("bound", str(bound))),
-                )
-
-    if not weak and fulldom:
-        k, l = path_length_of(g), path_length_of(h)
-        if k is not None and l is not None and k >= 1 and l >= 1:
-            if not (k >= l or (k == 1 and l == 2)):
-                return Certificate(
-                    "pathChar",
-                    f"no relation takes a path of length {k} onto a path of "
-                    f"length {l}",
-                    (("source_length", k), ("target_length", l)),
-                )
-
-    if g.n >= 1 and is_complete(g) and h.is_simple:
-        decision: bool | None = None
-        if domain == "any":
-            decision = complete_source_decision(g.n, h, weak=weak)
-        elif not weak:
-            parts = _complement_clique_parts(h)
-            decision = parts is not None and len(parts) == g.n
-        if decision is False:
-            return Certificate(
-                "completeChar",
-                f"the target's complement does not split into "
-                f"{'at most' if domain == 'any' else 'exactly'} {g.n} "
-                "disjoint complete graphs"
-                + (" (counting only components with two or more vertices)" if weak else ""),
-                (("source_order", g.n),),
-            )
+    for rule in _RULES.values():
+        cert = rule(g, h, weak, domain)
+        if cert is not None:
+            return cert
     return None
 
 
@@ -431,62 +463,8 @@ def certificate_holds(
     """Re-check that the cited invariant genuinely fails on (g, h)."""
     if cert.kind == "exhausted":
         return True
-    fresh = certify(g, h, mode, domain)
-    if fresh is not None and fresh.kind == cert.kind:
-        return True
-    # The certificate may cite a rule further down the order than the first
-    # violated one; re-evaluate just its own predicate.
-    weak = mode == "weak"
-    fulldom = domain == "full"
-    if cert.kind == "components":
-        return (
-            fulldom
-            and not g.isolated_vertices()
-            and not h.isolated_vertices()
-            and _component_count(g) < _component_count(h)
-        )
-    if cert.kind == "chromatic":
-        return (
-            not weak
-            and fulldom
-            and g.is_simple
-            and h.is_simple
-            and _chromatic(g) > _chromatic(h)
-        )
-    if cert.kind == "distance":
-        return (
-            fulldom
-            and is_connected(g)
-            and _diameter(g) >= 2
-            and _diameter(h) > _diameter(g)
-        )
-    if cert.kind == "radius":
-        return (
-            fulldom
-            and g.n >= 2
-            and is_connected(g)
-            and _radius(h) > max(_radius(g), 2)
-        )
-    if cert.kind == "pathChar":
-        k, l = path_length_of(g), path_length_of(h)
-        return (
-            not weak
-            and fulldom
-            and k is not None
-            and l is not None
-            and min(k, l) >= 1
-            and not (k >= l or (k == 1 and l == 2))
-        )
-    if cert.kind == "completeChar":
-        if not (g.n >= 1 and is_complete(g) and h.is_simple):
-            return False
-        if domain == "any":
-            return not complete_source_decision(g.n, h, weak=weak)
-        if weak:
-            return False
-        parts = _complement_clique_parts(h)
-        return parts is None or len(parts) != g.n
-    return False
+    rule = _RULES.get(cert.kind)
+    return rule is not None and rule(g, h, mode == "weak", domain) is not None
 
 
 @dataclass(frozen=True)
@@ -637,9 +615,10 @@ def iter_solutions(query: SolveQuery, *, use_fast_paths: bool = True):
         return
     if use_fast_paths and certify(g, h, query.mode, query.domain) is not None:
         return
+    nbr = _subset_neighbors(g)
     budget = _Budget(query.node_budget, query.time_budget)
-    for colmasks in _iter_column_solutions(
-        g, h, weak=weak, full_domain=query.domain == "full", budget=budget
+    for colmasks in _search_columns(
+        g, h, nbr, weak=weak, full_domain=query.domain == "full", budget=budget
     ):
         yield _relation_of(colmasks, g.n, h.n)
 
@@ -763,8 +742,8 @@ def relation_exists(
         # a full-domain solution always contains a functional subrelation,
         # which is a homomorphism
         return False
-    for _ in _iter_column_solutions(
-        g, h, weak=weak, full_domain=full_domain, budget=_NO_BUDGET
+    for _ in _search_columns(
+        g, h, _subset_neighbors(g), weak=weak, full_domain=full_domain, budget=_NO_BUDGET
     ):
         return True
     return False

@@ -9,7 +9,7 @@ import time
 
 import relgraph as rg
 from relgraph.retract import is_automorphism_relation
-from relgraph.solver import _Budget, _iter_column_solutions, _relation_of
+from relgraph.solver import _Budget, _relation_of, _search_columns, _subset_neighbors
 from helpers import (
     naive_solution_masks,
     random_graph,
@@ -104,8 +104,8 @@ def test_criterion_2_equivalence_characterizations():
 
     def reversible_witness_exists(g, h):
         budget = _Budget(None, None)
-        for cols in _iter_column_solutions(
-            g, h, weak=False, full_domain=True, budget=budget
+        for cols in _search_columns(
+            g, h, _subset_neighbors(g), weak=False, full_domain=True, budget=budget
         ):
             r = _relation_of(cols, g.n, h.n)
             if rg.apply_strong(h, r.transpose()) == g:

@@ -174,7 +174,7 @@ def test_equivalences_are_equivalence_relations_on_pool():
 
 WITNESS_CHECKS_UNDER_O = """
 import relgraph as rg
-from relgraph import equivalence
+from relgraph import equivalence, retract
 
 try:
     assert False
@@ -227,6 +227,19 @@ def bad_rcore(g):
 
 equivalence.rcore_with_witness = bad_rcore
 expect_check_error(lambda: rg.weakly_equivalent(c4, p3))
+
+# A deletion sweep that loses a survivor: cocore_with_witness's
+# coretraction check must fire.
+sweep = retract._sweep
+
+
+def lossy_sweep(adj, alive, **kwargs):
+    survivors, trace = sweep(adj, alive, **kwargs)
+    return survivors & (survivors - 1), trace
+
+
+retract._sweep = lossy_sweep
+expect_check_error(lambda: rg.cocore_with_witness(c4))
 print("checked")
 """
 
