@@ -244,14 +244,15 @@ def _cmd_solve(args) -> int:
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
 
+    # Only the output that ``_emit`` prints gets built: a large enumeration
+    # has tens of thousands of solutions.
     if not result.complete:
-        _emit(
-            {"command": "solve", "status": "budget-exhausted",
-             "solutions": [rio.relation_to_json(r) for r in result.solutions],
-             "complete": False, "certificate": None},
-            args.json,
-            "# budget exhausted before the search completed\n",
-        )
+        doc, text = {}, "# budget exhausted before the search completed\n"
+        if args.json:
+            doc = {"command": "solve", "status": "budget-exhausted",
+                   "solutions": [rio.relation_to_json(r) for r in result.solutions],
+                   "complete": False, "certificate": None}
+        _emit(doc, args.json, text)
         return EXIT_BUDGET
 
     picked = list(range(len(result.solutions)))
@@ -260,31 +261,33 @@ def _cmd_solve(args) -> int:
     elif args.maximal and not args.minimal:
         picked = list(result.maximal_elements)
 
-    doc = {
-        "command": "solve",
-        "status": "decided" if result.solutions else "negative",
-        "mode": query.mode,
-        "domain": query.domain,
-        "count": len(result.solutions),
-        "solutions": [rio.relation_to_json(result.solutions[i]) for i in picked],
-        "minimal": list(result.minimal_elements),
-        "maximal": list(result.maximal_elements),
-        "complete": result.complete,
-        "certificate": _cert_json(cert),
-    }
-    if not result.solutions:
+    doc, text = {}, ""
+    if args.json:
+        doc = {
+            "command": "solve",
+            "status": "decided" if result.solutions else "negative",
+            "mode": query.mode,
+            "domain": query.domain,
+            "count": len(result.solutions),
+            "solutions": [rio.relation_to_json(result.solutions[i]) for i in picked],
+            "minimal": list(result.minimal_elements),
+            "maximal": list(result.maximal_elements),
+            "complete": result.complete,
+            "certificate": _cert_json(cert),
+        }
+    elif not result.solutions:
         text = "# no solution\n"
         if cert is not None:
             text += f"# certificate {cert.kind}: {cert.detail}\n"
-        _emit(doc, args.json, text)
-        return EXIT_NEGATIVE
-    parts = [f"# solutions {len(result.solutions)}\n"]
-    if args.minimal or args.maximal:
-        parts.append(f"# minimal indices: {' '.join(map(str, result.minimal_elements))}\n")
-        parts.append(f"# maximal indices: {' '.join(map(str, result.maximal_elements))}\n")
-    parts += (rio.format_relation(result.solutions[i], note=f"solution {i}") for i in picked)
-    _emit(doc, args.json, "".join(parts))
-    return EXIT_OK
+    else:
+        parts = [f"# solutions {len(result.solutions)}\n"]
+        if args.minimal or args.maximal:
+            parts.append(f"# minimal indices: {' '.join(map(str, result.minimal_elements))}\n")
+            parts.append(f"# maximal indices: {' '.join(map(str, result.maximal_elements))}\n")
+        parts += (rio.format_relation(result.solutions[i], note=f"solution {i}") for i in picked)
+        text = "".join(parts)
+    _emit(doc, args.json, text)
+    return EXIT_OK if result.solutions else EXIT_NEGATIVE
 
 
 def _parse_subset(raw: str) -> list[int]:

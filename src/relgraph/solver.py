@@ -16,6 +16,7 @@ always confirmed by exhaustive search.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -58,7 +59,12 @@ class PreconditionViolatedError(ValueError):
 
 
 class _Budget:
-    """Node/time budget of one search; ``spend`` is called once per candidate."""
+    """Node/time budget of one search, counted in candidate masks considered.
+
+    ``spend(count)`` charges ``count`` units at once: the node budget runs
+    out as soon as fewer than zero units are left, and the deadline is
+    checked whenever the running count crosses a multiple of 256.
+    """
 
     __slots__ = ("nodes_left", "deadline", "_ticks", "unlimited")
 
@@ -70,13 +76,14 @@ class _Budget:
         self._ticks = 0
         self.unlimited = node_budget is None and time_budget is None
 
-    def spend(self) -> None:
+    def spend(self, count: int) -> None:
         if self.nodes_left is not None:
-            self.nodes_left -= 1
+            self.nodes_left -= count
             if self.nodes_left < 0:
                 raise BudgetExhaustedError("node budget exhausted")
-        self._ticks += 1
-        if self.deadline is not None and self._ticks % 256 == 0:
+        before = self._ticks
+        self._ticks = before + count
+        if self.deadline is not None and before >> 8 != self._ticks >> 8:
             if time.monotonic() > self.deadline:
                 raise BudgetExhaustedError("time budget exhausted")
 
@@ -129,18 +136,23 @@ def _search_columns(
     order = sorted(range(m), key=lambda b: (-tgt.degree(b), b))
     pos_of = {b: i for i, b in enumerate(order)}
 
+    # Columns with the same pins (and, in strong mode, the same loop
+    # requirement) share one read-only candidate list, ascending.
+    lists: dict[tuple[int, int, bool | None], list[int]] = {}
     cand: list[list[int]] = []
     for b in order:
         req = required[b] if required is not None else 0
         uni = universe[b] if universe is not None else full
-        want_loop = bool(tadj[b] >> b & 1)
-        opts = []
-        for mask in range(1, full + 1):
-            if mask & ~uni or (mask & req) != req:
-                continue
-            if not weak and bool(nbr[mask] & mask) != want_loop:
-                continue
-            opts.append(mask)
+        loop = None if weak else bool(tadj[b] >> b & 1)
+        opts = lists.get((req, uni, loop))
+        if opts is None:
+            opts = lists[req, uni, loop] = [
+                mask
+                for mask in range(1, full + 1)
+                if not mask & ~uni
+                and mask & req == req
+                and (loop is None or bool(nbr[mask] & mask) == loop)
+            ]
         if not opts:
             return
         cand.append(opts)
@@ -195,9 +207,13 @@ def _search_columns(
             else:
                 forbidden |= nb_j
         remaining = all_pos >> (i + 1) << (i + 1)
-        for mask in cand[i]:
-            if limited:
-                spend()
+        opts = cand[i]
+        # Every mask of ``opts`` costs one budget unit. A rejected mask has
+        # no effect, so the units are charged in bulk: up to each accepted
+        # mask before the search goes on from it, and the rest when the
+        # loop ends.
+        charged = 0
+        for mask in opts:
             if mask & forbidden:
                 continue
             ok = True
@@ -207,6 +223,10 @@ def _search_columns(
                     break
             if not ok:
                 continue
+            if limited:
+                upto = bisect_right(opts, mask)
+                spend(upto - charged)
+                charged = upto
             chosen[i] = mask
             if full_domain:
                 undo = []
@@ -228,6 +248,8 @@ def _search_columns(
                     colopts[x] = old
             else:
                 yield from dfs(i + 1, covered | mask)
+        if limited:
+            spend(len(opts) - charged)
 
     yield from dfs(0, 0)
 

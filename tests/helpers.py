@@ -8,6 +8,7 @@ they can stand as the second route in every dual-route check.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import permutations
 
@@ -174,3 +175,42 @@ def random_full_relation(rng: random.Random, n: int, m: int, extra: float = 0.25
         pairs.add((x, rng.randrange(m)))
     return rg.relation_from_pairs(n, m, pairs)
 
+
+def min_completing_budget(query: rg.SolveQuery, guess: int = 1) -> int:
+    """Smallest ``node_budget`` under which ``rg.solve(query)`` completes.
+
+    A query completes under budget B exactly when its search needs at most
+    B units, so completion is monotone in B. Starting from ``guess``, the
+    step doubles until it brackets the threshold, then the bracket is
+    bisected; a correct guess costs two solves. To regenerate the pinned
+    thresholds of ``tests/test_solver.py`` on another commit, run each case
+    from the repository root with ``PYTHONPATH=src:tests``::
+
+        import relgraph as rg, helpers
+        query = rg.SolveQuery(rg.cycle_graph(6), rg.path_graph(4), mode="weak")
+        print(helpers.min_completing_budget(query))
+    """
+
+    def completes(budget: int) -> bool:
+        return rg.solve(dataclasses.replace(query, node_budget=budget))[0].complete
+
+    step = 1
+    if completes(guess):
+        hi = guess
+        while hi > step and completes(hi - step):
+            hi -= step
+            step *= 2
+        lo = max(hi - step, 0)
+    else:
+        lo = guess
+        while not completes(lo + step):
+            lo += step
+            step *= 2
+        hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if completes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -182,6 +182,14 @@ def test_cli_env_default_budget(files, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_time_budget_exhaustion(tmp_path, capsys, monkeypatch):
+    c6 = _write(tmp_path, "c6.graph", rio.format_graph(rg.cycle_graph(6)))
+    p4 = _write(tmp_path, "p4.graph", rio.format_graph(rg.path_graph(4)))
+    monkeypatch.setenv("RELGRAPH_TIME_BUDGET", "1e-9")
+    assert main(["solve", "--all", "--weak", c6, p4]) == 3
+    assert "budget exhausted" in capsys.readouterr().out
+
+
 def test_json_and_text_decide_identically(files, tmp_path, capsys):
     c5 = _write(tmp_path, "c5.graph", rio.format_graph(rg.cycle_graph(5)))
     commands = [

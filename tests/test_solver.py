@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import relgraph as rg
 from helpers import (
     brute_hom_exists,
     brute_surjective_hom_exists,
+    min_completing_budget,
     naive_solution_masks,
     random_graph,
     relation_to_mask,
@@ -119,6 +121,51 @@ def test_budget_exhaustion_reports_incomplete():
     assert not ss.complete and cert is None
     ss2, _ = rg.solve(rg.SolveQuery(g, h, enumeration="exists", node_budget=10**6))
     assert ss2.complete and ss2.solutions
+
+
+_GRAPHS = {
+    "C5": rg.cycle_graph(5),
+    "C6": rg.cycle_graph(6),
+    "C8": rg.cycle_graph(8),
+    "C10": rg.cycle_graph(10),
+    "P4": rg.path_graph(4),
+    "P5": rg.path_graph(5),
+    "P7": rg.path_graph(7),
+    "2P3": rg.disjoint_union(rg.path_graph(3), rg.path_graph(3)),
+    "E4": rg.empty_graph(4),
+}
+
+
+@pytest.mark.parametrize(
+    "source, target, mode, domain, enumeration, threshold",
+    [
+        ("C6", "2P3", "strong", "any", "exists", 57),
+        ("C6", "2P3", "strong", "any", "all", 14_977),
+        ("P7", "P4", "strong", "full", "exists", 1_043),
+        ("P7", "P4", "strong", "any", "all", 227_898),
+        ("C8", "P4", "weak", "any", "exists", 4_215),
+        ("C6", "P4", "weak", "any", "all", 845_586),
+        ("C10", "C5", "strong", "full", "exists", 85_873),
+        ("E4", "E4", "strong", "any", "all", 54_240),
+        ("P5", "C5", "weak", "full", "exists", 49_321),
+    ],
+)
+def test_pinned_node_budget_thresholds(source, target, mode, domain, enumeration, threshold):
+    """A node-budget unit is one candidate mask considered, rejected or not;
+    the smallest completing budget of each query is pinned exactly."""
+    g, h = _GRAPHS[source], _GRAPHS[target]
+    query = rg.SolveQuery(g, h, mode=mode, domain=domain, enumeration=enumeration)
+    assert min_completing_budget(query, guess=threshold) == threshold
+    ss, cert = rg.solve(dataclasses.replace(query, node_budget=threshold - 1))
+    assert not ss.complete and cert is None
+
+
+def test_time_budget_exhaustion_reports_incomplete():
+    # The search needs 845,586 units, so the deadline is checked many times.
+    ss, cert = rg.solve(
+        rg.SolveQuery(rg.cycle_graph(6), rg.path_graph(4), mode="weak", time_budget=1e-9)
+    )
+    assert not ss.complete and cert is None
 
 
 def test_component_recombination_matches_direct_search():
@@ -300,5 +347,7 @@ def test_query_validation():
         rg.SolveQuery(rg.complete_graph(2), rg.complete_graph(2), mode="odd")
     with pytest.raises(ValueError):
         rg.SolveQuery(rg.complete_graph(2), rg.complete_graph(2), node_budget=0)
+    with pytest.raises(ValueError):
+        rg.SolveQuery(rg.complete_graph(2), rg.complete_graph(2), time_budget=0)
     with pytest.raises(rg.CapExceededError):
         rg.SolveQuery(rg.empty_graph(40), rg.empty_graph(2))
