@@ -228,8 +228,11 @@ def _cmd_solve(args) -> int:
         enumeration = "minimal"
     elif args.maximal and not args.minimal:
         enumeration = "maximal"
-    node_budget = args.node_budget or _env_int("RELGRAPH_NODE_BUDGET")
-    time_budget = args.time_budget or _env_float("RELGRAPH_TIME_BUDGET")
+    node_budget, time_budget = args.node_budget, args.time_budget
+    if node_budget is None:
+        node_budget = _env_int("RELGRAPH_NODE_BUDGET")
+    if time_budget is None:
+        time_budget = _env_float("RELGRAPH_TIME_BUDGET")
     try:
         query = SolveQuery(
             g,

@@ -26,7 +26,7 @@ from .core import (
     induced_subgraph,
     partition_from_classes,
 )
-from .generate import all_graphs, canonical_key, graph_of
+from .generate import _leaves, _permute, all_graphs, canonical_key, graph_of
 from .retract import _sweep, _sweep_reattach
 from .solver import relation_exists
 
@@ -80,42 +80,28 @@ def is_thin(g: Graph) -> bool:
 def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     """A vertex bijection preserving adjacency both ways, or None.
 
-    Deterministic backtracking: source vertices in index order, candidate
-    images in index order, pruned by (loop, degree) invariants.
+    Follows the first path of ``g``'s individualization-refinement tree
+    (see ``generate``), recording the cell sizes at each depth, then
+    searches ``h``'s tree depth first for a leaf that relabels ``h`` to the
+    same rows, skipping every subtree whose cell sizes differ. An
+    isomorphism maps ``g``'s path onto one of ``h``'s, so the search is
+    complete. On a graph and itself it returns the identity.
     """
     if g.n != h.n or len(g.edges) != len(h.edges):
         return None
-    n = g.n
-    ga, ha = g.adjacency, h.adjacency
+    profile: list[list[int]] = []
 
-    def sig(adj, v):
-        return (adj[v] >> v & 1, bin(adj[v]).count("1"))
+    def record(depth: int, colour: list[int]) -> bool:
+        profile.append(sorted(colour))
+        return True
 
-    if sorted(sig(ga, v) for v in range(n)) != sorted(sig(ha, v) for v in range(n)):
-        return None
-    image = [-1] * n
-    used = [False] * n
-
-    def place(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used[w] or sig(ga, v) != sig(ha, w):
-                continue
-            ok = True
-            for u in range(v):
-                if bool(ga[v] >> u & 1) != bool(ha[w] >> image[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                if place(v + 1):
-                    return True
-                used[w] = False
-        return False
-
-    return tuple(image) if place(0) else None
+    leaf = next(_leaves(g.adjacency, record))
+    rows = _permute(g.adjacency, leaf)
+    for other in _leaves(h.adjacency, lambda depth, colour: sorted(colour) == profile[depth]):
+        if _permute(h.adjacency, other) == rows:
+            vertex_at = {c: w for w, c in enumerate(other)}
+            return tuple(vertex_at[c] for c in leaf)
+    return None
 
 
 @dataclass(frozen=True)

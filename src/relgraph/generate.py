@@ -1,16 +1,26 @@
-"""Exhaustive generation of small graphs up to isomorphism.
+"""Exhaustive generation of small graphs up to isomorphism, and the one
+individualization-refinement engine behind canonical forms and isomorphisms.
 
 Graphs are represented internally as tuples of adjacency bitmasks (bit v of
-row u set iff edge (u, v); a loop sets bit u of row u). Canonical form is
-the lexicographically least row tuple over all relabelings, restricted to
-permutations that respect an iterated degree-refinement partition, which
-keeps the search tiny for the desk-scale sizes used here.
+row u set iff edge (u, v); a loop sets bit u of row u).
+
+A colouring gives each vertex the rank of its signature. Colours start from
+(loop, degree) and are refined by (colour, sorted neighbour colours) until
+their number stops growing. While some colour holds more than one vertex,
+each vertex of the lowest-ranked such cell is individualized in turn and
+the colouring refined again (McKay and Piperno, *Practical graph
+isomorphism II*, 2014). Every step depends only on the graph, so the leaves
+of this search tree, discrete colourings read as relabellings, correspond
+under any isomorphism. The canonical form is the least relabelled row tuple
+over all leaves; ``equivalence.find_isomorphism`` matches one leaf of one
+graph against the leaves of the other. There is no automorphism pruning,
+so K_n and E_n have n! leaves: only generation and the exhaustive oracles,
+at n <= 7, take canonical forms.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
 
 from .core import Graph
 
@@ -52,60 +62,54 @@ def _permute(rows: Rows, perm: tuple[int, ...]) -> Rows:
     return tuple(out)
 
 
-def _refined_invariants(rows: Rows) -> list[tuple]:
+def _ranks(keys: list) -> list[int]:
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]
+
+
+def _leaves(rows: Rows, keep=lambda depth, colour: True):
+    """Discrete colourings at the leaves of the search tree, depth first.
+
+    A colour is the rank of its vertex's signature, so ``leaf[v]`` is the
+    new label of vertex v. ``keep(depth, colour)`` sees every refined
+    colouring, in depth-first order, before it is expanded; when it returns
+    False the subtree is skipped. Branches follow the target cell's
+    vertices in index order.
+    """
     n = len(rows)
-    inv: list[tuple] = [
-        (rows[v] >> v & 1, bin(rows[v]).count("1")) for v in range(n)
-    ]
-    for _ in range(n):
-        nxt = []
-        for v in range(n):
-            neigh = sorted(
-                inv[u] for u in range(n) if rows[v] >> u & 1
+    nbrs = [[u for u in range(n) if row >> u & 1] for row in rows]
+    stack = [(_ranks([(row >> v & 1, bin(row).count("1")) for v, row in enumerate(rows)]), 0)]
+    while stack:
+        colour, depth = stack.pop()
+        while max(colour, default=n) < n - 1:  # a discrete colouring is stable
+            refined = _ranks(
+                [(c, tuple(sorted([colour[u] for u in nb]))) for c, nb in zip(colour, nbrs)]
             )
-            nxt.append((inv[v], tuple(neigh)))
-        if len(set(nxt)) == len(set(inv)) and all(
-            (nxt[a] == nxt[b]) == (inv[a] == inv[b])
-            for a in range(n)
-            for b in range(a + 1, n)
-        ):
-            break
-        inv = nxt
-    return inv
+            if refined == colour:
+                break
+            colour = refined
+        if not keep(depth, colour):
+            continue
+        size = [0] * n
+        for c in colour:
+            size[c] += 1
+        target = next((c for c in range(n) if size[c] > 1), None)
+        if target is None:
+            yield colour
+            continue
+        for v in reversed(range(n)):  # popped in index order
+            if colour[v] == target:
+                child = [c + (c > target or (c == target and u != v)) for u, c in enumerate(colour)]
+                stack.append((child, depth + 1))
 
 
 def canonical_rows(rows: Rows) -> Rows:
-    """Least relabeling of ``rows``; equal exactly for isomorphic graphs."""
-    n = len(rows)
-    if n <= 1:
-        return rows
-    inv = _refined_invariants(rows)
-    order = sorted(range(n), key=lambda v: (inv[v], v))
-    blocks: list[list[int]] = []
-    for v in order:
-        if blocks and inv[blocks[-1][0]] == inv[v]:
-            blocks[-1].append(v)
-        else:
-            blocks.append([v])
-    best: Rows | None = None
-    for parts in product(*(permutations(b) for b in blocks)):
-        flat = [v for part in parts for v in part]
-        perm = [0] * n
-        for pos, v in enumerate(flat):
-            perm[v] = pos
-        cand = _permute(rows, tuple(perm))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+    """Least relabeling of ``rows`` over the leaves; equal exactly for isomorphic graphs."""
+    return min(_permute(rows, leaf) for leaf in _leaves(rows))
 
 
 def canonical_key(g: Graph) -> Rows:
     return canonical_rows(rows_of(g))
-
-
-def isomorphic_key_equal(g: Graph, h: Graph) -> bool:
-    return g.n == h.n and canonical_key(g) == canonical_key(h)
 
 
 @lru_cache(maxsize=None)

@@ -51,7 +51,11 @@ _radius = lru_cache(maxsize=65536)(radius)
 
 
 class BudgetExhaustedError(RuntimeError):
-    """Raised internally when a search exceeds its node or time budget."""
+    """Raised when a search exceeds its node or time budget.
+
+    ``solve`` catches it and reports ``complete=False``; ``iter_solutions``
+    lets it reach its caller.
+    """
 
 
 class PreconditionViolatedError(ValueError):
@@ -89,6 +93,11 @@ class _Budget:
 
 
 _NO_BUDGET = _Budget(None, None)
+
+
+def _check_cap(g: Graph, h: Graph) -> None:
+    if max(g.n, h.n) > SOLVER_VERTEX_CAP:
+        raise CapExceededError(f"solver instances are capped at {SOLVER_VERTEX_CAP} vertices")
 
 
 def _subset_neighbors(g: Graph) -> list[int]:
@@ -512,10 +521,7 @@ class SolveQuery:
             raise ValueError("time budget must be positive")
         if self.mode == "weak" and not self.source.is_simple:
             raise LoopsNotAllowedError("weak mode requires a simple source graph")
-        if max(self.source.n, self.target.n) > SOLVER_VERTEX_CAP:
-            raise CapExceededError(
-                f"solver instances are capped at {SOLVER_VERTEX_CAP} vertices"
-            )
+        _check_cap(self.source, self.target)
 
 
 @dataclass(frozen=True)
@@ -630,18 +636,23 @@ def _antichains(
 
 
 def iter_solutions(query: SolveQuery, *, use_fast_paths: bool = True):
-    """Lazily yield solutions of the query in search order (not sorted)."""
+    """Lazily yield solutions of the query in search order (not sorted).
+
+    Each solution is re-checked before it is yielded. Under a node or time
+    budget, ``BudgetExhaustedError`` reaches the caller when the budget
+    runs out, after the solutions found so far.
+    """
     g, h = query.source, query.target
     weak = query.mode == "weak"
+    fulldom = query.domain == "full"
     if weak and not h.is_simple:
         return
     if use_fast_paths and certify(g, h, query.mode, query.domain) is not None:
         return
     nbr = _subset_neighbors(g)
     budget = _Budget(query.node_budget, query.time_budget)
-    for colmasks in _search_columns(
-        g, h, nbr, weak=weak, full_domain=query.domain == "full", budget=budget
-    ):
+    for colmasks in _search_columns(g, h, nbr, weak=weak, full_domain=fulldom, budget=budget):
+        _check_solutions(g, h, [colmasks], weak, fulldom)
         yield _relation_of(colmasks, g.n, h.n)
 
 
@@ -753,7 +764,11 @@ def _hom_exists(g: Graph, h: Graph) -> bool:
 def relation_exists(
     g: Graph, h: Graph, *, weak: bool = False, full_domain: bool = False
 ) -> bool:
-    """Decision form used by the oracle searches; no budget, fast rejects."""
+    """Decision form used by the oracle searches; no budget, fast rejects.
+
+    Capped at SOLVER_VERTEX_CAP vertices per side, like ``solve``.
+    """
+    _check_cap(g, h)
     if weak and not h.is_simple:
         return False
     mode = "weak" if weak else "strong"
@@ -785,7 +800,9 @@ def search_with_pinned_columns(
 
     Exposed for the retraction/coretraction searches; returns the first
     solution as a Relation (or None), or all of them when ``find_all``.
+    Every solution is re-checked before it is returned.
     """
+    _check_cap(src, tgt)
     found = []
     for colmasks in _search_columns(
         src,
@@ -797,6 +814,7 @@ def search_with_pinned_columns(
         universe=universe,
         budget=_NO_BUDGET,
     ):
+        _check_solutions(src, tgt, [colmasks], weak, full_domain)
         if not find_all:
             return _relation_of(colmasks, src.n, tgt.n)
         found.append(colmasks)

@@ -49,6 +49,31 @@ def test_find_isomorphism_agrees_with_brute_force():
         assert rg.find_isomorphism(g, h) is not None
 
 
+def test_find_isomorphism_separates_generated_classes():
+    # all_graphs holds one graph per class, so a shuffled copy of b is
+    # isomorphic to a exactly when a is b. Some of these pairs share their
+    # cell sizes at every depth of the search and differ only in the rows.
+    rng = random.Random(97)
+    for n, loops in ((6, False), (4, True)):
+        suite = rg.all_graphs(n, loops=loops)
+        shuffled = []
+        for b in suite:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            shuffled.append(rg.graph_from_edges(n, [(perm[u], perm[v]) for u, v in b.edges]))
+        for i, a in enumerate(suite):
+            for j, b in enumerate(shuffled):
+                got = rg.find_isomorphism(a, b)
+                assert (got is not None) == (i == j)
+                if got is not None:
+                    assert sorted(got) == list(range(n))
+                    assert all(
+                        b.has_edge(got[u], got[v]) == a.has_edge(u, v)
+                        for u in range(n)
+                        for v in range(u, n)
+                    )
+
+
 def test_find_isomorphism_negative_cases():
     assert rg.find_isomorphism(rg.complete_graph(3), rg.path_graph(3)) is None
     c5 = rg.cycle_graph(5)

@@ -182,6 +182,21 @@ def test_cli_env_default_budget(files, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_zero_budgets_are_usage_errors(tmp_path, capsys, monkeypatch):
+    # 0 is an explicit budget, not "unset": it must neither run unbudgeted
+    # nor fall back to the environment.
+    c6 = _write(tmp_path, "c6.graph", rio.format_graph(rg.cycle_graph(6)))
+    p4 = _write(tmp_path, "p4.graph", rio.format_graph(rg.path_graph(4)))
+    for flag in ("--node-budget", "--time-budget"):
+        assert main(["solve", "--all", flag, "0", c6, p4]) == 2
+        assert "must be positive" in capsys.readouterr().err
+    monkeypatch.setenv("RELGRAPH_NODE_BUDGET", "1000000")
+    monkeypatch.setenv("RELGRAPH_TIME_BUDGET", "60")
+    for flag in ("--node-budget", "--time-budget"):
+        assert main(["solve", "--all", flag, "0", c6, p4]) == 2
+        capsys.readouterr()
+
+
 def test_cli_time_budget_exhaustion(tmp_path, capsys, monkeypatch):
     c6 = _write(tmp_path, "c6.graph", rio.format_graph(rg.cycle_graph(6)))
     p4 = _write(tmp_path, "p4.graph", rio.format_graph(rg.path_graph(4)))

@@ -109,3 +109,35 @@ def test_equivalences_at_scale(big, other):
     cycle = blow_up(rg.cycle_graph(5), 20, seed=5)
     assert rg.strongly_equivalent(big, cycle) is None
     assert rg.weakly_equivalent(big, cycle) is None
+
+
+def moebius_ladder(n: int) -> rg.Graph:
+    """The n-cycle plus its n/2 antipodal chords: 3-regular, vertex-transitive."""
+    return rg.graph_from_edges(
+        n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)]
+    )
+
+
+def prism(n: int) -> rg.Graph:
+    """Two n/2-cycles joined by a perfect matching: 3-regular like the ladder."""
+    k = n // 2
+    rims = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    return rg.graph_from_edges(n, rims + [(i, k + i) for i in range(k)])
+
+
+def test_equivalences_on_a_vertex_transitive_graph():
+    # Colour refinement alone leaves one cell here; the isomorphism comes
+    # from individualizing vertices.
+    g = moebius_ladder(400)
+    h = relabel(g, seed=7)
+    for witness in (rg.strongly_equivalent(g, h), rg.weakly_equivalent(g, h)):
+        assert witness is not None
+        assert matrix_composition(g, witness.forward) == h
+        assert matrix_composition(h, witness.backward) == g
+
+
+def test_isomorphism_rejects_prism_against_moebius_ladder():
+    g, h = relabel(prism(40), seed=8), moebius_ladder(40)
+    assert sorted(g.degree(v) for v in range(40)) == sorted(h.degree(v) for v in range(40))
+    assert rg.find_isomorphism(g, h) is None
+    assert rg.strongly_equivalent(g, h) is None

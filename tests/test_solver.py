@@ -4,6 +4,7 @@ import random
 import pytest
 
 import relgraph as rg
+from relgraph import solver
 from helpers import (
     brute_hom_exists,
     brute_surjective_hom_exists,
@@ -166,6 +167,40 @@ def test_time_budget_exhaustion_reports_incomplete():
         rg.SolveQuery(rg.cycle_graph(6), rg.path_graph(4), mode="weak", time_budget=1e-9)
     )
     assert not ss.complete and cert is None
+
+
+def test_iter_solutions_raises_budget_exhaustion_to_its_caller():
+    # solve turns an exhausted budget into complete=False; the lazy
+    # iterator has no result to mark, so the error reaches the caller.
+    query = rg.SolveQuery(rg.cycle_graph(6), rg.path_graph(4), mode="weak", node_budget=5)
+    with pytest.raises(rg.BudgetExhaustedError):
+        for _ in rg.iter_solutions(query):
+            pass
+    ss, cert = rg.solve(query)
+    assert not ss.complete and cert is None
+
+
+def test_side_doors_enforce_the_vertex_cap():
+    # Both would otherwise build a 2^17-entry subset table.
+    big, edge = rg.path_graph(17), rg.complete_graph(2)
+    with pytest.raises(rg.CapExceededError):
+        rg.relation_exists(big, edge)
+    with pytest.raises(rg.CapExceededError):
+        rg.relation_exists(edge, big)
+    with pytest.raises(rg.CapExceededError):
+        solver.search_with_pinned_columns(big, edge, [0, 0])
+
+
+def test_side_doors_recheck_every_solution(monkeypatch):
+    # Columns ({0}, {0}) give an edgeless image of K2, so they do not solve
+    # K2 * R = K2; a search that yields them must be caught.
+    edge = rg.complete_graph(2)
+    monkeypatch.setattr(solver, "_search_columns", lambda *args, **kwargs: iter([(1, 1)]))
+    with pytest.raises(rg.WitnessCheckError):
+        next(rg.iter_solutions(rg.SolveQuery(edge, edge), use_fast_paths=False))
+    for find_all in (False, True):
+        with pytest.raises(rg.WitnessCheckError):
+            solver.search_with_pinned_columns(edge, edge, [0, 0], find_all=find_all)
 
 
 def test_component_recombination_matches_direct_search():
