@@ -540,3 +540,111 @@ def weighted_graph(n: int, entries) -> WeightedGraph:
 
 def unit_weights(g: Graph) -> WeightedGraph:
     return weighted_graph(g.n, {(u, v): Fraction(1) for u, v in g.edges})
+
+
+def _sweep(
+    adj: tuple[int, ...], alive: int, *, rcore: bool, fixpoint: bool
+) -> tuple[int, list[tuple[int, tuple[int, ...], int | None]]]:
+    """The neighbourhood-deletion rule behind R-cores and R-cocores.
+
+    Visits the vertices of the mask ``alive`` in ascending order. Vertex i
+    goes when its neighbourhood is the union of the neighbourhoods of other
+    live vertices contained in it ("contributors") and, for R-cores, some
+    other live vertex's neighbourhood contains it (the first such is its
+    "container"). With ``fixpoint`` neighbourhoods are restricted to the live
+    vertices and sweeps repeat until none deletes; without it one pass reads
+    the original neighbourhoods, stale entries of deleted vertices included.
+
+    Returns the surviving vertex mask and the trace of deletions, in order,
+    as ``(vertex, contributors, container)``.
+    """
+    live = [v for v in range(len(adj)) if alive >> v & 1]
+    trace = []
+    changed = True
+    while changed:
+        changed = False
+        for i in tuple(live):
+            restrict = alive if fixpoint else -1
+            ni = adj[i] & restrict
+            container = None
+            if rcore:
+                # Most vertices have no container: look for one first.
+                for j in live:
+                    if j != i and not ni & ~adj[j]:
+                        container = j
+                        break
+                if container is None:
+                    continue
+            outside = restrict & ~ni
+            union = 0
+            contributors = []
+            for j in live:
+                if j != i and not adj[j] & outside:
+                    union |= adj[j] & restrict
+                    contributors.append(j)
+            if union == ni:
+                live.remove(i)
+                alive &= ~(1 << i)
+                trace.append((i, tuple(contributors), container))
+                changed = fixpoint
+    return alive, trace
+
+
+def _non_isolated(g: Graph) -> int:
+    mask = 0
+    for v, row in enumerate(g.adjacency):
+        if row:
+            mask |= 1 << v
+    return mask
+
+
+def _rcore_sweep(g: Graph) -> tuple[int, list[tuple[int, tuple[int, ...], int | None]]]:
+    """The fixpoint R-core sweep over the non-isolated vertices of ``g``."""
+    return _sweep(g.adjacency, _non_isolated(g), rcore=True, fixpoint=True)
+
+
+def _rcore_maps(
+    g: Graph, survivors: int, trace: list[tuple[int, tuple[int, ...], int | None]]
+) -> tuple[list[int], list[int], list[int]]:
+    """The R-core of ``g`` as vertex maps, from ``_rcore_sweep(g)``.
+
+    Returns ``(keep, image, pre)``. ``keep`` lists the core's vertices as
+    vertices of ``g``: the survivors of the sweep, ascending, then one
+    isolated vertex standing for all of them if there is any. ``image[v]``
+    is the core vertex that v goes to under the forward witness, and
+    ``pre[v]`` the mask of core vertices that go to v under the backward
+    one; both have full domain and full image, and core = g * forward,
+    g = core * backward.
+
+    A deleted vertex goes forward wherever its container goes; its pre-image
+    under backward is the union of its contributors' pre-images. Every
+    container and contributor was live when the vertex went, so the reverse
+    pass over the trace has already placed it.
+    """
+    keep = [v for v in range(g.n) if survivors >> v & 1]
+    # Isolated vertices keep these defaults: the stand-in appended last.
+    image = [len(keep)] * g.n
+    pre = [1 << len(keep)] * g.n
+    for a, v in enumerate(keep):
+        image[v] = a
+        pre[v] = 1 << a
+    for v, contributors, container in reversed(trace):
+        image[v] = image[container]
+        mask = 0
+        for c in contributors:
+            mask |= pre[c]
+        pre[v] = mask
+    keep += g.isolated_vertices()[:1]
+    return keep, image, pre
+
+
+def _reduced_graph(g: Graph, keep: list[int]) -> Graph:
+    """The reduced form on ``keep``: ascending survivors of a sweep, then
+    possibly one isolated vertex standing for all of them.
+
+    Its vertices carry the names of the vertices of ``g`` they keep, unless
+    the stand-in is there.
+    """
+    if keep and not g.adjacency[keep[-1]]:
+        return disjoint_union(induced_subgraph(g, keep[:-1]), empty_graph(1))
+    return induced_subgraph(g, keep)

@@ -19,15 +19,15 @@ from .core import (
     Graph,
     Partition,
     Relation,
+    _rcore_maps,
+    _rcore_sweep,
+    _reduced_graph,
     check_witness,
     compose_rel,
-    disjoint_union,
-    empty_graph,
-    induced_subgraph,
     partition_from_classes,
 )
 from .generate import _leaves, _permute, all_graphs, canonical_key, graph_of
-from .retract import _sweep, _sweep_reattach
+from .retract import _sweep_reattach
 from .solver import relation_exists
 
 
@@ -153,57 +153,22 @@ def rcore_with_witness(g: Graph) -> tuple[Graph, Relation, Relation]:
 
     Returns (core, forward, backward) with core = g*forward and
     g = core*backward; both directions are checked before returning.
+    Isolated vertices collapse onto one isolated core vertex, the last,
+    and it fans back out over them.
     """
     if g.n == 0:
         empty = Relation(0, 0, frozenset())
         return g, empty, empty
-
-    isolated = set(g.isolated_vertices())
-    live = sorted(set(range(g.n)) - isolated)
-    base = induced_subgraph(g, live)
-    core_part, fwd, bwd = _rcore_witness_no_isolated(base)
-
-    if not isolated:
-        core, forward, backward = core_part, fwd, bwd
-    else:
-        # Re-attach a single isolated vertex; all stripped vertices collapse
-        # onto it and it fans back out over them.
-        core = disjoint_union(core_part, empty_graph(1))
-        iso_core = core_part.n
-        fwd_pairs = {(live[x], b) for x, b in fwd.pairs}
-        fwd_pairs |= {(v, iso_core) for v in isolated}
-        bwd_pairs = {(a, live[y]) for a, y in bwd.pairs}
-        bwd_pairs |= {(iso_core, v) for v in isolated}
-        forward = Relation(g.n, core.n, frozenset(fwd_pairs))
-        backward = Relation(core.n, g.n, frozenset(bwd_pairs))
-    check_witness(apply_strong(g, forward) == core, "rcore: forward witness")
-    check_witness(apply_strong(core, backward) == g, "rcore: backward witness")
-    return core, forward, backward
-
-
-def _rcore_witness_no_isolated(g: Graph) -> tuple[Graph, Relation, Relation]:
-    """One fixpoint sweep, then both witnesses from its trace in one reverse pass.
-
-    A deleted vertex goes forward wherever its container goes; its pre-image
-    under backward is the union of its contributors' pre-images. Every
-    container and contributor was live when the vertex went, so the reverse
-    pass has already placed it.
-    """
-    survivors, trace = _sweep(g.adjacency, (1 << g.n) - 1, rcore=True, fixpoint=True)
-    keep = [v for v in range(g.n) if survivors >> v & 1]
-    image = {v: a for a, v in enumerate(keep)}
-    pre = {v: 1 << a for a, v in enumerate(keep)}
-    for v, contributors, container in reversed(trace):
-        image[v] = image[container]
-        pre[v] = 0
-        for c in contributors:
-            pre[v] |= pre[c]
+    keep, image, pre = _rcore_maps(g, *_rcore_sweep(g))
+    core = _reduced_graph(g, keep)
     k = len(keep)
-    forward = Relation(g.n, k, frozenset(image.items()))
+    forward = Relation(g.n, k, frozenset(enumerate(image)))
     backward = Relation(
         k, g.n, frozenset((a, v) for v in range(g.n) for a in range(k) if pre[v] >> a & 1)
     )
-    return induced_subgraph(g, keep), forward, backward
+    check_witness(apply_strong(g, forward) == core, "rcore: forward witness")
+    check_witness(apply_strong(core, backward) == g, "rcore: backward witness")
+    return core, forward, backward
 
 
 def rcore_oracle(g: Graph, cap: int = 7) -> Graph:

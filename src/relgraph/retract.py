@@ -18,9 +18,10 @@ from .core import (
     CapExceededError,
     Graph,
     Relation,
+    _non_isolated,
+    _reduced_graph,
+    _sweep,
     check_witness,
-    disjoint_union,
-    empty_graph,
     identity_relation,
     induced_subgraph,
 )
@@ -182,63 +183,13 @@ def graph_core_with_witness(
     raise AssertionError("identity retraction must succeed at full size")
 
 
-def _sweep(
-    adj: tuple[int, ...], alive: int, *, rcore: bool, fixpoint: bool
-) -> tuple[int, list[tuple[int, tuple[int, ...], int | None]]]:
-    """The neighbourhood-deletion rule behind R-cores and R-cocores.
-
-    Visits the vertices of the mask ``alive`` in ascending order. Vertex i
-    goes when its neighbourhood is the union of the neighbourhoods of other
-    live vertices contained in it ("contributors") and, for R-cores, some
-    other live vertex's neighbourhood contains it (the first such is its
-    "container"). With ``fixpoint`` neighbourhoods are restricted to the live
-    vertices and sweeps repeat until none deletes; without it one pass reads
-    the original neighbourhoods, stale entries of deleted vertices included.
-
-    Returns the surviving vertex mask and the trace of deletions, in order,
-    as ``(vertex, contributors, container)``.
-    """
-    live = [v for v in range(len(adj)) if alive >> v & 1]
-    trace = []
-    changed = True
-    while changed:
-        changed = False
-        for i in tuple(live):
-            restrict = alive if fixpoint else -1
-            ni = adj[i] & restrict
-            union = 0
-            contributors = []
-            container = None
-            for j in live:
-                if j == i:
-                    continue
-                nj = adj[j] & restrict
-                if nj & ~ni == 0:
-                    union |= nj
-                    contributors.append(j)
-                if rcore and container is None and ni & ~nj == 0:
-                    container = j
-            if union == ni and (container is not None or not rcore):
-                live.remove(i)
-                alive &= ~(1 << i)
-                trace.append((i, tuple(contributors), container))
-                changed = fixpoint
-    return alive, trace
-
-
-def _non_isolated(g: Graph) -> int:
-    return sum(1 << v for v in range(g.n) if g.adjacency[v])
-
-
 def _sweep_reattach(g: Graph, *, rcore: bool, fixpoint: bool) -> Graph:
     """Sweep the non-isolated vertices; isolated ones come back as one vertex."""
     if g.n == 0:
         return g
     survivors, _ = _sweep(g.adjacency, _non_isolated(g), rcore=rcore, fixpoint=fixpoint)
-    core = induced_subgraph(g, [v for v in range(g.n) if survivors >> v & 1])
-    if g.isolated_vertices():
-        return disjoint_union(core, empty_graph(1))
-    return core
+    keep = [v for v in range(g.n) if survivors >> v & 1]
+    return _reduced_graph(g, keep + g.isolated_vertices()[:1])
 
 
 def cocore(g: Graph, mode: str = "literal") -> Graph:

@@ -21,12 +21,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import apply_strong, apply_weak
+from .algebra import apply_strong
 from .core import (
     CapExceededError,
     Graph,
     LoopsNotAllowedError,
     Relation,
+    _rcore_maps,
+    _rcore_sweep,
+    _reduced_graph,
     check_witness,
     chromatic_number,
     complement,
@@ -274,22 +277,34 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _bits_for(n: int):
+    """``_bits`` for masks over ``n`` source vertices.
+
+    The cache is sized for masks under the vertex cap. A solution lifted
+    from R-cores has wider masks, which are walked without it, so the cache
+    never holds their long tuples.
+    """
+    return _bits if n <= SOLVER_VERTEX_CAP else _bits.__wrapped__
+
+
 def _relation_of(colmasks: tuple[int, ...], n: int, m: int) -> Relation:
+    bits = _bits_for(n)
     return Relation(
-        n, m, frozenset((x, b) for b, mask in enumerate(colmasks) for x in _bits(mask))
+        n, m, frozenset((x, b) for b, mask in enumerate(colmasks) for x in bits(mask))
     )
 
 
-def _canonical_key(m: int):
+def _canonical_key(n: int, m: int):
     """Sort key putting column-mask solutions in the canonical order.
 
     The canonical order compares solutions by their sorted pair lists.
     Pair (x, b) is numbered x*m + b, which orders pairs as tuples do, so
     the sorted numbers compare as the sorted pair lists.
     """
+    bits = _bits_for(n)
 
     def key(cols: tuple[int, ...]) -> list[int]:
-        return sorted(x * m + b for b, mask in enumerate(cols) for x in _bits(mask))
+        return sorted(x * m + b for b, mask in enumerate(cols) for x in bits(mask))
 
     return key
 
@@ -298,7 +313,9 @@ def _canonical_key(m: int):
 class Certificate:
     """Machine-checkable reason a no-instance answer is correct."""
 
-    kind: str  # components | chromatic | distance | radius | pathChar | completeChar | exhausted
+    # components | chromatic | distance | radius | pathChar | completeChar
+    # | rcore | exhausted
+    kind: str
     detail: str
     values: tuple[tuple[str, object], ...] = ()
 
@@ -491,11 +508,22 @@ def certify(
 def certificate_holds(
     cert: Certificate, g: Graph, h: Graph, mode: str = "strong", domain: str = "any"
 ) -> bool:
-    """Re-check that the cited invariant genuinely fails on (g, h)."""
+    """Re-check that the cited invariant genuinely fails on (g, h).
+
+    An ``rcore`` certificate cites its rule on the R-cores, which are
+    recomputed here: the source's, and the target's in strong mode.
+    """
     if cert.kind == "exhausted":
         return True
-    rule = _RULES.get(cert.kind)
-    return rule is not None and rule(g, h, mode == "weak", domain) is not None
+    weak = mode == "weak"
+    if cert.kind == "rcore":
+        rule = _RULES.get(cert.values_dict().get("rule"))
+        g = _reduce(g)[0]
+        if not weak:
+            h = _reduce(h)[0]
+    else:
+        rule = _RULES.get(cert.kind)
+    return rule is not None and rule(g, h, weak, domain) is not None
 
 
 @dataclass(frozen=True)
@@ -521,7 +549,9 @@ class SolveQuery:
             raise ValueError("time budget must be positive")
         if self.mode == "weak" and not self.source.is_simple:
             raise LoopsNotAllowedError("weak mode requires a simple source graph")
-        _check_cap(self.source, self.target)
+        # An exists-query is capped on the pair its search runs on (see solve).
+        if self.enumeration != "exists":
+            _check_cap(self.source, self.target)
 
 
 @dataclass(frozen=True)
@@ -540,22 +570,29 @@ class SolutionSet:
 
 
 def _check_solutions(
-    g: Graph, h: Graph, found: list[tuple[int, ...]], weak: bool, fulldom: bool
+    g: Graph,
+    h: Graph,
+    found: list[tuple[int, ...]],
+    weak: bool,
+    fulldom: bool,
+    what: str = "solve",
 ) -> None:
     """Re-check column-mask solutions against ``h``'s adjacency rows.
 
     Each column's neighbourhood is the OR of its members' adjacency rows in
     ``g``, a route independent of the search's subset table and pruning.
+    ``what`` names the relations in the error.
     """
     sadj, tadj = g.adjacency, h.adjacency
     full = (1 << g.n) - 1
+    bits = _bits_for(g.n)
     for cols in found:
-        check_witness(all(cols), "solve: a target vertex has no pre-image")
+        check_witness(all(cols), f"{what}: a target vertex has no pre-image")
         covered = 0
         for b, mask in enumerate(cols):
             covered |= mask
             nb = 0
-            for x in _bits(mask):
+            for x in bits(mask):
                 nb |= sadj[x]
             row = 0
             for c, col in enumerate(cols):
@@ -563,10 +600,10 @@ def _check_solutions(
                     row |= 1 << c
             if weak:
                 row &= ~(1 << b)
-            check_witness(row == tadj[b], "solve: solver produced a non-solution")
+            check_witness(row == tadj[b], f"{what}: not a solution")
         check_witness(
             not fulldom or covered == full,
-            "solve: full-domain solution misses a source vertex",
+            f"{what}: full-domain solution misses a source vertex",
         )
 
 
@@ -643,6 +680,7 @@ def iter_solutions(query: SolveQuery, *, use_fast_paths: bool = True):
     runs out, after the solutions found so far.
     """
     g, h = query.source, query.target
+    _check_cap(g, h)
     weak = query.mode == "weak"
     fulldom = query.domain == "full"
     if weak and not h.is_simple:
@@ -664,6 +702,16 @@ def solve(
     The search is skipped only when a (sound) certificate or complete-graph
     characterization already decides the instance. A search that exhausts
     its budget reports ``complete=False`` and no certificate.
+
+    With the fast paths, an exists-query is decided on R-cores: the
+    source's, and the target's in strong mode. ``G * R = H`` is solvable
+    exactly when the cores' equation is, for either domain, because both
+    witnesses of a core have full domain and full image and composition is
+    associative. Weak mode keeps the target: a loop that weak composition
+    drops on a reduced target would come back as edges among the target
+    vertices it stands for. The cores are capped at SOLVER_VERTEX_CAP
+    vertices instead of the inputs, a node budget counts the search on
+    the cores, and a certificate found there comes back as kind ``rcore``.
     """
     g, h = query.source, query.target
     weak = query.mode == "weak"
@@ -676,10 +724,39 @@ def solve(
         )
         return SolutionSet((), (), (), True), cert
 
+    if use_fast_paths and query.enumeration == "exists":
+        gc, src_maps = _reduce(g)
+        hc, tgt_maps = (h, None) if weak else _reduce(h)
+        if src_maps is not None or tgt_maps is not None:
+            return _solve_on_cores(query, gc, src_maps, hc, tgt_maps)
+
+    _check_cap(g, h)
+    found, complete, cert, nbr = _search(query, g, h, use_fast_paths)
+    found.sort(key=_canonical_key(g.n, h.n))
+    _check_solutions(g, h, found, weak, fulldom)
+    minimal: tuple[int, ...] = ()
+    maximal: tuple[int, ...] = ()
+    if complete and found and query.enumeration != "exists":
+        minimal, maximal = _antichains(g, h, nbr, weak, fulldom, found)
+    rels = tuple(_relation_of(cols, g.n, h.n) for cols in found)
+    return SolutionSet(rels, minimal, maximal, complete), cert
+
+
+def _search(
+    query: SolveQuery, g: Graph, h: Graph, use_fast_paths: bool
+) -> tuple[list[tuple[int, ...]], bool, Certificate | None, list[int] | None]:
+    """Certify, the complete-source fast path, then the column search.
+
+    Runs on ``g`` and ``h`` in place of the query's graphs and returns the
+    solutions as unchecked column masks, whether the search completed, the
+    certificate of a no-instance, and the subset table (None when no search
+    ran).
+    """
+    weak = query.mode == "weak"
     if use_fast_paths:
         cert = certify(g, h, query.mode, query.domain)
         if cert is not None:
-            return SolutionSet((), (), (), True), cert
+            return [], True, cert, None
         if (
             query.enumeration == "exists"
             and query.domain == "any"
@@ -689,9 +766,10 @@ def solve(
         ):
             witness = complete_source_solution(g.n, h, weak=weak)
             if witness is not None:
-                produced = apply_weak(g, witness) if weak else apply_strong(g, witness)
-                check_witness(produced == h, "solve: complete-source witness")
-                return SolutionSet((witness,), (), (), True), None
+                cols = [0] * h.n
+                for x, b in witness.pairs:
+                    cols[b] |= 1 << x
+                return [tuple(cols)], True, None, None
 
     nbr = _subset_neighbors(g)
     budget = _Budget(query.node_budget, query.time_budget)
@@ -699,7 +777,7 @@ def solve(
     complete = True
     try:
         for colmasks in _search_columns(
-            g, h, nbr, weak=weak, full_domain=fulldom, budget=budget
+            g, h, nbr, weak=weak, full_domain=query.domain == "full", budget=budget
         ):
             found.append(colmasks)
             if query.enumeration == "exists":
@@ -707,25 +785,103 @@ def solve(
     except BudgetExhaustedError:
         complete = False
 
-    found.sort(key=_canonical_key(h.n))
-    _check_solutions(g, h, found, weak, fulldom)
-
-    minimal: tuple[int, ...] = ()
-    maximal: tuple[int, ...] = ()
-    if complete and query.enumeration in ("all", "minimal", "maximal"):
-        minimal, maximal = _antichains(g, h, nbr, weak, fulldom, found)
-
-    cert_out = None
+    cert = None
     if complete and not found:
-        cert_out = certify(g, h, query.mode, query.domain) if not use_fast_paths else None
-        if cert_out is None:
-            cert_out = Certificate(
+        cert = certify(g, h, query.mode, query.domain) if not use_fast_paths else None
+        if cert is None:
+            cert = Certificate(
                 "exhausted",
                 "exhaustive search found no solution and no structural "
                 "invariant explains the failure",
             )
-    rels = tuple(_relation_of(cols, g.n, h.n) for cols in found)
-    return SolutionSet(rels, minimal, maximal, complete), cert_out
+    return found, complete, cert, nbr
+
+
+def _reduce(g: Graph):
+    """The graph to search in place of ``g``, with its ``_rcore_maps``.
+
+    ``g`` itself and None when its R-core keeps every vertex: then the
+    sweep deleted nothing and there is at most one isolated vertex, and no
+    map or graph is built.
+    """
+    survivors, trace = _rcore_sweep(g)
+    if not trace and g.n - survivors.bit_count() <= 1:
+        return g, None
+    maps = _rcore_maps(g, survivors, trace)
+    return _reduced_graph(g, maps[0]), maps
+
+
+def _solve_on_cores(
+    query: SolveQuery, gc: Graph, src_maps, hc: Graph, tgt_maps
+) -> tuple[SolutionSet, Certificate | None]:
+    """Decide an exists-query on R-cores and lift the answer to the inputs.
+
+    ``gc``/``src_maps`` and ``hc``/``tgt_maps`` come from ``_reduce`` of
+    the source and target; a side that was not reduced has None for maps.
+    A core solution R' lifts to forward ; R' ; backward, which is
+    re-checked on the inputs. A negative answer rests on the reductions:
+    a solution R of the inputs gives the solution backward ; R ; forward
+    of the cores. So the source's backward map and the target's forward
+    map are re-checked before a negative answer is returned.
+    """
+    g, h = query.source, query.target
+    weak = query.mode == "weak"
+    fulldom = query.domain == "full"
+    _check_cap(gc, hc)
+    found, complete, cert, _ = _search(query, gc, hc, True)
+    if found:
+        # Lift R' to forward ; R' ; backward, a side at a time.
+        cols = found[0]
+        if src_maps is not None:
+            cols = _then(_fibres(src_maps[1], gc.n), cols)
+        if tgt_maps is not None:
+            cols = _then(cols, tuple(tgt_maps[2]))
+        _check_solutions(g, h, [cols], weak, fulldom)
+        return SolutionSet((_relation_of(cols, g.n, h.n),), (), (), True), None
+    if not complete:
+        return SolutionSet((), (), (), False), None
+    # A map's columns are the pre-images of the vertices it maps onto.
+    if src_maps is not None:
+        backward = tuple(src_maps[2])
+        _check_solutions(gc, g, [backward], False, True, "solve: R-core backward map")
+    if tgt_maps is not None:
+        forward = _fibres(tgt_maps[1], hc.n)
+        _check_solutions(h, hc, [forward], False, True, "solve: R-core forward map")
+    if cert.kind != "exhausted":
+        cert = Certificate(
+            "rcore",
+            f"on the R-cores, of {gc.n} and {hc.n} vertices: {cert.detail}",
+            (
+                ("rule", cert.kind),
+                ("source_vertices", g.n),
+                ("target_vertices", h.n),
+                ("source_core_vertices", gc.n),
+                ("target_core_vertices", hc.n),
+            )
+            + cert.values,
+        )
+    return SolutionSet((), (), (), True), cert
+
+
+def _fibres(image: list[int], k: int) -> tuple[int, ...]:
+    """The columns of a map onto ``k`` vertices that sends v to ``image[v]``."""
+    fibres = [0] * k
+    for v, a in enumerate(image):
+        fibres[a] |= 1 << v
+    return tuple(fibres)
+
+
+def _then(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:
+    """Columns of ``first ; second`` from the columns of each: column b ORs
+    the columns of ``first`` at the members of ``second[b]``."""
+    out = []
+    for col in second:
+        mask = 0
+        for c, inner in enumerate(first):
+            if col >> c & 1:
+                mask |= inner
+        out.append(mask)
+    return tuple(out)
 
 
 @lru_cache(maxsize=65536)
@@ -766,7 +922,10 @@ def relation_exists(
 ) -> bool:
     """Decision form used by the oracle searches; no budget, fast rejects.
 
-    Capped at SOLVER_VERTEX_CAP vertices per side, like ``solve``.
+    Capped at SOLVER_VERTEX_CAP vertices per side, on the inputs. Unlike
+    ``solve`` it deliberately does not reduce to R-cores: ``rcore_oracle``
+    and the tests use it as an oracle independent of the deletion
+    algorithm.
     """
     _check_cap(g, h)
     if weak and not h.is_simple:
@@ -820,7 +979,7 @@ def search_with_pinned_columns(
         found.append(colmasks)
     if not find_all:
         return None
-    found.sort(key=_canonical_key(tgt.n))
+    found.sort(key=_canonical_key(src.n, tgt.n))
     return [_relation_of(cols, src.n, tgt.n) for cols in found]
 
 

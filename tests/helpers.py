@@ -155,6 +155,17 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5, loops: bool = False
     return rg.graph_from_edges(n, edges)
 
 
+def relabel(g: rg.Graph, seed: int) -> rg.Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return rg.graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def blow_up(base: rg.Graph, copies: int, seed: int) -> rg.Graph:
+    """``copies`` mutual twins per base vertex, vertex labels shuffled."""
+    return relabel(rg.reduce_fulrel_to_shom(base, rg.empty_graph(copies)), seed)
+
+
 def random_image_full_relation(rng: random.Random, n: int, m: int, extra: float = 0.25) -> rg.Relation:
     """Every target vertex gets at least one pre-image; extra pairs sprinkled."""
     pairs = set()

@@ -9,7 +9,7 @@ import time
 
 import relgraph as rg
 from relgraph.retract import is_automorphism_relation
-from relgraph.solver import _Budget, _relation_of, _search_columns, _subset_neighbors
+from relgraph.solver import _Budget, _search_columns, _subset_neighbors
 from helpers import (
     naive_solution_masks,
     random_graph,
@@ -103,12 +103,24 @@ def test_criterion_2_equivalence_characterizations():
     suite5 = rg.all_graphs_up_to(5)
 
     def reversible_witness_exists(g, h):
+        # h * transpose(R) == g, tested on R's column masks: vertex x of g
+        # gets the neighbours in h of every column that holds x.
         budget = _Budget(None, None)
+        hadj = h.adjacency
         for cols in _search_columns(
             g, h, _subset_neighbors(g), weak=False, full_domain=True, budget=budget
         ):
-            r = _relation_of(cols, g.n, h.n)
-            if rg.apply_strong(h, r.transpose()) == g:
+            reach = [0] * h.n
+            for b in range(h.n):
+                for c in range(h.n):
+                    if hadj[b] >> c & 1:
+                        reach[b] |= cols[c]
+            rows = [0] * g.n
+            for b, col in enumerate(cols):
+                for x in range(g.n):
+                    if col >> x & 1:
+                        rows[x] |= reach[b]
+            if tuple(rows) == g.adjacency:
                 return True
         return False
 

@@ -225,20 +225,20 @@ c4, p3 = rg.cycle_graph(4), rg.path_graph(3)
 if rg.weakly_equivalent(c4, p3) is None:
     raise SystemExit("C4 and P3 must be weakly equivalent")
 
-# A deletion trace with a corrupted forward relation: rcore_with_witness's
-# own check must fire, and with it weakly_equivalent's.
-build = equivalence._rcore_witness_no_isolated
+# R-core maps whose backward map sends every core vertex everywhere:
+# rcore_with_witness's own check must fire, and with it weakly_equivalent's.
+build = equivalence._rcore_maps
 
 
-def bad_build(g):
-    core, forward, backward = build(g)
-    return core, corrupted(forward), backward
+def bad_build(g, survivors, trace):
+    keep, image, pre = build(g, survivors, trace)
+    return keep, image, [(1 << len(keep)) - 1] * len(pre)
 
 
-equivalence._rcore_witness_no_isolated = bad_build
+equivalence._rcore_maps = bad_build
 expect_check_error(lambda: rg.rcore_with_witness(c4))
 expect_check_error(lambda: rg.weakly_equivalent(c4, p3))
-equivalence._rcore_witness_no_isolated = build
+equivalence._rcore_maps = build
 
 # A reduced form with a corrupted backward relation: weakly_equivalent's
 # check on the composed witness must fire.

@@ -8,7 +8,7 @@ import pytest
 import relgraph as rg
 from relgraph import io as rio
 from relgraph.cli import main
-from helpers import random_graph, random_image_full_relation
+from helpers import blow_up, matrix_composition, random_graph, random_image_full_relation
 
 
 def test_graph_round_trip_randomized():
@@ -236,3 +236,19 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert rio.parse_graph(proc.stdout) == rg.complete_graph(2)
+
+
+def test_cli_decides_exists_past_the_cap_on_rcores(tmp_path, capsys):
+    # 60 twins of each vertex of C6 onto 10 twins of each vertex of P4.
+    g, h = blow_up(rg.cycle_graph(6), 60, seed=11), blow_up(rg.path_graph(4), 10, seed=12)
+    gf = _write(tmp_path, "g.graph", rio.format_graph(g))
+    hf = _write(tmp_path, "h.graph", rio.format_graph(h))
+    assert main(["--json", "solve", "--exists", "--full-domain", gf, hf]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "decided" and doc["complete"]
+    (sol,) = doc["solutions"]
+    r = rg.relation_from_pairs(sol["domain_size"], sol["image_size"], sol["pairs"])
+    assert r.has_full_domain and matrix_composition(g, r) == h
+    # Enumeration stays capped on the inputs.
+    assert main(["--json", "solve", "--all", "--full-domain", gf, hf]) == 2
+    assert "capped" in capsys.readouterr().err

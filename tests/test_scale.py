@@ -4,25 +4,12 @@ Every witness is re-checked here through the matrix product oracle, and
 every reduced form against the exhaustive oracles on the 5-vertex base.
 """
 
-import random
-
 import pytest
 
 import relgraph as rg
-from helpers import brute_isomorphic, matrix_composition
+from helpers import blow_up, brute_isomorphic, matrix_composition, relabel
 
 BASE = rg.path_graph(5)
-
-
-def relabel(g: rg.Graph, seed: int) -> rg.Graph:
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return rg.graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
-def blow_up(base: rg.Graph, copies: int, seed: int) -> rg.Graph:
-    """``copies`` mutual twins per base vertex, vertex labels shuffled."""
-    return relabel(rg.reduce_fulrel_to_shom(base, rg.empty_graph(copies)), seed)
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,19 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import relgraph as rg
 from relgraph import solver
 from helpers import (
+    blow_up,
     brute_hom_exists,
     brute_surjective_hom_exists,
+    matrix_composition,
     min_completing_budget,
     naive_solution_masks,
     random_graph,
@@ -140,7 +146,7 @@ _GRAPHS = {
 @pytest.mark.parametrize(
     "source, target, mode, domain, enumeration, threshold",
     [
-        ("C6", "2P3", "strong", "any", "exists", 57),
+        ("C6", "2P3", "strong", "any", "exists", 16),
         ("C6", "2P3", "strong", "any", "all", 14_977),
         ("P7", "P4", "strong", "full", "exists", 1_043),
         ("P7", "P4", "strong", "any", "all", 227_898),
@@ -386,3 +392,133 @@ def test_query_validation():
         rg.SolveQuery(rg.complete_graph(2), rg.complete_graph(2), time_budget=0)
     with pytest.raises(rg.CapExceededError):
         rg.SolveQuery(rg.empty_graph(40), rg.empty_graph(2))
+
+
+def test_exists_on_rcores_matches_the_unreduced_search():
+    """Every pair up to 4 vertices, loops included: an exists-query decided
+    on R-cores agrees with the search on the inputs, every lifted witness
+    solves the inputs, and every ``rcore`` certificate re-checks."""
+    graphs = rg.all_graphs_up_to(4, loops=True)
+    shrinks = {g: rg.rcore(g).n < g.n for g in graphs}
+    lifted = rcore_certs = 0
+    for g in graphs:
+        for h in graphs:
+            for mode in ("strong", "weak"):
+                if mode == "weak" and not g.is_simple:
+                    continue
+                for domain in ("any", "full"):
+                    query = rg.SolveQuery(g, h, mode=mode, domain=domain, enumeration="exists")
+                    fast, cert = rg.solve(query)
+                    slow, _ = rg.solve(query, use_fast_paths=False)
+                    assert fast.complete and slow.complete
+                    assert bool(fast.solutions) == bool(slow.solutions), (g, h, mode, domain)
+                    if fast.solutions:
+                        r = fast.solutions[0]
+                        assert matrix_composition(g, r, weak=mode == "weak") == h
+                        assert domain == "any" or r.has_full_domain
+                        lifted += shrinks[g] or (mode == "strong" and shrinks[h])
+                    elif cert.kind == "rcore":
+                        rcore_certs += 1
+                        assert rg.certificate_holds(cert, g, h, mode, domain)
+    assert lifted and rcore_certs
+
+
+def test_exists_past_the_cap_searches_the_cores():
+    # Twin blow-ups of 360 and 40 vertices, whose R-cores are C6 and P4.
+    cycles = blow_up(rg.cycle_graph(6), 60, seed=11)
+    paths = blow_up(rg.path_graph(4), 10, seed=12)
+    solver._bits.cache_clear()
+    ss, cert = rg.solve(rg.SolveQuery(cycles, paths, domain="full", enumeration="exists"))
+    assert ss.complete and cert is None
+    r = ss.solutions[0]
+    assert r.has_full_domain and matrix_composition(cycles, r) == paths
+    # The lifted masks are 360 bits wide and must bypass the mask cache,
+    # which nothing else on this route uses.
+    assert solver._bits.cache_info().currsize == 0
+
+    # K3 has chromatic number 3 and P4 has 2: a negative answer found on
+    # the cores, whose certificate names them.
+    k3 = blow_up(rg.complete_graph(3), 40, seed=13)
+    ss, cert = rg.solve(rg.SolveQuery(k3, paths, domain="full", enumeration="exists"))
+    assert ss.complete and not ss.solutions
+    assert cert.kind == "rcore"
+    values = cert.values_dict()
+    assert values["rule"] == "chromatic"
+    assert (values["source_vertices"], values["source_core_vertices"]) == (120, 3)
+    assert (values["target_vertices"], values["target_core_vertices"]) == (40, 4)
+    assert rg.certificate_holds(cert, k3, paths, "strong", "full")
+    assert not rg.certificate_holds(cert, cycles, paths, "strong", "full")
+
+    # Only exists-queries on the fast path are capped on their cores.
+    for enumeration in ("all", "minimal", "maximal"):
+        with pytest.raises(rg.CapExceededError):
+            rg.SolveQuery(cycles, paths, domain="full", enumeration=enumeration)
+    query = rg.SolveQuery(cycles, paths, domain="full", enumeration="exists")
+    with pytest.raises(rg.CapExceededError):
+        rg.solve(query, use_fast_paths=False)
+    with pytest.raises(rg.CapExceededError):
+        next(rg.iter_solutions(query))
+    # The cores of two large cycles stay large.
+    big = rg.SolveQuery(rg.cycle_graph(20), rg.cycle_graph(17), enumeration="exists")
+    with pytest.raises(rg.CapExceededError):
+        rg.solve(big)
+
+
+CORE_ROUTE_CHECKS_UNDER_O = """
+import relgraph as rg
+from relgraph import solver
+
+try:
+    assert False
+except AssertionError:
+    raise SystemExit("assert statements are still active")
+
+
+def expect_check_error(query):
+    try:
+        rg.solve(query)
+    except rg.WitnessCheckError:
+        return
+    raise SystemExit(f"{query} returned without a witness check firing")
+
+
+c4, k2, k3 = rg.cycle_graph(4), rg.complete_graph(2), rg.complete_graph(3)
+found = rg.SolveQuery(c4, k2, enumeration="exists")
+none = rg.SolveQuery(c4, k3, domain="full", enumeration="exists")
+if not rg.solve(found)[0].solutions or rg.solve(none)[1].kind != "rcore":
+    raise SystemExit("C4 -> K2 must be solvable and C4 -> K3 full-domain certified on cores")
+
+# A lift that puts every source vertex in every column.
+then = solver._then
+solver._then = lambda first, second: tuple((1 << 4) - 1 for _ in second)
+expect_check_error(found)
+solver._then = then
+
+# A reduction whose backward map sends every core vertex everywhere: the
+# negative answer rests on it, so its check must fire.
+maps = solver._rcore_maps
+
+
+def bad_maps(g, survivors, trace):
+    keep, image, pre = maps(g, survivors, trace)
+    return keep, image, [(1 << len(keep)) - 1] * len(pre)
+
+
+solver._rcore_maps = bad_maps
+expect_check_error(none)
+print("checked")
+"""
+
+
+def test_core_route_checks_survive_python_O():
+    src = str(Path(rg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORE_ROUTE_CHECKS_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "checked"
