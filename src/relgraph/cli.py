@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = decided (positively), 1 = negative decision, 2 = usage or
-parse error, 3 = budget exhausted. ``--json`` switches every command to a
+parse error, 3 = budget exhausted, and 141 (128 + SIGPIPE) when the reader
+of stdout closed it early. ``--json`` switches every command to a
 single structured document on stdout carrying the same decision as the
 text output. Default budgets come from RELGRAPH_NODE_BUDGET and
 RELGRAPH_TIME_BUDGET when set.
@@ -30,15 +31,17 @@ from .retract import (
 from .solver import (
     Certificate,
     SolveQuery,
+    _canonical_key,
+    _solve_masks,
     reduce_fulrel_to_shom,
     reduce_hom_to_fulrel,
-    solve,
 )
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 
 class _CliError(Exception):
@@ -243,54 +246,89 @@ def _cmd_solve(args) -> int:
             node_budget=node_budget,
             time_budget=time_budget,
         )
-        result, cert = solve(query)
+        found, minimal, maximal, complete, cert = _solve_masks(query)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
 
-    # Only the output that ``_emit`` prints gets built: a large enumeration
-    # has tens of thousands of solutions.
-    if not result.complete:
-        doc, text = {}, "# budget exhausted before the search completed\n"
-        if args.json:
-            doc = {"command": "solve", "status": "budget-exhausted",
-                   "solutions": [rio.relation_to_json(r) for r in result.solutions],
-                   "complete": False, "certificate": None}
-        _emit(doc, args.json, text)
+    if not complete:
+        doc = {"command": "solve", "status": "budget-exhausted",
+               "complete": False, "certificate": None}
+        text = "# budget exhausted before the search completed\n"
+        # The text output lists none of the partial solutions.
+        picked = range(len(found)) if args.json else ()
+        _write_solve(args.json, doc, text, found, picked, g.n, h.n)
         return EXIT_BUDGET
 
-    picked = list(range(len(result.solutions)))
+    picked = range(len(found))
     if args.minimal and not args.maximal:
-        picked = list(result.minimal_elements)
+        picked = minimal
     elif args.maximal and not args.minimal:
-        picked = list(result.maximal_elements)
-
-    doc, text = {}, ""
-    if args.json:
-        doc = {
-            "command": "solve",
-            "status": "decided" if result.solutions else "negative",
-            "mode": query.mode,
-            "domain": query.domain,
-            "count": len(result.solutions),
-            "solutions": [rio.relation_to_json(result.solutions[i]) for i in picked],
-            "minimal": list(result.minimal_elements),
-            "maximal": list(result.maximal_elements),
-            "complete": result.complete,
-            "certificate": _cert_json(cert),
-        }
-    elif not result.solutions:
+        picked = maximal
+    if not found:
         text = "# no solution\n"
         if cert is not None:
             text += f"# certificate {cert.kind}: {cert.detail}\n"
     else:
-        parts = [f"# solutions {len(result.solutions)}\n"]
+        text = f"# solutions {len(found)}\n"
         if args.minimal or args.maximal:
-            parts.append(f"# minimal indices: {' '.join(map(str, result.minimal_elements))}\n")
-            parts.append(f"# maximal indices: {' '.join(map(str, result.maximal_elements))}\n")
-        parts += (rio.format_relation(result.solutions[i], note=f"solution {i}") for i in picked)
-        text = "".join(parts)
-    _emit(doc, args.json, text)
-    return EXIT_OK if result.solutions else EXIT_NEGATIVE
+            text += f"# minimal indices: {' '.join(map(str, minimal))}\n"
+            text += f"# maximal indices: {' '.join(map(str, maximal))}\n"
+    doc = {
+        "command": "solve",
+        "status": "decided" if found else "negative",
+        "mode": query.mode,
+        "domain": query.domain,
+        "count": len(found),
+        "minimal": list(minimal),
+        "maximal": list(maximal),
+        "complete": complete,
+        "certificate": _cert_json(cert),
+    }
+    _write_solve(args.json, doc, text, found, picked, g.n, h.n)
+    return EXIT_OK if found else EXIT_NEGATIVE
+
+
+# Stands in for the solutions in the rendered JSON document. A JSON string
+# holds no raw newline, so ``_SPLICED`` occurs once: at the top-level key.
+_SPLICE = "\0"
+_SPLICED = '\n  "solutions": ' + json.dumps(_SPLICE)
+
+
+def _write_solve(as_json: bool, doc: dict, text: str, found, picked, n: int, m: int) -> None:
+    """Write ``solve`` output with the solutions ``found[i]`` for i in ``picked``.
+
+    The bytes are those ``_emit`` prints for ``doc`` with ``"solutions"``
+    set to the solutions' ``relation_to_json`` documents, or for ``text``
+    followed by their ``format_relation`` blocks. They are written a
+    solution at a time, straight from the column masks: each of the
+    ``n*m`` pairs is rendered once, at its number ``x*m + b`` in
+    ``_canonical_key``.
+    """
+    out = sys.stdout
+    key = _canonical_key(n, m)
+    if not as_json:
+        pairs = [f"{x} {b}\n" for x in range(n) for b in range(m)]
+        out.write(text)
+        header = f"relation {n} {m}\n"
+        for i in picked:
+            out.write(f"# solution {i}\n{header}" + "".join([pairs[k] for k in key(found[i])]))
+        return
+    pairs = [f"[\n          {x},\n          {b}\n        ]" for x in range(n) for b in range(m)]
+    rendered = json.dumps({**doc, "solutions": _SPLICE}, indent=2, sort_keys=True)
+    head, tail = rendered.split(_SPLICED)
+    out.write(head + '\n  "solutions": ')
+    sep = "[\n    "
+    for i in picked:
+        numbers = key(found[i])
+        listed = "[]"
+        if numbers:
+            listed = "[\n        " + ",\n        ".join([pairs[k] for k in numbers]) + "\n      ]"
+        out.write(
+            f'{sep}{{\n      "domain_size": {n},\n      "image_size": {m},\n'
+            f'      "pairs": {listed}\n    }}'
+        )
+        sep = ",\n    "
+    out.write(("[]" if sep.startswith("[") else "\n  ]") + tail + "\n")
 
 
 def _parse_subset(raw: str) -> list[int]:
@@ -486,5 +524,21 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
 
 
+def run() -> int:
+    """``main`` as a process of its own: the console script and ``-m``.
+
+    A reader that closes the pipe early (``relgraph solve --all ... | head``)
+    ends the run quietly with EXIT_PIPE. stdout is then pointed at
+    ``os.devnull``, so the interpreter's flush at exit cannot raise again.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -241,17 +241,19 @@ def complement(g: Graph) -> Graph:
 
 
 def path_length_of(g: Graph) -> int | None:
-    """Length (edge count) if g is a path graph, else None. K1 counts as length 0."""
-    if not g.is_simple or g.n == 0 or not is_connected(g):
+    """Length (edge count) if g is a path graph, else None. K1 counts as length 0.
+
+    The O(n) degree test runs first; connectivity is checked only on a
+    path's degree sequence, which a path plus disjoint cycles also has.
+    """
+    if not g.is_simple or g.n == 0:
         return None
     if g.n == 1:
         return 0
     degs = sorted(g.degree(v) for v in range(g.n))
-    if g.n == 2:
-        return 1 if len(g.edges) == 1 else None
-    if degs[:2] == [1, 1] and all(d == 2 for d in degs[2:]):
-        return g.n - 1
-    return None
+    if degs[:2] != [1, 1] or any(d != 2 for d in degs[2:]):
+        return None
+    return g.n - 1 if is_connected(g) else None
 
 
 def is_complete(g: Graph) -> bool:

@@ -6,11 +6,12 @@ that disagrees with the target. One search covers the whole target: a
 column must avoid the neighbourhood of every assigned column it is not
 adjacent to, which also keeps the source domains of different target
 components apart. Solutions stay column masks until ``solve`` returns
-them as relations. Structural invariants (component counts, chromatic numbers,
-distances, path and complete-graph characterizations) serve both as
-no-instance certificates and as search accelerators; they are only ever
-applied under the hypotheses that make them sound, so a certificate is
-always confirmed by exhaustive search.
+them as relations; the CLI writes them straight from the masks.
+Structural invariants (component counts, chromatic numbers, distances,
+path and complete-graph characterizations) serve both as no-instance
+certificates and as search accelerators; they are only ever applied under
+the hypotheses that make them sound, so a certificate is always confirmed
+by exhaustive search.
 """
 
 from __future__ import annotations
@@ -569,6 +570,9 @@ class SolutionSet:
     complete: bool
 
 
+_Masks = tuple[list[tuple[int, ...]], tuple[int, ...], tuple[int, ...], bool, Certificate | None]
+
+
 def _check_solutions(
     g: Graph,
     h: Graph,
@@ -713,6 +717,19 @@ def solve(
     vertices instead of the inputs, a node budget counts the search on
     the cores, and a certificate found there comes back as kind ``rcore``.
     """
+    found, minimal, maximal, complete, cert = _solve_masks(query, use_fast_paths)
+    n, m = query.source.n, query.target.n
+    rels = tuple(_relation_of(cols, n, m) for cols in found)
+    return SolutionSet(rels, minimal, maximal, complete), cert
+
+
+def _solve_masks(query: SolveQuery, use_fast_paths: bool = True) -> _Masks:
+    """``solve`` with the solutions left as column masks.
+
+    Returns ``(columns, minimal, maximal, complete, certificate)``: the
+    re-checked solutions in canonical order, each a tuple of pre-image
+    masks indexed by target vertex, and the rest as in ``solve``.
+    """
     g, h = query.source, query.target
     weak = query.mode == "weak"
     fulldom = query.domain == "full"
@@ -722,7 +739,7 @@ def solve(
             "exhausted",
             "weak composition always yields a loop-free graph; the target has loops",
         )
-        return SolutionSet((), (), (), True), cert
+        return [], (), (), True, cert
 
     if use_fast_paths and query.enumeration == "exists":
         gc, src_maps = _reduce(g)
@@ -738,8 +755,7 @@ def solve(
     maximal: tuple[int, ...] = ()
     if complete and found and query.enumeration != "exists":
         minimal, maximal = _antichains(g, h, nbr, weak, fulldom, found)
-    rels = tuple(_relation_of(cols, g.n, h.n) for cols in found)
-    return SolutionSet(rels, minimal, maximal, complete), cert
+    return found, minimal, maximal, complete, cert
 
 
 def _search(
@@ -813,7 +829,7 @@ def _reduce(g: Graph):
 
 def _solve_on_cores(
     query: SolveQuery, gc: Graph, src_maps, hc: Graph, tgt_maps
-) -> tuple[SolutionSet, Certificate | None]:
+) -> _Masks:
     """Decide an exists-query on R-cores and lift the answer to the inputs.
 
     ``gc``/``src_maps`` and ``hc``/``tgt_maps`` come from ``_reduce`` of
@@ -837,9 +853,9 @@ def _solve_on_cores(
         if tgt_maps is not None:
             cols = _then(cols, tuple(tgt_maps[2]))
         _check_solutions(g, h, [cols], weak, fulldom)
-        return SolutionSet((_relation_of(cols, g.n, h.n),), (), (), True), None
+        return [cols], (), (), True, None
     if not complete:
-        return SolutionSet((), (), (), False), None
+        return [], (), (), False, None
     # A map's columns are the pre-images of the vertices it maps onto.
     if src_maps is not None:
         backward = tuple(src_maps[2])
@@ -860,7 +876,7 @@ def _solve_on_cores(
             )
             + cert.values,
         )
-    return SolutionSet((), (), (), True), cert
+    return [], (), (), True, cert
 
 
 def _fibres(image: list[int], k: int) -> tuple[int, ...]:

@@ -160,6 +160,8 @@ def test_path_recognition():
     assert rg.path_length_of(rg.path_graph(4)) == 3
     assert rg.path_length_of(rg.cycle_graph(4)) is None
     assert rg.path_length_of(rg.disjoint_union(rg.path_graph(2), rg.path_graph(2))) is None
+    # A path's degree sequence, but not connected.
+    assert rg.path_length_of(rg.disjoint_union(rg.path_graph(3), rg.cycle_graph(3))) is None
 
 
 def test_weighted_graph_basics():

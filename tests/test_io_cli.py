@@ -252,3 +252,115 @@ def test_cli_decides_exists_past_the_cap_on_rcores(tmp_path, capsys):
     # Enumeration stays capped on the inputs.
     assert main(["--json", "solve", "--all", "--full-domain", gf, hf]) == 2
     assert "capped" in capsys.readouterr().err
+
+
+def _reference_solve_output(argv: list[str], g: rg.Graph, h: rg.Graph) -> str:
+    """What ``solve`` printed when it built every document in full: the
+    library's Relations through one ``json.dumps`` of ``relation_to_json``
+    documents, or through ``format_relation``."""
+    as_json = "--json" in argv
+    minimal, maximal = "--minimal" in argv, "--maximal" in argv
+    enumeration = "all"
+    if "--exists" in argv:
+        enumeration = "exists"
+    elif minimal != maximal:
+        enumeration = "minimal" if minimal else "maximal"
+    budget = int(argv[argv.index("--node-budget") + 1]) if "--node-budget" in argv else None
+    query = rg.SolveQuery(
+        g, h, mode="weak" if "--weak" in argv else "strong",
+        domain="full" if "--full-domain" in argv else "any",
+        enumeration=enumeration, node_budget=budget,
+    )
+    result, cert = rg.solve(query)
+    sols = result.solutions
+    if not result.complete:
+        if not as_json:
+            return "# budget exhausted before the search completed\n"
+        doc = {"command": "solve", "status": "budget-exhausted",
+               "solutions": [rio.relation_to_json(r) for r in sols],
+               "complete": False, "certificate": None}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    picked = range(len(sols))
+    if minimal != maximal:
+        picked = result.minimal_elements if minimal else result.maximal_elements
+    if as_json:
+        doc = {
+            "command": "solve",
+            "status": "decided" if sols else "negative",
+            "mode": query.mode,
+            "domain": query.domain,
+            "count": len(sols),
+            "solutions": [rio.relation_to_json(sols[i]) for i in picked],
+            "minimal": list(result.minimal_elements),
+            "maximal": list(result.maximal_elements),
+            "complete": True,
+            "certificate": None if cert is None else
+            {"kind": cert.kind, "detail": cert.detail, "values": cert.values_dict()},
+        }
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if not sols:
+        return "# no solution\n" + (f"# certificate {cert.kind}: {cert.detail}\n" if cert else "")
+    text = f"# solutions {len(sols)}\n"
+    if minimal or maximal:
+        text += f"# minimal indices: {' '.join(map(str, result.minimal_elements))}\n"
+        text += f"# maximal indices: {' '.join(map(str, result.maximal_elements))}\n"
+    return text + "".join(rio.format_relation(sols[i], note=f"solution {i}") for i in picked)
+
+
+def test_cli_solve_streams_the_reference_bytes(tmp_path, capsys):
+    p5, p3 = rg.path_graph(5), rg.path_graph(3)
+    cases = [
+        (["--all"], p5, p3, 0),
+        (["--minimal"], p5, p3, 0),
+        (["--maximal"], p5, p3, 0),
+        (["--minimal", "--maximal"], p5, p3, 0),
+        (["--all", "--weak"], rg.cycle_graph(5), p3, 0),
+        (["--all", "--full-domain"], rg.cycle_graph(6), rg.complete_graph(2), 0),
+        (["--minimal", "--weak", "--full-domain"], rg.cycle_graph(6), p3, 0),
+        (["--full-domain"], rg.complete_graph(3), rg.complete_graph(2), 1),  # chromatic
+        (["--exists"], rg.complete_graph(2), rg.cycle_graph(3), 1),  # completeChar
+        (["--all", "--node-budget", "800"], rg.cycle_graph(6), rg.path_graph(4), 3),
+        (["--all"], p3, rg.empty_graph(0), 0),  # one solution, "pairs": []
+        (["--exists", "--full-domain"],
+         blow_up(rg.cycle_graph(6), 60, seed=11), blow_up(rg.path_graph(4), 10, seed=12), 0),
+    ]
+    for flags, g, h, code in cases:
+        gf = _write(tmp_path, "g.graph", rio.format_graph(g))
+        hf = _write(tmp_path, "h.graph", rio.format_graph(h))
+        for head in (["--json", "solve"], ["solve"]):
+            argv = head + flags + [gf, hf]
+            assert main(argv) == code, argv
+            assert capsys.readouterr().out == _reference_solve_output(argv, g, h), argv
+    # The budget case lists partial solutions, the empty target one empty pair list.
+    budget = _reference_solve_output(["--json", "--all", "--node-budget", "800"],
+                                     rg.cycle_graph(6), rg.path_graph(4))
+    assert len(json.loads(budget)["solutions"]) == 12
+    assert '"pairs": []' in _reference_solve_output(["--json", "--all"], p3, rg.empty_graph(0))
+
+
+def test_cli_solve_builds_no_relations(files, monkeypatch, capsys):
+    from relgraph import solver
+
+    def refuse(*args):
+        raise AssertionError("the CLI writes solutions from their column masks")
+
+    monkeypatch.setattr(solver, "_relation_of", refuse)
+    assert main(["--json", "solve", "--all", files["c4"], files["k2"]]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["count"] == len(doc["solutions"]) > 0
+
+
+def test_closed_stdout_pipe_exits_141_quietly(tmp_path):
+    # About 1.6 MB of JSON, far more than a pipe buffers.
+    gf = _write(tmp_path, "p7.graph", rio.format_graph(rg.path_graph(7)))
+    hf = _write(tmp_path, "p4.graph", rio.format_graph(rg.path_graph(4)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "relgraph", "--json", "solve", "--all", gf, hf],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(64).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 141
+    assert b"Traceback" not in err and b"Error" not in err
