@@ -338,46 +338,39 @@ def _complement_clique_parts(h: Graph) -> list[frozenset[int]] | None:
 def complete_source_decision(k: int, h: Graph, *, weak: bool = False) -> bool:
     """Decide solvability of a complete k-vertex source onto simple ``h``.
 
-    Strong form (unconstrained domain): the complement of the target must
-    split into at most k disjoint complete graphs. Weak form: every
-    complement component must be complete and at most k of them may have
-    two or more vertices; a single-vertex source additionally forces an
-    edgeless target since it cannot generate any edge.
+    The rule is stated once, in ``complete_source_solution``.
     """
-    if not h.is_simple:
-        raise LoopsNotAllowedError("complete-source characterization needs simple target")
-    if k < 1:
-        raise ValueError("source must have at least one vertex")
-    parts = _complement_clique_parts(h)
-    if parts is None:
-        return False
-    if weak:
-        if k == 1:
-            return len(h.edges) == 0
-        return sum(1 for p in parts if len(p) >= 2) <= k
-    return len(parts) <= k
+    return complete_source_solution(k, h, weak=weak) is not None
 
 
 def complete_source_solution(
     k: int, h: Graph, *, weak: bool = False
 ) -> Relation | None:
-    """A witness relation for a solvable complete-source instance, else None."""
-    if not complete_source_decision(k, h, weak=weak):
+    """A witness relation for a complete k-vertex source onto simple ``h``, else None.
+
+    Strong form (unconstrained domain): the complement of the target must
+    split into at most k disjoint complete graphs, one per source vertex.
+    Weak form: every complement component must be complete and at most k
+    of them may have two or more vertices; the single vertices go to every
+    source vertex. A single-vertex source additionally forces an edgeless
+    target since it cannot generate any edge.
+    """
+    if not h.is_simple:
+        raise LoopsNotAllowedError("complete-source characterization needs simple target")
+    if k < 1:
+        raise ValueError("source must have at least one vertex")
+    if weak and k == 1 and h.edges:
         return None
-    parts = sorted(_complement_clique_parts(h), key=lambda p: min(p) if p else -1)
-    pairs: set[tuple[int, int]] = set()
+    parts = _complement_clique_parts(h)
+    if parts is None:
+        return None
+    parts = sorted(parts, key=min)
+    big = [p for p in parts if len(p) >= 2] if weak else parts
+    if len(big) > k:
+        return None
+    pairs = {(i, v) for i, p in enumerate(big) for v in p}
     if weak:
-        if k == 1:
-            pairs = {(0, v) for v in range(h.n)}
-        else:
-            big = [p for p in parts if len(p) >= 2]
-            for i, p in enumerate(big):
-                pairs |= {(i, v) for v in p}
-            singles = [v for p in parts if len(p) == 1 for v in p]
-            pairs |= {(j, v) for j in range(k) for v in singles}
-    else:
-        for i, p in enumerate(parts):
-            pairs |= {(i, v) for v in p}
+        pairs |= {(j, v) for p in parts if len(p) == 1 for v in p for j in range(k)}
     return Relation(k, h.n, frozenset(pairs))
 
 
@@ -529,6 +522,13 @@ def certificate_holds(
 
 @dataclass(frozen=True)
 class SolveQuery:
+    """One equation ``source * R = target`` and how to answer it.
+
+    ``enumeration="exists"`` stops at the first solution. ``"all"``,
+    ``"minimal"`` and ``"maximal"`` answer alike: every solution plus both
+    antichains; the CLI picks what to print.
+    """
+
     source: Graph
     target: Graph
     mode: str = "strong"  # strong | weak
@@ -684,18 +684,45 @@ def iter_solutions(query: SolveQuery, *, use_fast_paths: bool = True):
     runs out, after the solutions found so far.
     """
     g, h = query.source, query.target
+    for cols in _solutions(
+        g, h, query.mode == "weak", query.domain == "full",
+        certified=use_fast_paths, budget=_Budget(query.node_budget, query.time_budget),
+    ):
+        yield _relation_of(cols, g.n, h.n)
+
+
+def _solutions(
+    g: Graph,
+    h: Graph,
+    weak: bool,
+    fulldom: bool,
+    *,
+    certified: bool,
+    required: list[int] | None = None,
+    universe: list[int] | None = None,
+    budget: _Budget = _NO_BUDGET,
+):
+    """The checked search route of ``iter_solutions``, ``relation_exists``
+    and ``search_with_pinned_columns``: column masks in search order.
+
+    Caps the inputs before any certificate runs, yields nothing for a
+    weak-mode target with loops or, when ``certified``, for a certified
+    no-instance, and re-checks every solution before it is yielded.
+    ``required``/``universe`` pin the columns as in ``_search_columns``.
+    """
     _check_cap(g, h)
-    weak = query.mode == "weak"
-    fulldom = query.domain == "full"
     if weak and not h.is_simple:
         return
-    if use_fast_paths and certify(g, h, query.mode, query.domain) is not None:
+    mode = "weak" if weak else "strong"
+    if certified and certify(g, h, mode, "full" if fulldom else "any") is not None:
         return
     nbr = _subset_neighbors(g)
-    budget = _Budget(query.node_budget, query.time_budget)
-    for colmasks in _search_columns(g, h, nbr, weak=weak, full_domain=fulldom, budget=budget):
-        _check_solutions(g, h, [colmasks], weak, fulldom)
-        yield _relation_of(colmasks, g.n, h.n)
+    for cols in _search_columns(
+        g, h, nbr, weak=weak, full_domain=fulldom,
+        required=required, universe=universe, budget=budget,
+    ):
+        _check_solutions(g, h, [cols], weak, fulldom)
+        yield cols
 
 
 def solve(
@@ -900,65 +927,17 @@ def _then(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=65536)
-def _hom_exists(g: Graph, h: Graph) -> bool:
-    """Plain homomorphism existence by backtracking (desk scale)."""
-    if g.n == 0:
-        return True
-    if h.n == 0:
-        return False
-    ga, ha = g.adjacency, h.adjacency
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    image = [-1] * g.n
-
-    def place(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        for w in range(h.n):
-            if ga[v] >> v & 1 and not ha[w] >> w & 1:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if ga[v] >> u & 1 and not ha[w] >> image[j] & 1:
-                    ok = False
-                    break
-            if ok:
-                image[i] = w
-                if place(i + 1):
-                    return True
-        return False
-
-    return place(0)
-
-
 def relation_exists(
     g: Graph, h: Graph, *, weak: bool = False, full_domain: bool = False
 ) -> bool:
-    """Decision form used by the oracle searches; no budget, fast rejects.
+    """Decision form used by the oracle searches: certify, then search, no budget.
 
-    Capped at SOLVER_VERTEX_CAP vertices per side, on the inputs. Unlike
-    ``solve`` it deliberately does not reduce to R-cores: ``rcore_oracle``
-    and the tests use it as an oracle independent of the deletion
-    algorithm.
+    Capped at SOLVER_VERTEX_CAP vertices per side, on the inputs, and a
+    True answer rests on a re-checked solution. Unlike ``solve`` it
+    deliberately does not reduce to R-cores: ``rcore_oracle`` and the
+    tests use it as an oracle independent of the deletion algorithm.
     """
-    _check_cap(g, h)
-    if weak and not h.is_simple:
-        return False
-    mode = "weak" if weak else "strong"
-    domain = "full" if full_domain else "any"
-    if certify(g, h, mode, domain) is not None:
-        return False
-    if full_domain and not weak and not _hom_exists(g, h):
-        # a full-domain solution always contains a functional subrelation,
-        # which is a homomorphism
-        return False
-    for _ in _search_columns(
-        g, h, _subset_neighbors(g), weak=weak, full_domain=full_domain, budget=_NO_BUDGET
-    ):
-        return True
-    return False
+    return next(_solutions(g, h, weak, full_domain, certified=True), None) is not None
 
 
 def search_with_pinned_columns(
@@ -969,34 +948,20 @@ def search_with_pinned_columns(
     weak: bool = False,
     full_domain: bool = False,
     universe: list[int] | None = None,
-    find_all: bool = False,
 ):
-    """Solutions whose column b contains at least the mask ``required[b]``.
+    """The first solution whose column b contains the mask ``required[b]``
+    and stays inside ``universe[b]``, as a re-checked Relation, or None.
 
-    Exposed for the retraction/coretraction searches; returns the first
-    solution as a Relation (or None), or all of them when ``find_all``.
-    Every solution is re-checked before it is returned.
+    Exposed for the coretraction oracle; it runs no certificate.
     """
-    _check_cap(src, tgt)
-    found = []
-    for colmasks in _search_columns(
-        src,
-        tgt,
-        _subset_neighbors(src),
-        weak=weak,
-        full_domain=full_domain,
-        required=required,
-        universe=universe,
-        budget=_NO_BUDGET,
-    ):
-        _check_solutions(src, tgt, [colmasks], weak, full_domain)
-        if not find_all:
-            return _relation_of(colmasks, src.n, tgt.n)
-        found.append(colmasks)
-    if not find_all:
-        return None
-    found.sort(key=_canonical_key(src.n, tgt.n))
-    return [_relation_of(cols, src.n, tgt.n) for cols in found]
+    cols = next(
+        _solutions(
+            src, tgt, weak, full_domain,
+            certified=False, required=required, universe=universe,
+        ),
+        None,
+    )
+    return None if cols is None else _relation_of(cols, src.n, tgt.n)
 
 
 def subgraph_reduce(

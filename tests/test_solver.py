@@ -204,9 +204,16 @@ def test_side_doors_recheck_every_solution(monkeypatch):
     monkeypatch.setattr(solver, "_search_columns", lambda *args, **kwargs: iter([(1, 1)]))
     with pytest.raises(rg.WitnessCheckError):
         next(rg.iter_solutions(rg.SolveQuery(edge, edge), use_fast_paths=False))
-    for find_all in (False, True):
-        with pytest.raises(rg.WitnessCheckError):
-            solver.search_with_pinned_columns(edge, edge, [0, 0], find_all=find_all)
+    with pytest.raises(rg.WitnessCheckError):
+        rg.relation_exists(edge, edge)
+    with pytest.raises(rg.WitnessCheckError):
+        solver.search_with_pinned_columns(edge, edge, [0, 0])
+
+
+def test_weak_pinned_search_onto_a_looped_target_finds_nothing():
+    # Weak composition never makes a loop, so no relation reaches the target.
+    looped = rg.graph_from_edges(1, [(0, 0)])
+    assert solver.search_with_pinned_columns(rg.complete_graph(2), looped, [0], weak=True) is None
 
 
 def test_component_recombination_matches_direct_search():
