@@ -52,6 +52,10 @@ _chromatic = lru_cache(maxsize=65536)(chromatic_number)
 _component_count = lru_cache(maxsize=65536)(lambda g: len(components(g)))
 _diameter = lru_cache(maxsize=65536)(diameter)
 _radius = lru_cache(maxsize=65536)(radius)
+# Shared by certify's complete rule and the exists fast path.
+_complete_source = lru_cache(maxsize=65536)(
+    lambda k, h, weak: complete_source_solution(k, h, weak=weak)
+)
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -144,10 +148,8 @@ def _search_columns(
         return
     if n == 0:
         return
-    sadj = src.adjacency
     tadj = tgt.adjacency
     order = sorted(range(m), key=lambda b: (-tgt.degree(b), b))
-    pos_of = {b: i for i, b in enumerate(order)}
 
     # Columns with the same pins (and, in strong mode, the same loop
     # requirement) share one read-only candidate list, ascending.
@@ -170,38 +172,26 @@ def _search_columns(
             return
         cand.append(opts)
 
-    # Position mask of target vertices adjacent to b: when a source vertex
-    # becomes adjacent to column b's contents, it may only appear in those.
-    tpos_adj = [0] * m
-    for b in range(m):
-        acc = 0
-        for c in range(m):
-            if tadj[b] >> c & 1:
-                acc |= 1 << pos_of[c]
-        tpos_adj[b] = acc
-
-    colopts = [0] * n
+    # Full-domain pruning rests on one rule: a vertex next to column j's
+    # contents may only sit in columns adjacent to j, at the positions set in
+    # ``tpos_adj[j]``. ``avail[p]`` holds the source vertices that may still
+    # join the column at position p; in strong mode a looped vertex never
+    # joins a loopless column.
+    avail = []
     if full_domain:
-        for x in range(n):
-            acc = 0
-            loopy = bool(sadj[x] >> x & 1)
-            for i, b in enumerate(order):
-                if universe is not None and not (universe[b] >> x & 1):
-                    continue
-                if not weak and loopy and not (tadj[b] >> b & 1):
-                    continue
-                acc |= 1 << i
-            colopts[x] = acc
+        pos_of = {b: i for i, b in enumerate(order)}
+        tpos_adj = [sum(1 << pos_of[c] for c in range(m) if tadj[b] >> c & 1) for b in range(m)]
+        looped = 0 if weak else sum(1 << x for x in src.loop_vertices())
+        for b in order:
+            uni = universe[b] if universe is not None else full
+            avail.append(uni if tadj[b] >> b & 1 else uni & ~looped)
 
     chosen = [0] * m
-    all_pos = (1 << m) - 1
     limited = not budget.unlimited
     spend = budget.spend
 
     def dfs(i: int, covered: int):
         if i == m:
-            if full_domain and covered != full:
-                return
             out = [0] * m
             for pos, b in enumerate(order):
                 out[b] = chosen[pos]
@@ -219,7 +209,18 @@ def _search_columns(
                 need_hit.append(nb_j)
             else:
                 forbidden |= nb_j
-        remaining = all_pos >> (i + 1) << (i + 1)
+        if full_domain:
+            # What the later columns may take: those adjacent to b (``near``)
+            # keep it, the rest (``far``) lose a candidate's neighbours.
+            tp = tpos_adj[b]
+            near = far = 0
+            far_pos = []
+            for p in range(i + 1, m):
+                if tp >> p & 1:
+                    near |= avail[p]
+                else:
+                    far |= avail[p]
+                    far_pos.append(p)
         opts = cand[i]
         # Every mask of ``opts`` costs one budget unit. A rejected mask has
         # no effect, so the units are charged in bulk: up to each accepted
@@ -242,23 +243,15 @@ def _search_columns(
                 charged = upto
             chosen[i] = mask
             if full_domain:
-                undo = []
-                tmask = tpos_adj[b]
-                dead = False
-                for x in range(n):
-                    if sadj[x] & mask and colopts[x] & ~tmask:
-                        undo.append((x, colopts[x]))
-                        colopts[x] &= tmask
-                new_cov = covered | mask
-                if new_cov != full:
-                    for x in range(n):
-                        if not (new_cov >> x & 1) and not (colopts[x] & remaining):
-                            dead = True
-                            break
-                if not dead:
-                    yield from dfs(i + 1, new_cov)
-                for x, old in undo:
-                    colopts[x] = old
+                # Dead when a source vertex can no longer be covered.
+                keep = ~nbr[mask]
+                if covered | mask | near | (far & keep) != full:
+                    continue
+                saved = avail[i + 1:]
+                for p in far_pos:
+                    avail[p] &= keep
+                yield from dfs(i + 1, covered | mask)
+                avail[i + 1:] = saved
             else:
                 yield from dfs(i + 1, covered | mask)
         if limited:
@@ -453,7 +446,7 @@ def _complete_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate |
     if g.n < 1 or not is_complete(g) or not h.is_simple:
         return None
     if domain == "any":
-        if complete_source_decision(g.n, h, weak=weak):
+        if _complete_source(g.n, h, weak) is not None:
             return None
     elif weak:
         return None
@@ -807,7 +800,7 @@ def _search(
             and is_complete(g)
             and h.is_simple
         ):
-            witness = complete_source_solution(g.n, h, weak=weak)
+            witness = _complete_source(g.n, h, weak)
             if witness is not None:
                 cols = [0] * h.n
                 for x, b in witness.pairs:

@@ -155,6 +155,8 @@ _GRAPHS = {
         ("C10", "C5", "strong", "full", "exists", 85_873),
         ("E4", "E4", "strong", "any", "all", 54_240),
         ("P5", "C5", "weak", "full", "exists", 49_321),
+        ("C8", "P4", "strong", "full", "all", 35_650),
+        ("C6", "P4", "weak", "full", "all", 188_055),
     ],
 )
 def test_pinned_node_budget_thresholds(source, target, mode, domain, enumeration, threshold):
@@ -291,6 +293,53 @@ def test_complete_source_decisions_match_search_spot():
                     )[0].solutions
                 )
                 assert rg.complete_source_decision(k, h, weak=weak) == want
+
+
+def test_exists_query_computes_the_complete_source_rule_once(monkeypatch):
+    # certify's complete rule and the exists fast path share one computation.
+    calls = []
+    real = solver._complement_clique_parts
+    monkeypatch.setattr(
+        solver, "_complement_clique_parts", lambda h: calls.append(h) or real(h)
+    )
+    solver._complete_source.cache_clear()
+    k3 = rg.complete_graph(3)
+    ss, cert = rg.solve(rg.SolveQuery(k3, rg.path_graph(3), enumeration="exists"))
+    assert cert is None and len(ss.solutions) == 1 and len(calls) == 1
+    calls.clear()
+    ss, cert = rg.solve(rg.SolveQuery(k3, rg.path_graph(4), enumeration="exists"))
+    assert not ss.solutions and cert.kind == "completeChar" and len(calls) == 1
+
+
+def test_full_domain_pinned_search_matches_naive_enumeration():
+    rng = random.Random(37)
+    for trial in range(120):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        weak = trial % 2 == 1
+        g = random_graph(rng, n, p=0.4, loops=True)
+        h = random_graph(rng, m, p=0.5, loops=not weak)
+        required = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m)]
+        universe = [rng.getrandbits(n) | rng.getrandbits(n) | required[b] for b in range(m)]
+        colmask = (1 << n) - 1
+        want = sorted(
+            r for r in map(int, naive_solution_masks(g, h, weak)[1])
+            if all(
+                (r >> (b * n)) & colmask & required[b] == required[b]
+                and not (r >> (b * n)) & colmask & ~universe[b]
+                for b in range(m)
+            )
+        )
+        rel = solver.search_with_pinned_columns(
+            g, h, required, weak=weak, full_domain=True, universe=universe
+        )
+        assert (rel is None) == (not want)
+        assert rel is None or relation_to_mask(rel) in want
+        got = solver._solutions(
+            g, h, weak, True, certified=False, required=required, universe=universe
+        )
+        assert sorted(
+            sum(mask << (b * n) for b, mask in enumerate(cols)) for cols in got
+        ) == want
 
 
 def test_subgraph_reduce_identity_and_pins():
