@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -71,7 +71,9 @@ class PreconditionViolatedError(ValueError):
 
 
 class _Budget:
-    """Node/time budget of one search, counted in candidate masks considered.
+    """Node/time budget of one query, counted in candidate masks considered.
+
+    A weak exists-query's strong attempt and weak search draw on one budget.
 
     ``spend(count)`` charges ``count`` units at once: the node budget runs
     out as soon as fewer than zero units are left, and the deadline is
@@ -605,66 +607,31 @@ def _check_solutions(
 
 
 def _antichains(
-    g: Graph,
-    h: Graph,
-    nbr: list[int],
-    weak: bool,
-    fulldom: bool,
-    col_list: list[tuple[int, ...]],
+    n: int, m: int, col_list: list[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Minimal/maximal solution indices via one-step perturbation.
+    """Minimal/maximal solution indices of a complete enumeration.
 
-    Sandwich closure makes this exact: a solution strictly contains another
-    iff dropping some single pair still solves, and dually for maximality.
-    Changing one pair of column b changes only the edges at b, so only the
-    m column pairs that involve b are re-checked.
+    Sandwich closure makes the one-pair perturbation exact: a solution
+    strictly contains another iff it minus some single pair is a solution
+    too, and dually for maximality. Each solution is packed into one int,
+    pair (x, b) at bit b*n + x, so its n*m one-pair neighbours are set
+    lookups.
     """
-    tadj = h.adjacency
-    full = (1 << g.n) - 1
-    every = [1 << x for x in range(g.n)]
-
-    def fits(cols: tuple[int, ...], b: int, mask: int) -> bool:
-        """Whether ``cols`` still solves with column b replaced by ``mask``."""
-        nb = nbr[mask]
-        row = tadj[b]
-        for c, col in enumerate(cols):
-            if c == b:
-                if weak:
-                    continue
-                col = mask
-            if bool(nb & col) != bool(row >> c & 1):
-                return False
-        return True
-
+    keys = [sum(mask << b * n for b, mask in enumerate(cols)) for cols in col_list]
+    index = set(keys)
+    pairs = [1 << i for i in range(n * m)]
     minimal, maximal = [], []
-    for idx, cols in enumerate(col_list):
-        is_min = True
-        for b, mask in enumerate(cols):
-            others = 0
-            if fulldom:
-                for c, col in enumerate(cols):
-                    if c != b:
-                        others |= col
-            for x in _bits(mask):
-                smaller = mask & ~(1 << x)
-                if smaller and (not fulldom or others | smaller == full) and fits(
-                    cols, b, smaller
-                ):
-                    is_min = False
-                    break
-            if not is_min:
-                break
-        if is_min:
+    for idx, key in enumerate(keys):
+        below = above = False
+        for bit in pairs:
+            if key ^ bit in index:
+                if key & bit:
+                    below = True
+                else:
+                    above = True
+        if not below:
             minimal.append(idx)
-        is_max = True
-        for b, mask in enumerate(cols):
-            for bit in every:
-                if not mask & bit and fits(cols, b, mask | bit):
-                    is_max = False
-                    break
-            if not is_max:
-                break
-        if is_max:
+        if not above:
             maximal.append(idx)
     return tuple(minimal), tuple(maximal)
 
@@ -736,6 +703,14 @@ def solve(
     vertices it stands for. The cores are capped at SOLVER_VERTEX_CAP
     vertices instead of the inputs, a node budget counts the search on
     the cores, and a certificate found there comes back as kind ``rcore``.
+
+    A weak exists-query that no certificate decides first tries the strong
+    equation from the source's R-core onto the target's: weak composition
+    only drops loops and the target has none, so a strong solution, lifted
+    and re-checked as a weak one, answers it. That attempt may spend at
+    most a tenth of the node budget; the weak search gets what it left,
+    and one deadline covers both. A negative answer, and its certificate,
+    come only from the weak search.
     """
     found, minimal, maximal, complete, cert = _solve_masks(query, use_fast_paths)
     n, m = query.source.n, query.target.n
@@ -768,33 +743,41 @@ def _solve_masks(query: SolveQuery, use_fast_paths: bool = True) -> _Masks:
             return _solve_on_cores(query, gc, src_maps, hc, tgt_maps)
 
     _check_cap(g, h)
-    found, complete, cert, nbr = _search(query, g, h, use_fast_paths)
+    found, complete, cert = _search(query, g, h, use_fast_paths)
     found.sort(key=_canonical_key(g.n, h.n))
     _check_solutions(g, h, found, weak, fulldom)
     minimal: tuple[int, ...] = ()
     maximal: tuple[int, ...] = ()
     if complete and found and query.enumeration != "exists":
-        minimal, maximal = _antichains(g, h, nbr, weak, fulldom, found)
+        minimal, maximal = _antichains(g.n, h.n, found)
     return found, minimal, maximal, complete, cert
 
 
 def _search(
-    query: SolveQuery, g: Graph, h: Graph, use_fast_paths: bool
-) -> tuple[list[tuple[int, ...]], bool, Certificate | None, list[int] | None]:
-    """Certify, the complete-source fast path, then the column search.
+    query: SolveQuery,
+    g: Graph,
+    h: Graph,
+    use_fast_paths: bool,
+    budget: _Budget | None = None,
+    nbr: list[int] | None = None,
+) -> tuple[list[tuple[int, ...]], bool, Certificate | None]:
+    """Certify, the fast paths, then the column search.
 
     Runs on ``g`` and ``h`` in place of the query's graphs and returns the
-    solutions as unchecked column masks, whether the search completed, the
-    certificate of a no-instance, and the subset table (None when no search
-    ran).
+    solutions as unchecked column masks, whether the search completed, and
+    the certificate of a no-instance. ``budget`` defaults to the query's,
+    and ``nbr``, ``_subset_neighbors(g)``, is built here when not given.
+    A weak exists-query that no certificate or complete-source witness
+    decides tries ``_strong_first`` before its own column search.
     """
     weak = query.mode == "weak"
+    exists = query.enumeration == "exists"
     if use_fast_paths:
         cert = certify(g, h, query.mode, query.domain)
         if cert is not None:
-            return [], True, cert, None
+            return [], True, cert
         if (
-            query.enumeration == "exists"
+            exists
             and query.domain == "any"
             and g.n >= 1
             and is_complete(g)
@@ -805,19 +788,24 @@ def _search(
                 cols = [0] * h.n
                 for x, b in witness.pairs:
                     cols[b] |= 1 << x
-                return [tuple(cols)], True, None, None
+                return [tuple(cols)], True, None
 
-    nbr = _subset_neighbors(g)
-    budget = _Budget(query.node_budget, query.time_budget)
+    if budget is None:
+        budget = _Budget(query.node_budget, query.time_budget)
+    if nbr is None:
+        nbr = _subset_neighbors(g)
     found: list[tuple[int, ...]] = []
     complete = True
     try:
-        for colmasks in _search_columns(
-            g, h, nbr, weak=weak, full_domain=query.domain == "full", budget=budget
-        ):
-            found.append(colmasks)
-            if query.enumeration == "exists":
-                break
+        if use_fast_paths and weak and exists:
+            found = _strong_first(query, g, h, budget, nbr)
+        if not found:
+            for colmasks in _search_columns(
+                g, h, nbr, weak=weak, full_domain=query.domain == "full", budget=budget
+            ):
+                found.append(colmasks)
+                if exists:
+                    break
     except BudgetExhaustedError:
         complete = False
 
@@ -830,7 +818,35 @@ def _search(
                 "exhaustive search found no solution and no structural "
                 "invariant explains the failure",
             )
-    return found, complete, cert, nbr
+    return found, complete, cert
+
+
+def _strong_first(
+    query: SolveQuery, g: Graph, h: Graph, budget: _Budget, nbr: list[int]
+) -> list[tuple[int, ...]]:
+    """A solution of the strong equation ``g * R = h``, searched on the
+    R-core of the simple ``h`` and lifted to ``h``, as unchecked columns;
+    an empty list when the attempt finds none.
+
+    Weak composition is strong composition minus its loops, and ``h`` has
+    none, so the strong solution is a weak one. The attempt may spend at
+    most a tenth of the node units ``budget`` has left; what it does not
+    spend stays there for the weak search. It runs under ``budget``'s
+    deadline and raises ``BudgetExhaustedError`` when that passes.
+    """
+    hc, maps = _reduce(h)
+    total = budget.nodes_left
+    if total is not None:
+        budget.nodes_left = total // 10
+    found, complete, _ = _search(replace(query, mode="strong"), g, hc, True, budget, nbr)
+    timed_out = not complete and (total is None or budget.nodes_left >= 0)
+    if total is not None:
+        budget.nodes_left = total - total // 10 + max(budget.nodes_left, 0)
+    if timed_out:
+        raise BudgetExhaustedError("time budget exhausted")
+    if found and maps is not None:
+        return [_then(found[0], tuple(maps[2]))]
+    return found
 
 
 def _reduce(g: Graph):
@@ -864,7 +880,7 @@ def _solve_on_cores(
     weak = query.mode == "weak"
     fulldom = query.domain == "full"
     _check_cap(gc, hc)
-    found, complete, cert, _ = _search(query, gc, hc, True)
+    found, complete, cert = _search(query, gc, hc, True)
     if found:
         # Lift R' to forward ; R' ; backward, a side at a time.
         cols = found[0]

@@ -150,11 +150,11 @@ _GRAPHS = {
         ("C6", "2P3", "strong", "any", "all", 14_977),
         ("P7", "P4", "strong", "full", "exists", 1_043),
         ("P7", "P4", "strong", "any", "all", 227_898),
-        ("C8", "P4", "weak", "any", "exists", 4_215),
+        ("C8", "P4", "weak", "any", "exists", 4_080),
         ("C6", "P4", "weak", "any", "all", 845_586),
         ("C10", "C5", "strong", "full", "exists", 85_873),
         ("E4", "E4", "strong", "any", "all", 54_240),
-        ("P5", "C5", "weak", "full", "exists", 49_321),
+        ("P5", "C5", "weak", "full", "exists", 50_965),
         ("C8", "P4", "strong", "full", "all", 35_650),
         ("C6", "P4", "weak", "full", "all", 188_055),
     ],
@@ -479,6 +479,68 @@ def test_exists_on_rcores_matches_the_unreduced_search():
     assert lifted and rcore_certs
 
 
+def test_weak_exists_strong_first_matches_the_unreduced_search(monkeypatch):
+    """All 324 pairs of loopless graphs up to 4 vertices, both domains: weak
+    exists-queries give the answers of the plain weak search, and every
+    witness, many of them strong solutions, solves the inputs weakly."""
+    strong_found = 0
+    strong_first = solver._strong_first
+
+    def counted(*args):
+        nonlocal strong_found
+        found = strong_first(*args)
+        strong_found += bool(found)
+        return found
+
+    monkeypatch.setattr(solver, "_strong_first", counted)
+    graphs = rg.all_graphs_up_to(4)
+    assert len(graphs) ** 2 == 324
+    for g in graphs:
+        for h in graphs:
+            for domain in ("any", "full"):
+                query = rg.SolveQuery(g, h, mode="weak", domain=domain, enumeration="exists")
+                fast, cert = rg.solve(query)
+                slow, _ = rg.solve(query, use_fast_paths=False)
+                assert fast.complete and slow.complete
+                assert bool(fast.solutions) == bool(slow.solutions), (g, h, domain)
+                if fast.solutions:
+                    r = fast.solutions[0]
+                    assert rg.apply_weak(g, r) == h
+                    assert domain == "any" or r.has_full_domain
+                else:
+                    assert rg.certificate_holds(cert, g, h, "weak", domain)
+    assert strong_found
+
+
+@pytest.mark.parametrize("source", [rg.cycle_graph(8), blow_up(rg.cycle_graph(8), 2, seed=3)])
+def test_weak_exists_rechecks_the_strong_solution(monkeypatch, source):
+    # Every column {0} gives an edgeless image, which is not P4; the strong
+    # attempt's solution is re-checked on the inputs whether or not the
+    # source was reduced.
+    search = solver._search
+
+    def bad_strong(query, g, h, *args):
+        if query.mode == "strong":
+            return [(1,) * h.n], True, None
+        return search(query, g, h, *args)
+
+    monkeypatch.setattr(solver, "_search", bad_strong)
+    query = rg.SolveQuery(source, rg.path_graph(4), mode="weak", enumeration="exists")
+    with pytest.raises(rg.WitnessCheckError):
+        rg.solve(query)
+
+
+def test_weak_exists_time_budget_covers_the_strong_attempt():
+    # The strong attempt alone needs more than 256 units, so the deadline
+    # is checked before either search can finish.
+    query = rg.SolveQuery(
+        rg.path_graph(5), rg.cycle_graph(5), mode="weak", domain="full",
+        enumeration="exists", time_budget=1e-9,
+    )
+    ss, cert = rg.solve(query)
+    assert not ss.complete and cert is None
+
+
 def test_exists_past_the_cap_searches_the_cores():
     # Twin blow-ups of 360 and 40 vertices, whose R-cores are C6 and P4.
     cycles = blow_up(rg.cycle_graph(6), 60, seed=11)
@@ -549,6 +611,22 @@ then = solver._then
 solver._then = lambda first, second: tuple((1 << 4) - 1 for _ in second)
 expect_check_error(found)
 solver._then = then
+
+# A strong attempt of a weak query that puts every column at vertex 0.
+search = solver._search
+
+
+def bad_strong(query, g, h, *args):
+    if query.mode == "strong":
+        return [(1,) * h.n], True, None
+    return search(query, g, h, *args)
+
+
+solver._search = bad_strong
+expect_check_error(
+    rg.SolveQuery(rg.cycle_graph(8), rg.path_graph(4), mode="weak", enumeration="exists")
+)
+solver._search = search
 
 # A reduction whose backward map sends every core vertex everywhere: the
 # negative answer rests on it, so its check must fire.
