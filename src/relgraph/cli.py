@@ -222,6 +222,9 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.exists and (args.minimal or args.maximal):
+        # An exists-query computes no antichains to pick from.
+        raise _CliError("--exists cannot be combined with --minimal or --maximal")
     g = _load_graph(args.graph)
     h = _load_graph(args.other)
     enumeration = "all"

@@ -45,6 +45,9 @@ from .core import (
 )
 
 SOLVER_VERTEX_CAP = 16
+# Masks that one column search may store in its candidate-list memos: the
+# size of the subset table the search already holds.
+_MEMO_LIMIT = 1 << SOLVER_VERTEX_CAP
 
 # certify() is called once per candidate inside the oracle scans, so the
 # underlying invariants are memoized on the (hashable) graph values.
@@ -141,6 +144,14 @@ def _search_columns(
     per-target-vertex masks that each column must contain / stay inside.
     The target may be disconnected: columns of different components are
     non-adjacent, so the ``forbidden`` mask keeps their domains apart.
+
+    A node scans only its column's candidates disjoint from ``forbidden``,
+    the union of the neighbourhoods the column must avoid. The same
+    ``forbidden`` recurs at most nodes, so each candidate list keeps a memo
+    from ``forbidden`` to that sub-list, for this call only. The memos
+    store at most ``_MEMO_LIMIT`` masks in all; past that, a sub-list is
+    built and dropped. Budget units are still charged by position in the
+    whole list, so the memo changes no solution, order or unit.
     """
     n, m = src.n, tgt.n
     full = (1 << n) - 1
@@ -154,25 +165,31 @@ def _search_columns(
     order = sorted(range(m), key=lambda b: (-tgt.degree(b), b))
 
     # Columns with the same pins (and, in strong mode, the same loop
-    # requirement) share one read-only candidate list, ascending.
-    lists: dict[tuple[int, int, bool | None], list[int]] = {}
-    cand: list[list[int]] = []
+    # requirement) share one read-only candidate list, ascending, and one
+    # memo: ``forbidden`` -> the list's masks disjoint from it, in order.
+    # The whole list stands for ``forbidden = 0``.
+    lists: dict[tuple[int, int, bool | None], tuple[list[int], dict[int, list[int]]]] = {}
+    cand = []
     for b in order:
         req = required[b] if required is not None else 0
         uni = universe[b] if universe is not None else full
         loop = None if weak else bool(tadj[b] >> b & 1)
-        opts = lists.get((req, uni, loop))
-        if opts is None:
-            opts = lists[req, uni, loop] = [
+        entry = lists.get((req, uni, loop))
+        if entry is None:
+            opts = [
                 mask
                 for mask in range(1, full + 1)
                 if not mask & ~uni
                 and mask & req == req
                 and (loop is None or bool(nbr[mask] & mask) == loop)
             ]
-        if not opts:
+            entry = lists[req, uni, loop] = (opts, {0: opts})
+        if not entry[0]:
             return
-        cand.append(opts)
+        cand.append(entry)
+    # Masks the memos may still store. An entry costs its masks plus one,
+    # so empty sub-lists count too.
+    room = _MEMO_LIMIT
 
     # Full-domain pruning rests on one rule: a vertex next to column j's
     # contents may only sit in columns adjacent to j, at the positions set in
@@ -193,6 +210,7 @@ def _search_columns(
     spend = budget.spend
 
     def dfs(i: int, covered: int):
+        nonlocal room
         if i == m:
             out = [0] * m
             for pos, b in enumerate(order):
@@ -223,15 +241,19 @@ def _search_columns(
                 else:
                     far |= avail[p]
                     far_pos.append(p)
-        opts = cand[i]
-        # Every mask of ``opts`` costs one budget unit. A rejected mask has
-        # no effect, so the units are charged in bulk: up to each accepted
-        # mask before the search goes on from it, and the rest when the
-        # loop ends.
+        opts, memo = cand[i]
+        allowed = memo.get(forbidden)
+        if allowed is None:
+            allowed = [mask for mask in opts if not mask & forbidden]
+            if len(allowed) < room:
+                memo[forbidden] = allowed
+                room -= len(allowed) + 1
+        # Every mask of ``opts`` costs one budget unit, whether or not it is
+        # in ``allowed``. A rejected mask has no effect, so the units are
+        # charged in bulk: up to each accepted mask before the search goes
+        # on from it, and the rest when the loop ends.
         charged = 0
-        for mask in opts:
-            if mask & forbidden:
-                continue
+        for mask in allowed:
             ok = True
             for h in need_hit:
                 if not mask & h:
@@ -614,26 +636,26 @@ def _antichains(
     Sandwich closure makes the one-pair perturbation exact: a solution
     strictly contains another iff it minus some single pair is a solution
     too, and dually for maximality. Each solution is packed into one int,
-    pair (x, b) at bit b*n + x, so its n*m one-pair neighbours are set
-    lookups.
+    pair (x, b) at bit b*n + x. One pass looks up each solution minus each
+    of its own pairs: a hit has a solution below it, and that solution has
+    one above it.
     """
     keys = [sum(mask << b * n for b, mask in enumerate(cols)) for cols in col_list]
-    index = set(keys)
-    pairs = [1 << i for i in range(n * m)]
-    minimal, maximal = [], []
+    index = {key: idx for idx, key in enumerate(keys)}
+    has_below = [False] * len(keys)
+    has_above = [False] * len(keys)
     for idx, key in enumerate(keys):
-        below = above = False
-        for bit in pairs:
-            if key ^ bit in index:
-                if key & bit:
-                    below = True
-                else:
-                    above = True
-        if not below:
-            minimal.append(idx)
-        if not above:
-            maximal.append(idx)
-    return tuple(minimal), tuple(maximal)
+        rest = key
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            lower = index.get(key ^ bit)
+            if lower is not None:
+                has_below[idx] = True
+                has_above[lower] = True
+    minimal = tuple(i for i, hit in enumerate(has_below) if not hit)
+    maximal = tuple(i for i, hit in enumerate(has_above) if not hit)
+    return minimal, maximal
 
 
 def iter_solutions(query: SolveQuery, *, use_fast_paths: bool = True):

@@ -104,6 +104,16 @@ def test_cli_solve_json_decides_identically(files, capsys):
     assert doc["count"] == 6 and len(doc["minimal"]) == 6
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("pick", ["--minimal", "--maximal"])
+def test_cli_solve_exists_rejects_antichain_picks(files, capsys, json_flag, pick):
+    # An exists-query finds one solution and no antichains to pick from.
+    code = main([*json_flag, "solve", "--exists", pick, files["c4"], files["k2"]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "--exists cannot be combined with --minimal or --maximal" in err
+
+
 def test_cli_rcore_and_witnesses(files, capsys):
     assert main(["rcore", files["c4"]]) == 0
     out = capsys.readouterr().out

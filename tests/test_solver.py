@@ -188,6 +188,78 @@ def test_iter_solutions_raises_budget_exhaustion_to_its_caller():
     assert not ss.complete and cert is None
 
 
+def _column_run(g, h, weak, full_domain, required, universe, node_budget, limit=2_000):
+    """Up to ``limit`` yields of one column search, a marker if its budget
+    ran out, and the budget's counters afterwards."""
+    budget = solver._Budget(node_budget, None)
+    search = solver._search_columns(
+        g, h, solver._subset_neighbors(g), weak=weak, full_domain=full_domain,
+        required=required, universe=universe, budget=budget,
+    )
+    out = []
+    try:
+        for cols in search:
+            out.append(cols)
+            if len(out) == limit:
+                break
+    except rg.BudgetExhaustedError:
+        out.append("exhausted")
+    return out, budget.nodes_left, budget._ticks
+
+
+def test_candidate_memo_changes_nothing_a_caller_sees(monkeypatch):
+    """The same yields, in the same order, and the same budget counters,
+    whether the memos store every sub-list or none."""
+    rng = random.Random(61)
+    for trial in range(500):
+        n, m = rng.randint(1, 7), rng.randint(1, 5)
+        weak = trial % 2 == 1
+        g = random_graph(rng, n, p=rng.random(), loops=not weak and trial % 3 == 0)
+        if trial % 5 < 2:
+            h = random_graph(rng, m, p=rng.random(), loops=not weak)
+        else:
+            # The image of a random relation: a target with solutions.
+            pairs = [(rng.randrange(n), b) for b in range(m) for _ in range(rng.randint(1, 2))]
+            rel = rg.relation_from_pairs(n, m, pairs)
+            h = rg.apply_weak(g, rel) if weak else rg.apply_strong(g, rel)
+        full = (1 << n) - 1
+        required = universe = None
+        if trial % 4 == 0:
+            required = [rng.randrange(full + 1) & rng.randrange(full + 1) for _ in range(m)]
+        if trial % 3 == 0:
+            universe = [
+                rng.randrange(full + 1) | (required[b] if required else 0) for b in range(m)
+            ]
+        node_budget = rng.choice([None, rng.randint(1, 20_000), int(20_000 ** rng.random())])
+        args = (g, h, weak, trial % 4 >= 2, required, universe, node_budget)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_MEMO_LIMIT", 0)
+            bare = _column_run(*args)
+        assert _column_run(*args) == bare, args
+
+
+def test_candidate_memo_stays_within_its_limit(monkeypatch):
+    g, h = rg.cycle_graph(9), rg.path_graph(4)
+    want = list(solver._search_columns(g, h, solver._subset_neighbors(g)))
+    monkeypatch.setattr(solver, "_MEMO_LIMIT", 1_000)
+    search = solver._search_columns(g, h, solver._subset_neighbors(g))
+    got, peak = [], 0
+    for cols in search:
+        got.append(cols)
+        if len(got) % 500 == 1:
+            state = search.gi_frame.f_locals
+            stored = sum(
+                len(sub) + 1
+                for _, memo in state["lists"].values()
+                for forbidden, sub in memo.items()
+                if forbidden
+            )
+            assert stored == 1_000 - state["room"] <= 1_000
+            peak = max(peak, stored)
+    assert got == want and len(got) == 84_240
+    assert peak > 900
+
+
 def test_side_doors_enforce_the_vertex_cap():
     # Both would otherwise build a 2^17-entry subset table.
     big, edge = rg.path_graph(17), rg.complete_graph(2)
