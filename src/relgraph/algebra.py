@@ -19,6 +19,7 @@ from .core import (
     Relation,
     UniverseMismatchError,
     WeightedGraph,
+    _bits_for,
     check_witness,
     weighted_graph,
 )
@@ -37,7 +38,7 @@ def _check_universes(g: Graph, rel: Relation) -> None:
 
 def _require_full_image(rel: Relation) -> None:
     if not rel.has_full_image:
-        missing = sorted(set(range(rel.image_size)) - set(rel.image_set))
+        missing = [b for b, col in enumerate(rel.columns) if not col]
         raise ImageNotFullError(f"target vertices without pre-image: {missing}")
 
 
@@ -54,14 +55,13 @@ def apply_strong(g: Graph, rel: Relation) -> Graph:
     _require_full_image(rel)
     m = rel.image_size
     adj = g.adjacency
-    cols = [0] * m
-    nbr = [0] * m
-    for x, b in rel.pairs:
-        cols[b] |= 1 << x
-        nbr[b] |= adj[x]
+    bits = _bits_for(g.n)
+    cols = rel.columns
     edges = set()
-    for b in range(m):
-        nb = nbr[b]
+    for b, col in enumerate(cols):
+        nb = 0
+        for x in bits(col):
+            nb |= adj[x]
         for c in range(b, m):
             if nb & cols[c]:
                 edges.add((b, c))
@@ -86,7 +86,8 @@ def apply_weighted(wg: WeightedGraph, rel: Relation) -> WeightedGraph:
             f"relation domain {rel.domain_size} != weighted graph order {wg.n}"
         )
     m = rel.image_size
-    pre = [rel.preimage_of(b) for b in range(m)]
+    bits = _bits_for(wg.n)
+    pre = [bits(col) for col in rel.columns]
     out: dict[tuple[int, int], Fraction] = {}
     for b in range(m):
         for c in range(b, m):
@@ -130,14 +131,10 @@ def decompose(rel: Relation) -> Decomposition:
     """
     pairs = tuple(sorted(rel.pairs))
     mid = len(pairs)
-    dom = frozenset(x for x, _ in pairs)
-    ident = Relation(rel.domain_size, rel.domain_size, frozenset((a, a) for a in dom))
-    dup = Relation(
-        rel.domain_size, mid, frozenset((x, i) for i, (x, _) in enumerate(pairs))
-    )
-    con = Relation(
-        mid, rel.image_size, frozenset((i, b) for i, (_, b) in enumerate(pairs))
-    )
+    dom = rel.domain_set
+    ident = Relation(rel.domain_size, rel.domain_size, [(a, a) for a in dom])
+    dup = Relation(rel.domain_size, mid, [(x, i) for i, (x, _) in enumerate(pairs)])
+    con = Relation(mid, rel.image_size, [(i, b) for i, (_, b) in enumerate(pairs)])
     out = Decomposition(dom, mid, pairs, ident, dup, con)
     check_witness(
         dup.is_injective and con.is_functional,
@@ -178,22 +175,32 @@ def hall_check(rel: Relation) -> HallReport:
     match_of_target = [-1] * m
     match_of_source = [-1] * n
 
-    def try_augment(x: int, seen: list[bool]) -> bool:
-        mask = rows[x]
-        b = 0
-        while mask:
-            if mask & 1 and not seen[b]:
-                seen[b] = True
-                if match_of_target[b] == -1 or try_augment(match_of_target[b], seen):
-                    match_of_target[b] = x
-                    match_of_source[x] = b
-                    return True
-            mask >>= 1
-            b += 1
-        return False
+    def augment(root: int) -> None:
+        # Depth first over an explicit stack: ``path`` holds the sources of
+        # the alternating path, each after the root the partner of a target
+        # tried from the one before. Targets are tried in ascending order,
+        # each at most once per root.
+        seen = 0
+        path = [root]
+        while path:
+            todo = rows[path[-1]] & ~seen
+            if not todo:
+                path.pop()
+                continue
+            low = todo & -todo
+            seen |= low
+            b = low.bit_length() - 1
+            if match_of_target[b] != -1:
+                path.append(match_of_target[b])
+                continue
+            # Each source takes b, and hands its old target to the one before.
+            for x in reversed(path):
+                match_of_target[b] = x
+                match_of_source[x], b = b, match_of_source[x]
+            return
 
     for x in range(n):
-        try_augment(x, [False] * m)
+        augment(x)
 
     unmatched = [x for x in range(n) if match_of_source[x] == -1]
     if not unmatched:
@@ -205,19 +212,16 @@ def hall_check(rel: Relation) -> HallReport:
     reached_src = set(unmatched)
     reached_tgt: set[int] = set()
     frontier = list(unmatched)
+    bits = _bits_for(m)
     while frontier:
         x = frontier.pop()
-        mask = rows[x]
-        b = 0
-        while mask:
-            if mask & 1 and b not in reached_tgt:
+        for b in bits(rows[x]):
+            if b not in reached_tgt:
                 reached_tgt.add(b)
                 back = match_of_target[b]
                 if back != -1 and back not in reached_src:
                     reached_src.add(back)
                     frontier.append(back)
-            mask >>= 1
-            b += 1
     violating = frozenset(reached_src)
     image = set()
     for x in violating:
@@ -243,40 +247,34 @@ def nohall_split(
     """
     _check_universes(g, rel)
     _require_full_image(rel)
-    if violating is not None:
-        s = frozenset(violating)
-        image = {b for x in s for b in rel.image_of(x)}
-        if len(s) <= len(image):
-            raise HallSatisfiedError(
-                "provided set does not violate the Hall condition"
-            )
-    else:
+    rows = rel.row_masks()
+    if violating is None:
         report = hall_check(rel)
         if report.satisfied:
             raise HallSatisfiedError("relation satisfies the Hall condition")
         s = report.violating_set
-    image_of_s = sorted({b for x in s for b in rel.image_of(x)})
-    outside = sorted(set(range(g.n)) - s)
+    else:
+        s = frozenset(violating)
+        if not s <= frozenset(range(g.n)):
+            raise ValueError("violating set outside the source vertices")
+    s_mask = image_mask = 0
+    for x in s:
+        s_mask |= 1 << x
+        image_mask |= rows[x]
+    if len(s) <= image_mask.bit_count():
+        raise HallSatisfiedError("provided set does not violate the Hall condition")
+    image_of_s = [b for b in range(rel.image_size) if image_mask >> b & 1]
+    outside = [x for x in range(g.n) if not s_mask >> x & 1]
     z = len(image_of_s) + len(outside)
-    slot_of_target = {b: i for i, b in enumerate(image_of_s)}
-    slot_of_source = {x: len(image_of_s) + i for i, x in enumerate(outside)}
-
-    first_pairs = set()
-    for x in range(g.n):
-        if x in s:
-            for b in rel.image_of(x):
-                first_pairs.add((x, slot_of_target[b]))
-        else:
-            first_pairs.add((x, slot_of_source[x]))
-    second_pairs = set()
-    for b in image_of_s:
-        second_pairs.add((slot_of_target[b], b))
-    for x in outside:
-        for b in rel.image_of(x):
-            second_pairs.add((slot_of_source[x], b))
-
-    first = Relation(g.n, z, frozenset(first_pairs))
-    second = Relation(z, rel.image_size, frozenset(second_pairs))
+    # Slot i < len(image_of_s) takes the members of s related to
+    # image_of_s[i] and passes them on to it; the other slots take one
+    # outside vertex each and pass it on as ``rel`` does.
+    first = Relation._of_columns(
+        g.n, z, [rel.columns[b] & s_mask for b in image_of_s] + [1 << x for x in outside]
+    )
+    second = Relation._of_columns(
+        rel.image_size, z, [1 << b for b in image_of_s] + [rows[x] for x in outside]
+    ).transpose()
     smaller = apply_strong(g, first)
     check_witness(first.compose(second) == rel, "nohall_split: factors do not compose")
     check_witness(

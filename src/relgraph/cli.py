@@ -353,9 +353,7 @@ def _cmd_check(args) -> int:
         report = hall_check(rel)
         doc = {"command": "check", "predicate": "hall", "satisfied": report.satisfied}
         if report.satisfied:
-            mono = Relation(
-                rel.domain_size, rel.image_size, frozenset(report.monomorphism)
-            )
+            mono = Relation(rel.domain_size, rel.image_size, report.monomorphism)
             doc["monomorphism"] = rio.relation_to_json(mono)
             text = "true\n" + rio.format_relation(mono, note="monomorphism")
         else:

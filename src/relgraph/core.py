@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 
@@ -321,52 +321,123 @@ def chromatic_number(g: Graph) -> int:
     return best
 
 
-@dataclass(frozen=True, eq=False)
+# The exhaustive solver's cap on vertices per side. Masks over at most this
+# many vertices have their set bits cached.
+SOLVER_VERTEX_CAP = 16
+
+
+@lru_cache(maxsize=1 << SOLVER_VERTEX_CAP)
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _bits_for(n: int):
+    """``_bits`` for masks over ``n`` vertices.
+
+    The cache is sized for masks under the vertex cap. Wider masks, such as
+    a solution lifted from R-cores, are walked without it, so the cache
+    never holds their long tuples.
+    """
+    return _bits if n <= SOLVER_VERTEX_CAP else _bits.__wrapped__
+
+
+def _compose_columns(first, second) -> tuple[int, ...]:
+    """Columns of ``first ; second`` from the columns of each: column c ORs
+    the columns of ``first`` at the members of ``second[c]``."""
+    out = []
+    for col in second:
+        mask = 0
+        while col:
+            low = col & -col
+            mask |= first[low.bit_length() - 1]
+            col ^= low
+        out.append(mask)
+    return tuple(out)
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class Relation:
-    """Set of ordered pairs between two dense vertex universes."""
+    """Binary relation between two dense vertex universes, stored as its columns.
+
+    ``columns[b]`` is the bitmask of the source vertices related to target
+    vertex b. ``Relation(domain_size, image_size, pairs)`` takes ``(x, b)``
+    pairs and checks each; ``pairs`` is derived from the columns on first
+    use. Equality and hashing compare ``(domain_size, image_size, columns)``.
+    """
 
     domain_size: int
     image_size: int
-    pairs: frozenset[tuple[int, int]]
+    columns: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.domain_size < 0 or self.image_size < 0:
+    def __init__(self, domain_size: int, image_size: int, pairs) -> None:
+        if domain_size < 0 or image_size < 0:
             raise ValueError("universe sizes must be non-negative")
-        for x, b in self.pairs:
-            if not (0 <= x < self.domain_size and 0 <= b < self.image_size):
+        cols = [0] * image_size
+        for x, b in pairs:
+            if not (0 <= x < domain_size and 0 <= b < image_size):
                 raise ValueError(f"pair ({x}, {b}) outside declared universes")
+            cols[b] |= 1 << x
+        self._set(domain_size, image_size, tuple(cols))
 
-    def __eq__(self, other):
-        if not isinstance(other, Relation):
-            return NotImplemented
-        return (
-            self.domain_size == other.domain_size
-            and self.image_size == other.image_size
-            and self.pairs == other.pairs
-        )
+    @classmethod
+    def _of_columns(cls, domain_size: int, image_size: int, columns) -> Relation:
+        """The relation whose column b is the source mask ``columns[b]``.
 
-    def __hash__(self):
-        return hash((self.domain_size, self.image_size, self.pairs))
+        The internal constructor: it checks, in O(m), only the column count
+        and that every column is a mask over the domain.
+        """
+        columns = tuple(columns)
+        if domain_size < 0 or len(columns) != image_size:
+            raise ValueError(f"{len(columns)} columns for a {domain_size}x{image_size} relation")
+        full = 1 << domain_size
+        for col in columns:
+            if not 0 <= col < full:
+                raise ValueError(f"column {col:#x} outside a {domain_size}-vertex domain")
+        rel = cls.__new__(cls)
+        rel._set(domain_size, image_size, columns)
+        return rel
+
+    def _set(self, domain_size: int, image_size: int, columns: tuple[int, ...]) -> None:
+        # The dataclass is frozen: its fields are set once, here.
+        object.__setattr__(self, "domain_size", domain_size)
+        object.__setattr__(self, "image_size", image_size)
+        object.__setattr__(self, "columns", columns)
 
     def __repr__(self):
-        return (
-            f"Relation({self.domain_size}x{self.image_size}, "
-            f"{sorted(self.pairs)})"
-        )
+        return f"Relation({self.domain_size}x{self.image_size}, {sorted(self.pairs)})"
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The ``(x, b)`` pairs, from the columns."""
+        bits = _bits_for(self.domain_size)
+        return frozenset((x, b) for b, col in enumerate(self.columns) for x in bits(col))
 
     def image_of(self, x: int) -> frozenset[int]:
-        return frozenset(b for a, b in self.pairs if a == x)
+        if x < 0:
+            return frozenset()
+        return frozenset(b for b, col in enumerate(self.columns) if col >> x & 1)
 
     def preimage_of(self, b: int) -> frozenset[int]:
-        return frozenset(a for a, c in self.pairs if c == b)
+        if not 0 <= b < self.image_size:
+            return frozenset()
+        return frozenset(_bits_for(self.domain_size)(self.columns[b]))
 
     @cached_property
     def domain_set(self) -> frozenset[int]:
-        return frozenset(x for x, _ in self.pairs)
+        mask = 0
+        for col in self.columns:
+            mask |= col
+        return frozenset(_bits_for(self.domain_size)(mask))
 
     @cached_property
     def image_set(self) -> frozenset[int]:
-        return frozenset(b for _, b in self.pairs)
+        return frozenset(b for b, col in enumerate(self.columns) if col)
 
     @property
     def has_full_domain(self) -> bool:
@@ -374,36 +445,31 @@ class Relation:
 
     @property
     def has_full_image(self) -> bool:
-        return len(self.image_set) == self.image_size
+        return all(self.columns)
 
     @property
     def is_functional(self) -> bool:
-        return len(self.domain_set) == len(self.pairs)
+        return len(self.domain_set) == sum(col.bit_count() for col in self.columns)
 
     @property
     def is_injective(self) -> bool:
-        return len(self.image_set) == len(self.pairs)
+        return not any(col & (col - 1) for col in self.columns)
 
     def column_masks(self) -> list[int]:
         """Pre-image bitmask for each target vertex."""
-        cols = [0] * self.image_size
-        for x, b in self.pairs:
-            cols[b] |= 1 << x
-        return cols
+        return list(self.columns)
 
     def row_masks(self) -> list[int]:
         """Image bitmask for each source vertex."""
         rows = [0] * self.domain_size
-        for x, b in self.pairs:
-            rows[x] |= 1 << b
+        bits = _bits_for(self.domain_size)
+        for b, col in enumerate(self.columns):
+            for x in bits(col):
+                rows[x] |= 1 << b
         return rows
 
     def transpose(self) -> Relation:
-        return Relation(
-            self.image_size,
-            self.domain_size,
-            frozenset((b, x) for x, b in self.pairs),
-        )
+        return Relation._of_columns(self.image_size, self.domain_size, self.row_masks())
 
     def compose(self, other: Relation) -> Relation:
         """Relational composition self followed by ``other``."""
@@ -412,30 +478,26 @@ class Relation:
                 f"cannot compose {self.image_size}-image with "
                 f"{other.domain_size}-domain relation"
             )
-        rows = other.row_masks()
-        pairs = set()
-        for x, b in self.pairs:
-            mask = rows[b]
-            z = 0
-            while mask:
-                if mask & 1:
-                    pairs.add((x, z))
-                mask >>= 1
-                z += 1
-        return Relation(self.domain_size, other.image_size, frozenset(pairs))
+        return Relation._of_columns(
+            self.domain_size, other.image_size, _compose_columns(self.columns, other.columns)
+        )
 
     def union(self, other: Relation) -> Relation:
         if (self.domain_size, self.image_size) != (other.domain_size, other.image_size):
             raise UniverseMismatchError("union requires matching universes")
-        return Relation(self.domain_size, self.image_size, self.pairs | other.pairs)
+        return Relation._of_columns(
+            self.domain_size,
+            self.image_size,
+            [a | b for a, b in zip(self.columns, other.columns)],
+        )
 
 
 def relation_from_pairs(domain_size: int, image_size: int, pairs) -> Relation:
-    return Relation(domain_size, image_size, frozenset(tuple(p) for p in pairs))
+    return Relation(domain_size, image_size, pairs)
 
 
 def identity_relation(n: int) -> Relation:
-    return Relation(n, n, frozenset((x, x) for x in range(n)))
+    return Relation._of_columns(n, n, [1 << x for x in range(n)])
 
 
 def transpose(rel: Relation) -> Relation:
@@ -608,14 +670,15 @@ def _rcore_sweep(g: Graph) -> tuple[int, list[tuple[int, tuple[int, ...], int | 
 def _rcore_maps(
     g: Graph, survivors: int, trace: list[tuple[int, tuple[int, ...], int | None]]
 ) -> tuple[list[int], list[int], list[int]]:
-    """The R-core of ``g`` as vertex maps, from ``_rcore_sweep(g)``.
+    """The R-core of ``g`` as the columns of its two witnesses, from
+    ``_rcore_sweep(g)``.
 
-    Returns ``(keep, image, pre)``. ``keep`` lists the core's vertices as
-    vertices of ``g``: the survivors of the sweep, ascending, then one
-    isolated vertex standing for all of them if there is any. ``image[v]``
-    is the core vertex that v goes to under the forward witness, and
-    ``pre[v]`` the mask of core vertices that go to v under the backward
-    one; both have full domain and full image, and core = g * forward,
+    Returns ``(keep, forward, backward)``. ``keep`` lists the core's
+    vertices as vertices of ``g``: the survivors of the sweep, ascending,
+    then one isolated vertex standing for all of them if there is any.
+    ``forward[a]`` is the mask of the vertices of ``g`` that go to core
+    vertex a, and ``backward[v]`` the mask of core vertices that go to v;
+    both relations have full domain and full image, and core = g * forward,
     g = core * backward.
 
     A deleted vertex goes forward wherever its container goes; its pre-image
@@ -637,7 +700,10 @@ def _rcore_maps(
             mask |= pre[c]
         pre[v] = mask
     keep += g.isolated_vertices()[:1]
-    return keep, image, pre
+    forward = [0] * len(keep)
+    for v, a in enumerate(image):
+        forward[a] |= 1 << v
+    return keep, forward, pre
 
 
 def _reduced_graph(g: Graph, keep: list[int]) -> Graph:

@@ -47,22 +47,14 @@ class ThinQuotient:
 
 
 def thin_quotient(g: Graph) -> ThinQuotient:
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.adjacency[v], []).append(v)
-    classes = sorted((frozenset(vs) for vs in groups.values()), key=min)
-    partition = partition_from_classes(g.n, classes)
-    index = {}
-    for i, cls in enumerate(partition.classes):
-        for v in cls:
-            index[v] = i
-    k = len(partition.classes)
-    edges = set()
-    for u, v in g.edges:
-        a, b = index[u], index[v]
-        edges.add((a, b) if a <= b else (b, a))
-    thin = Graph(k, frozenset(edges))
-    rel = Relation(g.n, k, frozenset((v, index[v]) for v in range(g.n)))
+    classes: dict[int, int] = {}
+    for v, row in enumerate(g.adjacency):
+        classes[row] = classes.get(row, 0) | 1 << v
+    # In insertion order, so ordered by smallest member: the vertex-to-class
+    # relation's columns. The quotient graph is g through it.
+    rel = Relation._of_columns(g.n, len(classes), classes.values())
+    partition = partition_from_classes(g.n, [rel.preimage_of(i) for i in range(rel.image_size)])
+    thin = apply_strong(g, rel)
     out = ThinQuotient(g, partition, thin, rel)
     check_witness(
         apply_strong(thin, rel.transpose()) == g,
@@ -159,13 +151,10 @@ def rcore_with_witness(g: Graph) -> tuple[Graph, Relation, Relation]:
     if g.n == 0:
         empty = Relation(0, 0, frozenset())
         return g, empty, empty
-    keep, image, pre = _rcore_maps(g, *_rcore_sweep(g))
+    keep, forward, backward = _rcore_maps(g, *_rcore_sweep(g))
     core = _reduced_graph(g, keep)
-    k = len(keep)
-    forward = Relation(g.n, k, frozenset(enumerate(image)))
-    backward = Relation(
-        k, g.n, frozenset((a, v) for v in range(g.n) for a in range(k) if pre[v] >> a & 1)
-    )
+    forward = Relation._of_columns(g.n, core.n, forward)
+    backward = Relation._of_columns(core.n, g.n, backward)
     check_witness(apply_strong(g, forward) == core, "rcore: forward witness")
     check_witness(apply_strong(core, backward) == g, "rcore: backward witness")
     return core, forward, backward

@@ -52,7 +52,7 @@ def property_n_star(g: Graph) -> bool:
 
 
 def _identity_within(sub: list[int], rel: Relation) -> bool:
-    return all((x, x) in rel.pairs for x in sub)
+    return all(rel.columns[x] >> x & 1 for x in sub)
 
 
 def is_retraction(g: Graph, sub, rel: Relation) -> bool:
@@ -68,12 +68,11 @@ def is_retraction(g: Graph, sub, rel: Relation) -> bool:
     if rel.domain_size != g.n or rel.image_size != g.n:
         raise ValueError("retraction relations live on the graph's own universe")
     inside = set(vs)
-    if any(b not in inside for _, b in rel.pairs):
+    if any(col for b, col in enumerate(rel.columns) if b not in inside):
         return False
     if not rel.has_full_domain or not _identity_within(vs, rel):
         return False
-    index = {v: i for i, v in enumerate(vs)}
-    dense = Relation(g.n, len(vs), frozenset((x, index[b]) for x, b in rel.pairs))
+    dense = Relation._of_columns(g.n, len(vs), [rel.columns[v] for v in vs])
     if not dense.has_full_image:
         return False
     return apply_strong(g, dense) == induced_subgraph(g, vs)
@@ -91,12 +90,13 @@ def is_coretraction(g: Graph, sub, rel: Relation) -> bool:
     if rel.domain_size != g.n or rel.image_size != g.n:
         raise ValueError("coretraction relations live on the graph's own universe")
     inside = set(vs)
-    if any(x not in inside for x, _ in rel.pairs):
+    rows = rel.row_masks()
+    if any(row for x, row in enumerate(rows) if x not in inside):
         return False
     if not _identity_within(vs, rel):
         return False
-    index = {v: i for i, v in enumerate(vs)}
-    dense = Relation(len(vs), g.n, frozenset((index[x], b) for x, b in rel.pairs))
+    # Its transpose's columns are the rows of ``rel`` at ``sub``.
+    dense = Relation._of_columns(g.n, len(vs), [rows[v] for v in vs]).transpose()
     if not dense.has_full_image:
         return False
     return apply_strong(induced_subgraph(g, vs), dense) == g
@@ -173,9 +173,7 @@ def graph_core_with_witness(
             mapping = _functional_retraction(g, sub)
             if mapping is None:
                 continue
-            rel = Relation(
-                g.n, g.n, frozenset((v, c) for v, c in sorted(mapping.items()))
-            )
+            rel = Relation(g.n, g.n, mapping.items())
             check_witness(rel.is_functional, "graph_core: retraction not functional")
             check_witness(is_retraction(g, sub, rel), "graph_core: retraction witness")
             witness = RetractionWitness("retraction", frozenset(sub), rel)
@@ -224,7 +222,7 @@ def cocore_with_witness(g: Graph) -> tuple[Graph, RetractionWitness]:
     if isolated:
         keep.append(isolated[0])
         pairs |= {(isolated[0], v) for v in isolated}
-    rel = Relation(g.n, g.n, frozenset(pairs))
+    rel = Relation(g.n, g.n, pairs)
     core = induced_subgraph(g, keep)
     check_witness(is_coretraction(g, keep, rel), "cocore: coretraction witness")
     return core, RetractionWitness("coretraction", frozenset(keep), rel)
@@ -303,9 +301,7 @@ def all_self_relations_are_automorphisms(
             for y in range(g.n)
             if x != y and g.adjacency[x] & ~g.adjacency[y] == 0
         )
-        rel = identity_relation(g.n).union(
-            Relation(g.n, g.n, frozenset({pair}))
-        )
+        rel = identity_relation(g.n).union(Relation(g.n, g.n, [pair]))
         if apply_strong(g, rel) != g or is_automorphism_relation(g, rel):
             raise AssertionError("constructed counterexample failed to validate")
     return answer

@@ -28,6 +28,9 @@ from .core import (
     Graph,
     LoopsNotAllowedError,
     Relation,
+    SOLVER_VERTEX_CAP,
+    _bits_for,
+    _compose_columns,
     _rcore_maps,
     _rcore_sweep,
     _reduced_graph,
@@ -44,7 +47,6 @@ from .core import (
     radius,
 )
 
-SOLVER_VERTEX_CAP = 16
 # Masks that one column search may store in its candidate-list memos: the
 # size of the subset table the search already holds.
 _MEMO_LIMIT = 1 << SOLVER_VERTEX_CAP
@@ -284,34 +286,6 @@ def _search_columns(
     yield from dfs(0, 0)
 
 
-@lru_cache(maxsize=1 << SOLVER_VERTEX_CAP)
-def _bits(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def _bits_for(n: int):
-    """``_bits`` for masks over ``n`` source vertices.
-
-    The cache is sized for masks under the vertex cap. A solution lifted
-    from R-cores has wider masks, which are walked without it, so the cache
-    never holds their long tuples.
-    """
-    return _bits if n <= SOLVER_VERTEX_CAP else _bits.__wrapped__
-
-
-def _relation_of(colmasks: tuple[int, ...], n: int, m: int) -> Relation:
-    bits = _bits_for(n)
-    return Relation(
-        n, m, frozenset((x, b) for b, mask in enumerate(colmasks) for x in bits(mask))
-    )
-
-
 def _canonical_key(n: int, m: int):
     """Sort key putting column-mask solutions in the canonical order.
 
@@ -388,7 +362,7 @@ def complete_source_solution(
     pairs = {(i, v) for i, p in enumerate(big) for v in p}
     if weak:
         pairs |= {(j, v) for p in parts if len(p) == 1 for v in p for j in range(k)}
-    return Relation(k, h.n, frozenset(pairs))
+    return Relation(k, h.n, pairs)
 
 
 # Each no-instance rule takes (g, h, weak, domain) and returns its Certificate
@@ -670,7 +644,7 @@ def iter_solutions(query: SolveQuery, *, use_fast_paths: bool = True):
         g, h, query.mode == "weak", query.domain == "full",
         certified=use_fast_paths, budget=_Budget(query.node_budget, query.time_budget),
     ):
-        yield _relation_of(cols, g.n, h.n)
+        yield Relation._of_columns(g.n, h.n, cols)
 
 
 def _solutions(
@@ -736,7 +710,7 @@ def solve(
     """
     found, minimal, maximal, complete, cert = _solve_masks(query, use_fast_paths)
     n, m = query.source.n, query.target.n
-    rels = tuple(_relation_of(cols, n, m) for cols in found)
+    rels = tuple(Relation._of_columns(n, m, cols) for cols in found)
     return SolutionSet(rels, minimal, maximal, complete), cert
 
 
@@ -807,10 +781,7 @@ def _search(
         ):
             witness = _complete_source(g.n, h, weak)
             if witness is not None:
-                cols = [0] * h.n
-                for x, b in witness.pairs:
-                    cols[b] |= 1 << x
-                return [tuple(cols)], True, None
+                return [witness.columns], True, None
 
     if budget is None:
         budget = _Budget(query.node_budget, query.time_budget)
@@ -867,7 +838,7 @@ def _strong_first(
     if timed_out:
         raise BudgetExhaustedError("time budget exhausted")
     if found and maps is not None:
-        return [_then(found[0], tuple(maps[2]))]
+        return [_compose_columns(found[0], maps[2])]
     return found
 
 
@@ -907,20 +878,17 @@ def _solve_on_cores(
         # Lift R' to forward ; R' ; backward, a side at a time.
         cols = found[0]
         if src_maps is not None:
-            cols = _then(_fibres(src_maps[1], gc.n), cols)
+            cols = _compose_columns(src_maps[1], cols)
         if tgt_maps is not None:
-            cols = _then(cols, tuple(tgt_maps[2]))
+            cols = _compose_columns(cols, tgt_maps[2])
         _check_solutions(g, h, [cols], weak, fulldom)
         return [cols], (), (), True, None
     if not complete:
         return [], (), (), False, None
-    # A map's columns are the pre-images of the vertices it maps onto.
     if src_maps is not None:
-        backward = tuple(src_maps[2])
-        _check_solutions(gc, g, [backward], False, True, "solve: R-core backward map")
+        _check_solutions(gc, g, [src_maps[2]], False, True, "solve: R-core backward map")
     if tgt_maps is not None:
-        forward = _fibres(tgt_maps[1], hc.n)
-        _check_solutions(h, hc, [forward], False, True, "solve: R-core forward map")
+        _check_solutions(h, hc, [tgt_maps[1]], False, True, "solve: R-core forward map")
     if cert.kind != "exhausted":
         cert = Certificate(
             "rcore",
@@ -935,27 +903,6 @@ def _solve_on_cores(
             + cert.values,
         )
     return [], (), (), True, cert
-
-
-def _fibres(image: list[int], k: int) -> tuple[int, ...]:
-    """The columns of a map onto ``k`` vertices that sends v to ``image[v]``."""
-    fibres = [0] * k
-    for v, a in enumerate(image):
-        fibres[a] |= 1 << v
-    return tuple(fibres)
-
-
-def _then(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:
-    """Columns of ``first ; second`` from the columns of each: column b ORs
-    the columns of ``first`` at the members of ``second[b]``."""
-    out = []
-    for col in second:
-        mask = 0
-        for c, inner in enumerate(first):
-            if col >> c & 1:
-                mask |= inner
-        out.append(mask)
-    return tuple(out)
 
 
 def relation_exists(
@@ -992,7 +939,7 @@ def search_with_pinned_columns(
         ),
         None,
     )
-    return None if cols is None else _relation_of(cols, src.n, tgt.n)
+    return None if cols is None else Relation._of_columns(src.n, tgt.n, cols)
 
 
 def subgraph_reduce(
@@ -1017,17 +964,21 @@ def subgraph_reduce(
         raise PreconditionViolatedError("pinned vertices out of range")
     if partial.domain_size != g.n or partial.image_size != h.n:
         raise PreconditionViolatedError("partial relation universes must match the instance")
-    if any(x not in set(s) or b not in set(d) for x, b in partial.pairs):
+    s_mask = sum(1 << x for x in s)
+    d_mask = sum(1 << b for b in d)
+    covered = hit = 0
+    for b, col in enumerate(partial.columns):
+        covered |= col
+        hit |= bool(col) << b
+    if covered & ~s_mask or hit & ~d_mask:
         raise PreconditionViolatedError("partial relation must stay within the pinned sets")
-    if set(s) - partial.domain_set:
+    if s_mask & ~covered:
         raise PreconditionViolatedError("partial relation needs full domain on the pinned set")
-    if set(d) - partial.image_set:
+    if d_mask & ~hit:
         raise PreconditionViolatedError("partial relation must cover the pinned target set")
     s_index = {v: i for i, v in enumerate(s)}
     d_index = {v: i for i, v in enumerate(d)}
-    dense = Relation(
-        len(s), len(d), frozenset((s_index[x], d_index[b]) for x, b in partial.pairs)
-    )
+    dense = Relation(len(s), len(d), [(s_index[x], d_index[b]) for x, b in partial.pairs])
     if apply_strong(induced_subgraph(g, s), dense) != induced_subgraph(h, d):
         raise PreconditionViolatedError("partial relation does not solve the pinned subinstance")
 

@@ -180,6 +180,50 @@ def test_hall_check_instances():
     assert ident.satisfied and ident.monomorphism_map() == {i: i for i in range(4)}
 
 
+def _recursive_matching(rel):
+    """Kuhn's augmenting paths, recursively, trying targets in ascending
+    order: the matching ``hall_check`` must find, on small relations."""
+    match = {}
+
+    def augment(x, seen):
+        for b in sorted(rel.image_of(x)):
+            if b not in seen:
+                seen.add(b)
+                if b not in match or augment(match[b], seen):
+                    match[b] = x
+                    return True
+        return False
+
+    for x in range(rel.domain_size):
+        augment(x, set())
+    return tuple(sorted((x, b) for b, x in match.items()))
+
+
+def test_hall_check_matches_the_recursive_matching():
+    rng = random.Random(53)
+    for _ in range(300):
+        n, m = rng.randint(0, 7), rng.randint(0, 7)
+        p = rng.choice((0.2, 0.4, 0.7))
+        rel = rg.relation_from_pairs(
+            n, m, [(x, b) for x in range(n) for b in range(m) if rng.random() < p]
+        )
+        report = rg.hall_check(rel)
+        matching = _recursive_matching(rel)
+        assert report.satisfied == (len(matching) == n)
+        if report.satisfied:
+            assert report.monomorphism == matching
+
+
+def test_hall_check_follows_augmenting_paths_longer_than_the_recursion_limit():
+    # x -> {x, x + 1}, and the last vertex -> {0}: a perfect matching whose
+    # last augmenting path runs through all 1,200 vertices.
+    n = 1200
+    pairs = [(x, b) for x in range(n - 1) for b in (x, x + 1)] + [(n - 1, 0)]
+    report = rg.hall_check(rg.relation_from_pairs(n, n, pairs))
+    assert report.satisfied
+    assert report.monomorphism == tuple([(x, x + 1) for x in range(n - 1)] + [(n - 1, 0)])
+
+
 def test_hall_monomorphism_embeds_into_the_composition():
     rng = random.Random(47)
     found = 0
@@ -238,6 +282,11 @@ def test_nohall_split_requires_violation():
         rg.nohall_split(c3, rg.relation_from_pairs(3, 3, [(i, i) for i in range(3)]))
     with pytest.raises(rg.HallSatisfiedError):
         rg.nohall_split(c3, r1, violating={0})
+    # A set naming a vertex the source does not have is rejected as input.
+    collapse = rg.relation_from_pairs(4, 3, [(0, 0), (2, 0), (1, 1), (3, 2)])
+    for bad in ({0, 2, 99}, {0, 2, -1}):
+        with pytest.raises(ValueError, match="outside the source"):
+            rg.nohall_split(rg.cycle_graph(4), collapse, violating=bad)
 
 
 def test_reversibility_instances():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -48,6 +49,74 @@ def test_relation_views():
     assert not r.is_functional and r.is_injective
     with pytest.raises(ValueError):
         rg.relation_from_pairs(2, 2, [(0, 5)])
+
+
+def _random_pairs(rng, n, m):
+    p = rng.choice((0.0, 0.2, 0.5, 0.9, 1.0))
+    return frozenset((x, b) for x in range(n) for b in range(m) if rng.random() < p)
+
+
+def test_relation_matches_a_pair_set_reference():
+    """Every derived member and operation of the column-backed Relation
+    against the same thing computed here from its pair set."""
+    rng = random.Random(17)
+    shapes = [(0, 0), (0, 4), (5, 0), (17, 3), (3, 17), (40, 5), (70, 2)]
+    shapes += [(rng.randint(0, 6), rng.randint(0, 5)) for _ in range(400)]
+    for n, m in shapes:
+        pairs = _random_pairs(rng, n, m)
+        r = rg.Relation(n, m, pairs)
+        assert r.pairs == pairs
+        for x in range(-1, n + 2):
+            assert r.image_of(x) == {b for a, b in pairs if a == x}
+        for b in range(-1, m + 2):
+            assert r.preimage_of(b) == {x for x, c in pairs if c == b}
+        domain = {x for x, _ in pairs}
+        image = {b for _, b in pairs}
+        assert r.domain_set == domain and r.image_set == image
+        assert r.has_full_domain == (domain == set(range(n)))
+        assert r.has_full_image == (image == set(range(m)))
+        assert r.is_functional == (len(domain) == len(pairs))
+        assert r.is_injective == (len(image) == len(pairs))
+        assert r.column_masks() == [
+            sum(1 << x for x, c in pairs if c == b) for b in range(m)
+        ]
+        assert r.row_masks() == [sum(1 << b for a, b in pairs if a == x) for x in range(n)]
+        t = r.transpose()
+        assert (t.domain_size, t.image_size) == (m, n)
+        assert t.pairs == {(b, x) for x, b in pairs}
+        k = rng.randint(0, 5)
+        other = _random_pairs(rng, m, k)
+        c = r.compose(rg.Relation(m, k, other))
+        assert (c.domain_size, c.image_size) == (n, k)
+        assert c.pairs == {(x, z) for x, b in pairs for a, z in other if a == b}
+        more = _random_pairs(rng, n, m)
+        assert r.union(rg.Relation(n, m, more)).pairs == pairs | more
+        same = rg.relation_from_pairs(n, m, list(pairs))
+        assert same == r and hash(same) == hash(r)
+        assert rg.Relation._of_columns(n, m, r.column_masks()) == r
+        assert r != rg.Relation(n + 1, m, pairs) and r != rg.Relation(n, m + 1, pairs)
+        if n and m:
+            toggled = pairs ^ {(rng.randrange(n), rng.randrange(m))}
+            assert r != rg.Relation(n, m, toggled)
+        assert r != pairs
+
+
+def test_relation_constructors_check_their_input():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rg.identity_relation(2).columns = (0, 0)
+    for bad in ([0b1000, 0], [-1, 0], [1], [1, 1, 1]):
+        with pytest.raises(ValueError):
+            rg.Relation._of_columns(3, 2, bad)
+    with pytest.raises(ValueError):
+        rg.Relation._of_columns(-1, 0, [])
+    for bad in ([(3, 0)], [(0, 2)], [(-1, 0)], [(0, -1)]):
+        with pytest.raises(ValueError):
+            rg.Relation(3, 2, bad)
+    for n, m in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            rg.Relation(n, m, frozenset())
+    wide = rg.Relation._of_columns(70, 1, [1 << 69])
+    assert wide.pairs == {(69, 0)} and wide.image_of(69) == {0}
 
 
 def test_transpose_examples():

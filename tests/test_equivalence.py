@@ -231,8 +231,8 @@ build = equivalence._rcore_maps
 
 
 def bad_build(g, survivors, trace):
-    keep, image, pre = build(g, survivors, trace)
-    return keep, image, [(1 << len(keep)) - 1] * len(pre)
+    keep, forward, backward = build(g, survivors, trace)
+    return keep, forward, [(1 << len(keep)) - 1] * len(backward)
 
 
 equivalence._rcore_maps = bad_build

@@ -164,6 +164,20 @@ def test_cli_check_commands(files, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_check_hall_on_a_long_augmenting_path(tmp_path):
+    # A perfect matching whose last augmenting path runs through all 1,200
+    # vertices: decided positively, in a process of its own.
+    n = 1200
+    pairs = [(x, b) for x in range(n - 1) for b in (x, x + 1)] + [(n - 1, 0)]
+    rel = _write(tmp_path, "chain.rel", rio.format_relation(rg.relation_from_pairs(n, n, pairs)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relgraph", "check", "hall", rel],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("true\n") and proc.stderr == ""
+
+
 def test_cli_decompose_and_reduce(files, capsys):
     assert main(["decompose", files["r1"]]) == 0
     out = capsys.readouterr().out
@@ -349,12 +363,12 @@ def test_cli_solve_streams_the_reference_bytes(tmp_path, capsys):
 
 
 def test_cli_solve_builds_no_relations(files, monkeypatch, capsys):
-    from relgraph import solver
-
     def refuse(*args):
         raise AssertionError("the CLI writes solutions from their column masks")
 
-    monkeypatch.setattr(solver, "_relation_of", refuse)
+    # Every Relation is built by one of these two constructors.
+    monkeypatch.setattr(rg.Relation, "_of_columns", refuse)
+    monkeypatch.setattr(rg.Relation, "__init__", refuse)
     assert main(["--json", "solve", "--all", files["c4"], files["k2"]]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["count"] == len(doc["solutions"]) > 0

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import relgraph as rg
-from relgraph import solver
+from relgraph import core, solver
 from helpers import (
     blow_up,
     brute_hom_exists,
@@ -430,6 +430,14 @@ def test_subgraph_reduce_rejects_bad_pins():
     g = rg.cycle_graph(4)
     with pytest.raises(rg.PreconditionViolatedError):
         rg.subgraph_reduce(g, g, {0}, {0}, rg.relation_from_pairs(4, 4, [(1, 0)]))
+    # Each of the three pinned-set checks, in order.
+    for pins, pairs, what in [
+        (({0}, {0}), [(0, 0), (0, 1)], "stay within"),
+        (({0, 2}, {0}), [(0, 0)], "full domain"),
+        (({0}, {0, 2}), [(0, 0)], "cover"),
+    ]:
+        with pytest.raises(rg.PreconditionViolatedError, match=what):
+            rg.subgraph_reduce(g, g, *pins, rg.relation_from_pairs(4, 4, pairs))
     with pytest.raises(rg.PreconditionViolatedError):
         # valid pin but the residual keeps an isolated vertex
         path = rg.path_graph(4)
@@ -617,14 +625,14 @@ def test_exists_past_the_cap_searches_the_cores():
     # Twin blow-ups of 360 and 40 vertices, whose R-cores are C6 and P4.
     cycles = blow_up(rg.cycle_graph(6), 60, seed=11)
     paths = blow_up(rg.path_graph(4), 10, seed=12)
-    solver._bits.cache_clear()
+    core._bits.cache_clear()
     ss, cert = rg.solve(rg.SolveQuery(cycles, paths, domain="full", enumeration="exists"))
     assert ss.complete and cert is None
     r = ss.solutions[0]
     assert r.has_full_domain and matrix_composition(cycles, r) == paths
     # The lifted masks are 360 bits wide and must bypass the mask cache,
     # which nothing else on this route uses.
-    assert solver._bits.cache_info().currsize == 0
+    assert core._bits.cache_info().currsize == 0
 
     # K3 has chromatic number 3 and P4 has 2: a negative answer found on
     # the cores, whose certificate names them.
@@ -656,7 +664,7 @@ def test_exists_past_the_cap_searches_the_cores():
 
 CORE_ROUTE_CHECKS_UNDER_O = """
 import relgraph as rg
-from relgraph import solver
+from relgraph import core, solver
 
 try:
     assert False
@@ -679,10 +687,10 @@ if not rg.solve(found)[0].solutions or rg.solve(none)[1].kind != "rcore":
     raise SystemExit("C4 -> K2 must be solvable and C4 -> K3 full-domain certified on cores")
 
 # A lift that puts every source vertex in every column.
-then = solver._then
-solver._then = lambda first, second: tuple((1 << 4) - 1 for _ in second)
+lift = solver._compose_columns
+solver._compose_columns = lambda first, second: tuple((1 << 4) - 1 for _ in second)
 expect_check_error(found)
-solver._then = then
+solver._compose_columns = lift
 
 # A strong attempt of a weak query that puts every column at vertex 0.
 search = solver._search
@@ -706,8 +714,8 @@ maps = solver._rcore_maps
 
 
 def bad_maps(g, survivors, trace):
-    keep, image, pre = maps(g, survivors, trace)
-    return keep, image, [(1 << len(keep)) - 1] * len(pre)
+    keep, forward, backward = maps(g, survivors, trace)
+    return keep, forward, [(1 << len(keep)) - 1] * len(backward)
 
 
 solver._rcore_maps = bad_maps
