@@ -10,7 +10,6 @@ new immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     Graph,
@@ -18,10 +17,8 @@ from .core import (
     LoopsNotAllowedError,
     Relation,
     UniverseMismatchError,
-    WeightedGraph,
     _bits_for,
     check_witness,
-    weighted_graph,
 )
 
 
@@ -74,30 +71,6 @@ def apply_weak(g: Graph, rel: Relation) -> Graph:
         raise LoopsNotAllowedError("weak composition needs a loop-free source")
     strong = apply_strong(g, rel)
     return Graph(strong.n, frozenset(e for e in strong.edges if e[0] != e[1]))
-
-
-def apply_weighted(wg: WeightedGraph, rel: Relation) -> WeightedGraph:
-    """Weighted composition: each target weight sums its pre-image weights.
-
-    Equals the matrix product transpose(R) . W . R over exact rationals.
-    """
-    if rel.domain_size != wg.n:
-        raise UniverseMismatchError(
-            f"relation domain {rel.domain_size} != weighted graph order {wg.n}"
-        )
-    m = rel.image_size
-    bits = _bits_for(wg.n)
-    pre = [bits(col) for col in rel.columns]
-    out: dict[tuple[int, int], Fraction] = {}
-    for b in range(m):
-        for c in range(b, m):
-            total = Fraction(0)
-            for x in pre[b]:
-                for y in pre[c]:
-                    total += wg.weight(x, y)
-            if total:
-                out[(b, c)] = total
-    return weighted_graph(m, out)
 
 
 @dataclass(frozen=True)

@@ -15,27 +15,15 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import io as rio
-from .algebra import apply_strong, apply_weak, decompose, hall_check, is_reversible
 from .core import CapExceededError, Graph, Relation
-from .equivalence import strongly_equivalent, weakly_equivalent, thin_quotient
-from .retract import (
-    cocore_with_witness,
-    graph_core_with_witness,
-    is_coretraction,
-    is_retraction,
-    property_n,
-    property_n_star,
-)
-from .solver import (
-    Certificate,
-    SolveQuery,
-    _canonical_key,
-    _solve_masks,
-    reduce_fulrel_to_shom,
-    reduce_hom_to_fulrel,
-)
+
+# Each command imports the library modules it runs, so a process loads only
+# those: ``--help`` and ``rcore`` never import the solver.
+if TYPE_CHECKING:
+    from .solver import Certificate
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -53,7 +41,7 @@ class _CliError(Exception):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
 
 
@@ -105,6 +93,8 @@ def _env_float(name: str) -> float | None:
 
 
 def _cmd_apply(args) -> int:
+    from .algebra import apply_strong, apply_weak
+
     g = _load_graph(args.graph)
     rel = _load_relation(args.relation)
     try:
@@ -121,6 +111,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_thin(args) -> int:
+    from .equivalence import thin_quotient
+
     g = _load_graph(args.graph)
     tq = thin_quotient(g)
     classes = [sorted(c) for c in tq.partition.classes]
@@ -159,6 +151,8 @@ def _cmd_rcore(args) -> int:
 
 
 def _cmd_cocore(args) -> int:
+    from .retract import cocore_with_witness
+
     g = _load_graph(args.graph)
     core, witness = cocore_with_witness(g)
     text = rio.format_graph(core)
@@ -176,6 +170,8 @@ def _cmd_cocore(args) -> int:
 
 
 def _cmd_core(args) -> int:
+    from .retract import graph_core_with_witness
+
     g = _load_graph(args.graph)
     try:
         core, witness = graph_core_with_witness(g)
@@ -196,6 +192,8 @@ def _cmd_core(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .equivalence import strongly_equivalent, weakly_equivalent
+
     g = _load_graph(args.graph)
     h = _load_graph(args.other)
     witness = weakly_equivalent(g, h) if args.weak else strongly_equivalent(g, h)
@@ -222,6 +220,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .solver import SolveQuery, _solve_masks
+
     if args.exists and (args.minimal or args.maximal):
         # An exists-query computes no antichains to pick from.
         raise _CliError("--exists cannot be combined with --minimal or --maximal")
@@ -307,6 +307,8 @@ def _write_solve(as_json: bool, doc: dict, text: str, found, picked, n: int, m: 
     ``n*m`` pairs is rendered once, at its number ``x*m + b`` in
     ``_canonical_key``.
     """
+    from .solver import _canonical_key
+
     out = sys.stdout
     key = _canonical_key(n, m)
     if not as_json:
@@ -344,6 +346,9 @@ def _parse_subset(raw: str) -> list[int]:
 
 
 def _cmd_check(args) -> int:
+    from .algebra import hall_check, is_reversible
+    from .retract import is_coretraction, is_retraction, property_n, property_n_star
+
     kind = args.predicate
     needed = 1 if kind in ("hall", "prop-n", "prop-nstar") else 2
     if len(args.inputs) != needed:
@@ -399,6 +404,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .algebra import decompose
+
     rel = _load_relation(args.relation)
     dec = decompose(rel)
     text = rio.format_relation(dec.duplicator, note="duplicator (injective)")
@@ -419,6 +426,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .solver import reduce_fulrel_to_shom, reduce_hom_to_fulrel
+
     g = _load_graph(args.graph)
     h = _load_graph(args.other)
     if args.construction == "hom-to-fulrel":

@@ -1,4 +1,4 @@
-"""Core value types: graphs, binary relations, partitions, weighted graphs.
+"""Core value types: graphs, binary relations, partitions.
 
 Vertices are dense integers ``0..n-1``; external vertex names live only in
 an optional label table used by the I/O layer. Graphs are undirected and
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
@@ -550,60 +549,6 @@ def partition_from_classes(universe_size: int, classes) -> Partition:
     """Normalize class order by smallest member."""
     ordered = tuple(sorted((frozenset(c) for c in classes), key=min))
     return Partition(universe_size, ordered)
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedGraph:
-    """Symmetric rational edge weights; absent entries weigh zero."""
-
-    n: int
-    weights: tuple[tuple[int, int, Fraction], ...]
-
-    def __post_init__(self):
-        for u, v, w in self.weights:
-            if not (0 <= u <= v < self.n):
-                raise ValueError(f"weight entry ({u}, {v}) out of range")
-            if w == 0:
-                raise ValueError("zero weights must be omitted")
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightedGraph):
-            return NotImplemented
-        return self.n == other.n and set(self.weights) == set(other.weights)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.weights)))
-
-    @cached_property
-    def _table(self) -> dict[tuple[int, int], Fraction]:
-        return {(u, v): w for u, v, w in self.weights}
-
-    def weight(self, u: int, v: int) -> Fraction:
-        key = (u, v) if u <= v else (v, u)
-        return self._table.get(key, Fraction(0))
-
-    def to_graph(self) -> Graph:
-        """Boolean collapse: positive weight becomes an edge."""
-        return Graph(self.n, frozenset((u, v) for u, v, w in self.weights if w > 0))
-
-
-def weighted_graph(n: int, entries) -> WeightedGraph:
-    """Build from a {(u, v): weight} mapping or iterable of (u, v, w)."""
-    if hasattr(entries, "items"):
-        entries = [(u, v, w) for (u, v), w in entries.items()]
-    table: dict[tuple[int, int], Fraction] = {}
-    for u, v, w in entries:
-        key = (u, v) if u <= v else (v, u)
-        w = Fraction(w)
-        table[key] = table.get(key, Fraction(0)) + w
-    items = tuple(
-        sorted((u, v, w) for (u, v), w in table.items() if w != 0)
-    )
-    return WeightedGraph(n, items)
-
-
-def unit_weights(g: Graph) -> WeightedGraph:
-    return weighted_graph(g.n, {(u, v): Fraction(1) for u, v in g.edges})
 
 
 def _sweep(

@@ -28,7 +28,6 @@ from .core import (
 )
 from .generate import _leaves, _permute, all_graphs, canonical_key, graph_of
 from .retract import _sweep_reattach
-from .solver import relation_exists
 
 
 @dataclass(frozen=True)
@@ -169,6 +168,8 @@ def rcore_oracle(g: Graph, cap: int = 7) -> Graph:
     Independent of the deletion algorithm: existence is decided by the
     equation solver.
     """
+    from .solver import relation_exists
+
     if g.n > cap:
         raise CapExceededError(f"oracle capped at {cap} vertices, got {g.n}")
     if g.n == 0:

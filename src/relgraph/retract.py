@@ -25,7 +25,6 @@ from .core import (
     identity_relation,
     induced_subgraph,
 )
-from .solver import SolveQuery, search_with_pinned_columns, solve
 
 
 def property_n(g: Graph) -> bool:
@@ -168,7 +167,7 @@ def graph_core_with_witness(
         return g, RetractionWitness(
             "retraction", frozenset(), Relation(0, 0, frozenset())
         )
-    for size in range(1, g.n + 1):
+    for size in range(1, g.n):
         for sub in combinations(range(g.n), size):
             mapping = _functional_retraction(g, sub)
             if mapping is None:
@@ -178,7 +177,11 @@ def graph_core_with_witness(
             check_witness(is_retraction(g, sub, rel), "graph_core: retraction witness")
             witness = RetractionWitness("retraction", frozenset(sub), rel)
             return induced_subgraph(g, sub), witness
-    raise AssertionError("identity retraction must succeed at full size")
+    # No proper retract: the graph is its own core, through the identity.
+    sub = tuple(range(g.n))
+    rel = identity_relation(g.n)
+    check_witness(is_retraction(g, sub, rel), "graph_core: identity retraction")
+    return induced_subgraph(g, sub), RetractionWitness("retraction", frozenset(sub), rel)
 
 
 def _sweep_reattach(g: Graph, *, rcore: bool, fixpoint: bool) -> Graph:
@@ -231,6 +234,8 @@ def cocore_with_witness(g: Graph) -> tuple[Graph, RetractionWitness]:
 def cocore_oracle(g: Graph, cap: int = 7) -> Graph:
     """Exhaustive minimal coretract: scan induced subgraphs by size and
     lexicographic vertex set, deciding each by pinned-column search."""
+    from .solver import search_with_pinned_columns
+
     if g.n > cap:
         raise CapExceededError(f"oracle capped at {cap} vertices, got {g.n}")
     if g.n == 0:
@@ -288,12 +293,16 @@ def all_self_relations_are_automorphisms(
             f"verification capped at {enumeration_cap} vertices, got {g.n}"
         )
     if answer:
+        from .solver import SolveQuery, solve
+
         solutions, _ = solve(SolveQuery(g, g, enumeration="all"))
-        bad = [r for r in solutions.solutions if not is_automorphism_relation(g, r)]
-        if bad:
-            raise AssertionError(
-                f"containment-free graph admits non-automorphism solution {bad[0]}"
-            )
+        bad = next(
+            (r for r in solutions.solutions if not is_automorphism_relation(g, r)), None
+        )
+        check_witness(
+            bad is None,
+            f"self-relations: containment-free graph admits non-automorphism solution {bad}",
+        )
     else:
         pair = next(
             (x, y)
@@ -302,6 +311,8 @@ def all_self_relations_are_automorphisms(
             if x != y and g.adjacency[x] & ~g.adjacency[y] == 0
         )
         rel = identity_relation(g.n).union(Relation(g.n, g.n, [pair]))
-        if apply_strong(g, rel) != g or is_automorphism_relation(g, rel):
-            raise AssertionError("constructed counterexample failed to validate")
+        check_witness(
+            apply_strong(g, rel) == g and not is_automorphism_relation(g, rel),
+            "self-relations: constructed counterexample failed to validate",
+        )
     return answer

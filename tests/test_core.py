@@ -1,5 +1,8 @@
 import dataclasses
+import importlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -241,3 +244,29 @@ def test_weighted_graph_basics():
     assert w.weight(1, 2) == 2
     assert w.weight(0, 2) == 0
     assert w.to_graph() == rg.graph_from_edges(3, [(0, 1), (1, 2)])
+
+
+def test_package_exports_resolve_to_their_defining_modules():
+    for name in rg.__all__:
+        obj = getattr(rg, name)
+        assert obj.__module__.startswith("relgraph."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    assert set(rg.__all__) <= set(dir(rg))
+    namespace: dict = {}
+    exec("from relgraph import *", namespace)
+    assert all(namespace[name] is getattr(rg, name) for name in rg.__all__)
+    with pytest.raises(AttributeError, match="^module 'relgraph' has no attribute 'no_such_name'$"):
+        rg.no_such_name
+
+
+def test_bare_import_loads_no_submodule():
+    probe = (
+        "import sys, relgraph\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('relgraph.'))\n"
+        "assert loaded() == [], loaded()\n"
+        "assert relgraph.solver is sys.modules['relgraph.solver']\n"
+        "assert relgraph.cycle_graph is sys.modules['relgraph.core'].cycle_graph\n"
+        "assert 'relgraph.equivalence' not in sys.modules and 'fractions' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -196,6 +196,18 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_cli_undecodable_input_is_a_read_error(tmp_path, capsys):
+    # Bytes that are not UTF-8: a usage error (exit 2), not a traceback.
+    bad = tmp_path / "bad.graph"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["rcore", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
+    bad_rel = tmp_path / "bad.rel"
+    bad_rel.write_bytes(b"relation 1 1\n0 0\n\xff\n")
+    assert main(["decompose", str(bad_rel)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {bad_rel}: ")
+
+
 def test_cli_env_default_budget(files, tmp_path, capsys, monkeypatch):
     e4 = _write(tmp_path, "e4.graph", rio.format_graph(rg.empty_graph(4)))
     monkeypatch.setenv("RELGRAPH_NODE_BUDGET", "5")
@@ -260,6 +272,46 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert rio.parse_graph(proc.stdout) == rg.complete_graph(2)
+
+
+# Runs ``python -m relgraph`` with the given arguments and prints the name of
+# every module loaded, one ``module: <name>`` line each on stderr at exit.
+_PRINT_MODULES_AT_EXIT = """
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("".join(f"module: {m}\\n" for m in sorted(sys.modules))))
+sys.argv[0] = "relgraph"
+runpy.run_module("relgraph", run_name="__main__", alter_sys=True)
+"""
+
+
+def _modules_loaded(*args: str) -> set[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRINT_MODULES_AT_EXIT, *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[:2000]
+    return {line[8:] for line in proc.stderr.splitlines() if line.startswith("module: ")}
+
+
+def test_each_command_loads_only_the_modules_it_runs(files):
+    g, h, rel = files["c4"], files["k2"], files["r1"]
+    without_solver = [
+        ["--help"], ["rcore", g], ["thin", g], ["core", g], ["--json", "cocore", g],
+        ["equiv", "--weak", g, h], ["--json", "equiv", "--strong", g, h],
+    ]
+    for args in without_solver:
+        loaded = _modules_loaded(*args)
+        assert "relgraph.cli" in loaded, args
+        assert "relgraph.solver" not in loaded, args
+        assert "fractions" not in loaded, args
+    loaded = _modules_loaded("--json", "solve", "--all", g, h)
+    assert "relgraph.solver" in loaded
+    unused = {"relgraph.equivalence", "relgraph.retract", "relgraph.generate", "fractions"}
+    assert not loaded & unused, loaded & unused
+    others = [["apply", files["c3"], rel], ["check", "prop-n", files["c3"]], ["decompose", rel],
+              ["reduce", "hom-to-fulrel", h, g]]
+    for args in others:
+        assert "fractions" not in _modules_loaded(*args), args
 
 
 def test_cli_decides_exists_past_the_cap_on_rcores(tmp_path, capsys):

@@ -51,7 +51,8 @@ def test_graph_core_instances():
     assert witness.relation.is_functional
     assert rg.is_retraction(rg.cycle_graph(4), sorted(witness.sub), witness.relation)
     c5 = rg.cycle_graph(5)
-    assert rg.graph_core(c5) == c5
+    core, witness = rg.graph_core_with_witness(c5)
+    assert core == c5 and witness.relation == rg.identity_relation(5)
     loopy = rg.graph_from_edges(3, [(0, 1), (1, 2), (2, 2)])
     assert rg.graph_core(loopy) == rg.graph_from_edges(1, [(0, 0)])
     with pytest.raises(rg.CapExceededError):
@@ -127,6 +128,26 @@ def test_self_relation_characterization_instances():
     c4 = rg.cycle_graph(4)
     extra = rg.identity_relation(4).union(rg.relation_from_pairs(4, 4, [(0, 2)]))
     assert rg.apply_strong(c4, extra) == c4
+
+
+def test_self_relation_checks_raise_witness_errors(monkeypatch):
+    from types import SimpleNamespace
+
+    from relgraph import retract, solver
+
+    # C5 has property N, so its answer is re-checked against the solver's
+    # self-solutions; one that is no automorphism must fail that check.
+    c5 = rg.cycle_graph(5)
+    collapse = rg.relation_from_pairs(5, 5, [(x, 0) for x in range(5)])
+    monkeypatch.setattr(
+        solver, "solve", lambda query: (SimpleNamespace(solutions=(collapse,)), None)
+    )
+    with pytest.raises(rg.WitnessCheckError, match="non-automorphism"):
+        rg.all_self_relations_are_automorphisms(c5, verify=True)
+    # C4 lacks it, so its counterexample is re-checked instead.
+    monkeypatch.setattr(retract, "is_automorphism_relation", lambda g, rel: True)
+    with pytest.raises(rg.WitnessCheckError, match="counterexample"):
+        rg.all_self_relations_are_automorphisms(rg.cycle_graph(4), verify=True)
 
 
 def test_self_relation_monoid_closure_small():
