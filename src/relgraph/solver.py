@@ -17,12 +17,10 @@ by exhaustive search.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import apply_strong
 from .core import (
     CapExceededError,
     Graph,
@@ -82,7 +80,14 @@ class _Budget:
 
     ``spend(count)`` charges ``count`` units at once: the node budget runs
     out as soon as fewer than zero units are left, and the deadline is
-    checked whenever the running count crosses a multiple of 256.
+    checked whenever the running count crosses a multiple of 256. It
+    returns the fewest units whose charge could raise or read the clock:
+    ``nodes_left + 1`` under a node budget, the units left to the next
+    multiple of 256 under a deadline, the smaller of the two under both;
+    an unlimited budget is never charged. Charges held back below that number and then passed in one call run
+    out the budget and read the clock where one call per charge would.
+    Only ``_ticks`` after the node budget ran out can differ, because
+    ``spend`` raises before it counts the units of the call that overdrew.
     """
 
     __slots__ = ("nodes_left", "deadline", "_ticks", "unlimited")
@@ -95,16 +100,20 @@ class _Budget:
         self._ticks = 0
         self.unlimited = node_budget is None and time_budget is None
 
-    def spend(self, count: int) -> None:
-        if self.nodes_left is not None:
-            self.nodes_left -= count
-            if self.nodes_left < 0:
+    def spend(self, count: int) -> int:
+        left = self.nodes_left
+        if left is not None:
+            left = self.nodes_left = left - count
+            if left < 0:
                 raise BudgetExhaustedError("node budget exhausted")
         before = self._ticks
-        self._ticks = before + count
-        if self.deadline is not None and before >> 8 != self._ticks >> 8:
-            if time.monotonic() > self.deadline:
-                raise BudgetExhaustedError("time budget exhausted")
+        ticks = self._ticks = before + count
+        if self.deadline is None:
+            return left + 1
+        if before >> 8 != ticks >> 8 and time.monotonic() > self.deadline:
+            raise BudgetExhaustedError("time budget exhausted")
+        step = 256 - (ticks & 255)
+        return step if left is None or left >= step else left + 1
 
 
 _NO_BUDGET = _Budget(None, None)
@@ -150,10 +159,18 @@ def _search_columns(
     A node scans only its column's candidates disjoint from ``forbidden``,
     the union of the neighbourhoods the column must avoid. The same
     ``forbidden`` recurs at most nodes, so each candidate list keeps a memo
-    from ``forbidden`` to that sub-list, for this call only. The memos
-    store at most ``_MEMO_LIMIT`` masks in all; past that, a sub-list is
-    built and dropped. Budget units are still charged by position in the
-    whole list, so the memo changes no solution, order or unit.
+    from ``forbidden`` to the positions of that sub-list in the whole list,
+    for this call only. The memos store at most ``_MEMO_LIMIT`` positions
+    in all; past that, a sub-list is built and dropped. Budget units are
+    still charged by position in the whole list, so the memo changes no
+    solution, order or unit.
+
+    The units are counted in a local ``held`` and passed to
+    ``budget.spend`` only when they reach the number ``spend`` last
+    returned, before every yield and when the search ends. So the budget
+    runs out, and reads the clock, after the same candidate as with one
+    call per charge, and ``nodes_left`` is exact whenever the search is
+    suspended or done.
     """
     n, m = src.n, tgt.n
     full = (1 << n) - 1
@@ -168,9 +185,9 @@ def _search_columns(
 
     # Columns with the same pins (and, in strong mode, the same loop
     # requirement) share one read-only candidate list, ascending, and one
-    # memo: ``forbidden`` -> the list's masks disjoint from it, in order.
-    # The whole list stands for ``forbidden = 0``.
-    lists: dict[tuple[int, int, bool | None], tuple[list[int], dict[int, list[int]]]] = {}
+    # memo: ``forbidden`` -> the positions of the list's masks disjoint
+    # from it, in order. All positions stand for ``forbidden = 0``.
+    lists: dict[tuple[int, int, bool | None], tuple[list[int], dict[int, range | list[int]]]] = {}
     cand = []
     for b in order:
         req = required[b] if required is not None else 0
@@ -185,7 +202,7 @@ def _search_columns(
                 and mask & req == req
                 and (loop is None or bool(nbr[mask] & mask) == loop)
             ]
-            entry = lists[req, uni, loop] = (opts, {0: opts})
+            entry = lists[req, uni, loop] = (opts, {0: range(len(opts))})
         if not entry[0]:
             return
         cand.append(entry)
@@ -210,10 +227,16 @@ def _search_columns(
     chosen = [0] * m
     limited = not budget.unlimited
     spend = budget.spend
+    # Units charged but not yet spent, and the count at which they must be.
+    held = 0
+    limit = spend(0) if limited else None
 
     def dfs(i: int, covered: int):
-        nonlocal room
+        nonlocal room, held, limit
         if i == m:
+            if held:
+                limit = spend(held)
+                held = 0
             out = [0] * m
             for pos, b in enumerate(order):
                 out[b] = chosen[pos]
@@ -246,7 +269,7 @@ def _search_columns(
         opts, memo = cand[i]
         allowed = memo.get(forbidden)
         if allowed is None:
-            allowed = [mask for mask in opts if not mask & forbidden]
+            allowed = [k for k, mask in enumerate(opts) if not mask & forbidden]
             if len(allowed) < room:
                 memo[forbidden] = allowed
                 room -= len(allowed) + 1
@@ -255,7 +278,8 @@ def _search_columns(
         # charged in bulk: up to each accepted mask before the search goes
         # on from it, and the rest when the loop ends.
         charged = 0
-        for mask in allowed:
+        for k in allowed:
+            mask = opts[k]
             ok = True
             for h in need_hit:
                 if not mask & h:
@@ -264,9 +288,11 @@ def _search_columns(
             if not ok:
                 continue
             if limited:
-                upto = bisect_right(opts, mask)
-                spend(upto - charged)
-                charged = upto
+                held += k + 1 - charged
+                charged = k + 1
+                if held >= limit:
+                    limit = spend(held)
+                    held = 0
             chosen[i] = mask
             if full_domain:
                 # Dead when a source vertex can no longer be covered.
@@ -281,9 +307,14 @@ def _search_columns(
             else:
                 yield from dfs(i + 1, covered | mask)
         if limited:
-            spend(len(opts) - charged)
+            held += len(opts) - charged
+            if held >= limit:
+                limit = spend(held)
+                held = 0
 
     yield from dfs(0, 0)
+    if held:
+        spend(held)
 
 
 def _canonical_key(n: int, m: int):
@@ -537,7 +568,8 @@ class SolveQuery:
             raise ValueError(f"unknown enumeration {self.enumeration!r}")
         if self.node_budget is not None and self.node_budget <= 0:
             raise ValueError("node budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        # Written so that NaN, which compares false with everything, fails.
+        if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time budget must be positive")
         if self.mode == "weak" and not self.source.is_simple:
             raise LoopsNotAllowedError("weak mode requires a simple source graph")
@@ -958,6 +990,8 @@ def subgraph_reduce(
     original vertex ids in their labels). The target residual must not
     contain isolated vertices.
     """
+    from .algebra import apply_strong
+
     s = sorted(set(source_pins))
     d = sorted(set(target_pins))
     if any(v < 0 or v >= g.n for v in s) or any(v < 0 or v >= h.n for v in d):

@@ -233,6 +233,17 @@ def test_cli_zero_budgets_are_usage_errors(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
 
 
+def test_cli_nan_time_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # float() parses "nan", which would otherwise run the search unbounded.
+    c6 = _write(tmp_path, "c6.graph", rio.format_graph(rg.cycle_graph(6)))
+    p4 = _write(tmp_path, "p4.graph", rio.format_graph(rg.path_graph(4)))
+    assert main(["solve", "--all", "--time-budget", "nan", c6, p4]) == 2
+    assert "time budget must be positive" in capsys.readouterr().err
+    monkeypatch.setenv("RELGRAPH_TIME_BUDGET", "nan")
+    assert main(["solve", "--all", c6, p4]) == 2
+    assert "time budget must be positive" in capsys.readouterr().err
+
+
 def test_cli_time_budget_exhaustion(tmp_path, capsys, monkeypatch):
     c6 = _write(tmp_path, "c6.graph", rio.format_graph(rg.cycle_graph(6)))
     p4 = _write(tmp_path, "p4.graph", rio.format_graph(rg.path_graph(4)))
@@ -306,7 +317,10 @@ def test_each_command_loads_only_the_modules_it_runs(files):
         assert "fractions" not in loaded, args
     loaded = _modules_loaded("--json", "solve", "--all", g, h)
     assert "relgraph.solver" in loaded
-    unused = {"relgraph.equivalence", "relgraph.retract", "relgraph.generate", "fractions"}
+    unused = {
+        "relgraph.algebra", "relgraph.equivalence", "relgraph.retract", "relgraph.generate",
+        "fractions",
+    }
     assert not loaded & unused, loaded & unused
     others = [["apply", files["c3"], rel], ["check", "prop-n", files["c3"]], ["decompose", rel],
               ["reduce", "hom-to-fulrel", h, g]]

@@ -238,6 +238,91 @@ def test_candidate_memo_changes_nothing_a_caller_sees(monkeypatch):
         assert _column_run(*args) == bare, args
 
 
+def _random_column_search(rng, trial):
+    """Arguments of a random ``_search_columns`` call with n <= 8, m <= 5:
+    strong or weak, any or full domain, with or without pins."""
+    n, m = rng.randint(1, 8), rng.randint(1, 5)
+    weak = trial % 2 == 1
+    g = random_graph(rng, n, p=rng.random(), loops=not weak and trial % 3 == 0)
+    if trial % 5 < 2:
+        h = random_graph(rng, m, p=rng.random(), loops=not weak)
+    else:
+        pairs = [(rng.randrange(n), b) for b in range(m) for _ in range(rng.randint(1, 2))]
+        rel = rg.relation_from_pairs(n, m, pairs)
+        h = rg.apply_weak(g, rel) if weak else rg.apply_strong(g, rel)
+    full = (1 << n) - 1
+    required = universe = None
+    if rng.random() < 0.3:
+        required = [rng.randrange(full + 1) & rng.randrange(full + 1) for _ in range(m)]
+    if rng.random() < 0.3:
+        universe = [rng.randrange(full + 1) | (required[b] if required else 0) for b in range(m)]
+    return g, h, weak, trial % 4 >= 2, required, universe
+
+
+def test_budget_units_are_exact_on_random_searches(monkeypatch):
+    """A search that uses U units completes under a node budget of U with
+    nothing left and runs out under U - 1 after a prefix of its yields.
+    ``nodes_left`` is exact at the first yield. Under a time budget the
+    clock is read once per multiple of 256 units, at the charge that
+    reaches it: where a node budget of one unit less runs out (checked
+    for the first three reads)."""
+    rng = random.Random(23)
+    # Searches that need more units are skipped, to keep the test short.
+    cap = 20_000
+    sizes = []
+    for trial in range(400):
+        g, h, weak, full_domain, required, universe = _random_column_search(rng, trial)
+        args = (g, h, weak, full_domain, required, universe)
+        nbr = solver._subset_neighbors(g)
+
+        def run(budget, stop=None):
+            """The yields up to ``stop``, the units spent at each, and
+            whether the budget ran out."""
+            got, spent = [], []
+            start = budget.nodes_left
+            search = solver._search_columns(
+                g, h, nbr, weak=weak, full_domain=full_domain,
+                required=required, universe=universe, budget=budget,
+            )
+            try:
+                for cols in search:
+                    got.append(cols)
+                    if start is not None:
+                        spent.append(start - budget.nodes_left)
+                    if len(got) == stop:
+                        break
+            except rg.BudgetExhaustedError:
+                return got, spent, True
+            return got, spent, False
+
+        budget = solver._Budget(cap, None)
+        want, spent, exhausted = run(budget)
+        if exhausted:
+            continue
+        units = cap - budget.nodes_left
+        sizes.append(units)
+        budget = solver._Budget(units, None)
+        assert run(budget)[::2] == (want, False) and budget.nodes_left == 0, args
+        if units:
+            got, _, exhausted = run(solver._Budget(units - 1, None))
+            assert exhausted and got == want[:len(got)], args
+        if want:
+            assert run(solver._Budget(spent[0], None), stop=1)[::2] == (want[:1], False), args
+            if spent[0] > 1:
+                assert run(solver._Budget(spent[0] - 1, None))[::2] == ([], True), args
+        # n <= 8, so every charge is below 256 and crosses one multiple at most.
+        budget = solver._Budget(None, 3600.0)
+        reads = []
+        with monkeypatch.context() as patch:
+            patch.setattr(solver.time, "monotonic", lambda: reads.append(budget._ticks) or 0.0)
+            assert run(budget)[::2] == (want, False), args
+        assert len(reads) == units // 256 and budget._ticks == units, args
+        for k, ticks in enumerate(reads[:3], 1):
+            budget = solver._Budget(256 * k - 1, None)
+            assert run(budget)[2] and budget.nodes_left == 256 * k - 1 - ticks, args
+    assert len(sizes) >= 300 and sum(units >= 512 for units in sizes) >= 40
+
+
 def test_candidate_memo_stays_within_its_limit(monkeypatch):
     g, h = rg.cycle_graph(9), rg.path_graph(4)
     want = list(solver._search_columns(g, h, solver._subset_neighbors(g)))
@@ -526,6 +611,9 @@ def test_query_validation():
         rg.SolveQuery(rg.complete_graph(2), rg.complete_graph(2), node_budget=0)
     with pytest.raises(ValueError):
         rg.SolveQuery(rg.complete_graph(2), rg.complete_graph(2), time_budget=0)
+    # NaN passes ``<= 0`` and never passes a deadline: it would mean no limit.
+    with pytest.raises(ValueError, match="time budget must be positive"):
+        rg.SolveQuery(rg.complete_graph(2), rg.complete_graph(2), time_budget=float("nan"))
     with pytest.raises(rg.CapExceededError):
         rg.SolveQuery(rg.empty_graph(40), rg.empty_graph(2))
 
