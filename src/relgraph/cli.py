@@ -249,7 +249,7 @@ def _cmd_solve(args) -> int:
             node_budget=node_budget,
             time_budget=time_budget,
         )
-        found, minimal, maximal, complete, cert = _solve_masks(query)
+        found, keys, minimal, maximal, complete, cert = _solve_masks(query)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
 
@@ -259,7 +259,7 @@ def _cmd_solve(args) -> int:
         text = "# budget exhausted before the search completed\n"
         # The text output lists none of the partial solutions.
         picked = range(len(found)) if args.json else ()
-        _write_solve(args.json, doc, text, found, picked, g.n, h.n)
+        _write_solve(args.json, doc, text, keys, picked, g.n, h.n)
         return EXIT_BUDGET
 
     picked = range(len(found))
@@ -287,7 +287,7 @@ def _cmd_solve(args) -> int:
         "complete": complete,
         "certificate": _cert_json(cert),
     }
-    _write_solve(args.json, doc, text, found, picked, g.n, h.n)
+    _write_solve(args.json, doc, text, keys, picked, g.n, h.n)
     return EXIT_OK if found else EXIT_NEGATIVE
 
 
@@ -297,26 +297,25 @@ _SPLICE = "\0"
 _SPLICED = '\n  "solutions": ' + json.dumps(_SPLICE)
 
 
-def _write_solve(as_json: bool, doc: dict, text: str, found, picked, n: int, m: int) -> None:
-    """Write ``solve`` output with the solutions ``found[i]`` for i in ``picked``.
+def _write_solve(as_json: bool, doc: dict, text: str, keys, picked, n: int, m: int) -> None:
+    """Write ``solve`` output with the solutions ``keys[i]`` for i in ``picked``.
 
+    ``keys`` are the solutions' ``_canonical_keys`` from ``_solve_masks``:
+    each lists a solution's pair numbers ``x*m + b`` in canonical order.
     The bytes are those ``_emit`` prints for ``doc`` with ``"solutions"``
     set to the solutions' ``relation_to_json`` documents, or for ``text``
     followed by their ``format_relation`` blocks. They are written a
-    solution at a time, straight from the column masks: each of the
-    ``n*m`` pairs is rendered once, at its number ``x*m + b`` in
-    ``_canonical_key``.
+    solution at a time, straight from the keys: each of the ``n*m`` pairs
+    is rendered once, and a solution's text is its pairs' renderings
+    looked up by number.
     """
-    from .solver import _canonical_key
-
     out = sys.stdout
-    key = _canonical_key(n, m)
     if not as_json:
         pairs = [f"{x} {b}\n" for x in range(n) for b in range(m)]
         out.write(text)
         header = f"relation {n} {m}\n"
         for i in picked:
-            out.write(f"# solution {i}\n{header}" + "".join([pairs[k] for k in key(found[i])]))
+            out.write(f"# solution {i}\n{header}" + "".join(map(pairs.__getitem__, keys[i])))
         return
     pairs = [f"[\n          {x},\n          {b}\n        ]" for x in range(n) for b in range(m)]
     rendered = json.dumps({**doc, "solutions": _SPLICE}, indent=2, sort_keys=True)
@@ -324,10 +323,10 @@ def _write_solve(as_json: bool, doc: dict, text: str, found, picked, n: int, m: 
     out.write(head + '\n  "solutions": ')
     sep = "[\n    "
     for i in picked:
-        numbers = key(found[i])
+        numbers = keys[i]
         listed = "[]"
         if numbers:
-            listed = "[\n        " + ",\n        ".join([pairs[k] for k in numbers]) + "\n      ]"
+            listed = "[\n        " + ",\n        ".join(map(pairs.__getitem__, numbers)) + "\n      ]"
         out.write(
             f'{sep}{{\n      "domain_size": {n},\n      "image_size": {m},\n'
             f'      "pairs": {listed}\n    }}'

@@ -6,7 +6,7 @@ that disagrees with the target. One search covers the whole target: a
 column must avoid the neighbourhood of every assigned column it is not
 adjacent to, which also keeps the source domains of different target
 components apart. Solutions stay column masks until ``solve`` returns
-them as relations; the CLI writes them straight from the masks.
+them as relations; the CLI writes them from their canonical sort keys.
 Structural invariants (component counts, chromatic numbers, distances,
 path and complete-graph characterizations) serve both as no-instance
 certificates and as search accelerators; they are only ever applied under
@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import combinations, count, repeat
+from operator import and_, lshift, or_
 
 from .core import (
     CapExceededError,
@@ -27,12 +28,12 @@ from .core import (
     LoopsNotAllowedError,
     Relation,
     SOLVER_VERTEX_CAP,
+    WitnessCheckError,
     _bits_for,
     _compose_columns,
     _rcore_maps,
     _rcore_sweep,
     _reduced_graph,
-    check_witness,
     chromatic_number,
     complement,
     components,
@@ -317,19 +318,44 @@ def _search_columns(
         spend(held)
 
 
-def _canonical_key(n: int, m: int):
-    """Sort key putting column-mask solutions in the canonical order.
+def _canonical_keys(n: int, m: int, found: list[tuple[int, ...]]) -> list:
+    """Each column-mask solution's key in the canonical order.
 
     The canonical order compares solutions by their sorted pair lists.
     Pair (x, b) is numbered x*m + b, which orders pairs as tuples do, so
-    the sorted numbers compare as the sorted pair lists.
+    the sorted numbers compare as the sorted pair lists. Under the vertex
+    cap every number is below 256 and the key is the ``bytes`` of the
+    sorted numbers, which compare as the lists do, a prefix first. A
+    solution lifted from R-cores can have ``n*m > 256``; its key is the
+    list. Each column's numbers are listed once per distinct mask.
     """
     bits = _bits_for(n)
+    wide = n * m > 256
+    memos: list[dict[int, list[int]]] = [{} for _ in range(m)]
+    keys = []
+    for cols in found:
+        nums: list[int] = []
+        for b, mask in enumerate(cols):
+            memo = memos[b]
+            numbered = memo.get(mask)
+            if numbered is None:
+                numbered = memo[mask] = [x * m + b for x in bits(mask)]
+            nums += numbered
+        nums.sort()
+        keys.append(nums if wide else bytes(nums))
+    return keys
 
-    def key(cols: tuple[int, ...]) -> list[int]:
-        return sorted(x * m + b for b, mask in enumerate(cols) for x in bits(mask))
 
-    return key
+def _canonical_order(
+    n: int, m: int, found: list[tuple[int, ...]]
+) -> tuple[list[tuple[int, ...]], list]:
+    """``found`` in the canonical order, with the keys of ``_canonical_keys``
+    in the same order. Each key is computed once."""
+    keys = _canonical_keys(n, m, found)
+    if len(found) < 2:
+        return found, keys
+    order = sorted(range(len(found)), key=keys.__getitem__)
+    return list(map(found.__getitem__, order)), list(map(keys.__getitem__, order))
 
 
 @dataclass(frozen=True)
@@ -593,7 +619,10 @@ class SolutionSet:
     complete: bool
 
 
-_Masks = tuple[list[tuple[int, ...]], tuple[int, ...], tuple[int, ...], bool, Certificate | None]
+# (columns, keys, minimal, maximal, complete, certificate); see _solve_masks.
+_Masks = tuple[
+    list[tuple[int, ...]], list, tuple[int, ...], tuple[int, ...], bool, Certificate | None
+]
 
 
 def _check_solutions(
@@ -606,56 +635,81 @@ def _check_solutions(
 ) -> None:
     """Re-check column-mask solutions against ``h``'s adjacency rows.
 
-    Each column's neighbourhood is the OR of its members' adjacency rows in
-    ``g``, a route independent of the search's subset table and pruning.
-    ``what`` names the relations in the error.
+    Column b's neighbourhood is the OR of its members' adjacency rows in
+    ``g``, a route independent of the search's subset table and pruning;
+    it must meet column c exactly when ``h`` has the edge (b, c). Both
+    graphs are symmetric, so, as in ``apply_strong``, only the pairs
+    c >= b are tested (c > b in weak mode, which drops loops). One
+    solution is tested a column at a time. A batch takes each distinct
+    mask's OR once, from a memo kept for the call, and is tested a pair
+    (b, c) at a time across all its solutions, each pass in C: about half
+    the time per solution of the column loop, but its m*(m+1)/2 passes
+    cost more than testing one solution outright. ``what`` names the relations in the ``WitnessCheckError``, which is
+    raised, not asserted, so the check also runs under ``python -O``; its
+    message is built only on failure.
     """
+    if not all(map(all, found)):
+        raise WitnessCheckError(f"{what}: a target vertex has no pre-image")
     sadj, tadj = g.adjacency, h.adjacency
-    full = (1 << g.n) - 1
     bits = _bits_for(g.n)
-    for cols in found:
-        check_witness(all(cols), f"{what}: a target vertex has no pre-image")
-        covered = 0
+    if len(found) == 1:
+        cols = found[0]
         for b, mask in enumerate(cols):
-            covered |= mask
             nb = 0
             for x in bits(mask):
                 nb |= sadj[x]
             row = 0
-            for c, col in enumerate(cols):
+            bit = 1
+            for col in cols[b + weak:]:
                 if nb & col:
-                    row |= 1 << c
-            if weak:
-                row &= ~(1 << b)
-            check_witness(row == tadj[b], f"{what}: not a solution")
-        check_witness(
-            not fulldom or covered == full,
-            f"{what}: full-domain solution misses a source vertex",
-        )
+                    row |= bit
+                bit <<= 1
+            if row != tadj[b] >> (b + weak):
+                raise WitnessCheckError(f"{what}: not a solution")
+    else:
+        columns = list(zip(*found))
+        nbrs: dict[int, int] = {}
+        for column in columns:
+            for mask in set(column).difference(nbrs):
+                nb = 0
+                for x in bits(mask):
+                    nb |= sadj[x]
+                nbrs[mask] = nb
+        for b, column in enumerate(columns):
+            reach = list(map(nbrs.__getitem__, column))
+            for c in range(b + weak, len(columns)):
+                meets = map(and_, reach, columns[c])
+                if not (all(meets) if tadj[b] >> c & 1 else not any(meets)):
+                    raise WitnessCheckError(f"{what}: not a solution")
+    full = (1 << g.n) - 1
+    if fulldom and any(reduce(or_, cols, 0) != full for cols in found):
+        raise WitnessCheckError(f"{what}: full-domain solution misses a source vertex")
 
 
 def _antichains(
-    n: int, m: int, col_list: list[tuple[int, ...]]
+    n: int, m: int, found: list[tuple[int, ...]], keys: list[bytes]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Minimal/maximal solution indices of a complete enumeration.
 
-    Sandwich closure makes the one-pair perturbation exact: a solution
-    strictly contains another iff it minus some single pair is a solution
-    too, and dually for maximality. Each solution is packed into one int,
-    pair (x, b) at bit b*n + x. One pass looks up each solution minus each
-    of its own pairs: a hit has a solution below it, and that solution has
-    one above it.
+    ``keys`` are the solutions' ``_canonical_keys``. Sandwich closure makes
+    the one-pair perturbation exact: a solution strictly contains another
+    iff it minus some single pair is a solution too, and dually for
+    maximality. Each solution is packed into one int, pair (x, b) at bit
+    b*n + x, a column per pass over all solutions. One pass looks up each
+    solution minus each of its own pairs, read off its key: a hit has a
+    solution below it, and that solution has one above it.
     """
-    keys = [sum(mask << b * n for b, mask in enumerate(cols)) for cols in col_list]
-    index = {key: idx for idx, key in enumerate(keys)}
-    has_below = [False] * len(keys)
-    has_above = [False] * len(keys)
-    for idx, key in enumerate(keys):
-        rest = key
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            lower = index.get(key ^ bit)
+    packed = [0] * len(found)
+    for b, column in enumerate(zip(*found)):
+        packed = list(map(or_, packed, map(lshift, column, repeat(b * n))))
+    # The packed bit of pair number k = x*m + b.
+    flip = [1 << (k % m * n + k // m) for k in range(n * m)]
+    get = dict(zip(packed, count())).get
+    has_below = [False] * len(found)
+    has_above = [False] * len(found)
+    for idx, word, numbers in zip(count(), packed, keys):
+        for k in numbers:
+            lower = get(word ^ flip[k])
             if lower is not None:
                 has_below[idx] = True
                 has_above[lower] = True
@@ -740,7 +794,8 @@ def solve(
     and one deadline covers both. A negative answer, and its certificate,
     come only from the weak search.
     """
-    found, minimal, maximal, complete, cert = _solve_masks(query, use_fast_paths)
+    found, keys, minimal, maximal, complete, cert = _solve_masks(query, use_fast_paths)
+    del keys  # not part of the result: freed before the Relations are built
     n, m = query.source.n, query.target.n
     rels = tuple(Relation._of_columns(n, m, cols) for cols in found)
     return SolutionSet(rels, minimal, maximal, complete), cert
@@ -749,9 +804,13 @@ def solve(
 def _solve_masks(query: SolveQuery, use_fast_paths: bool = True) -> _Masks:
     """``solve`` with the solutions left as column masks.
 
-    Returns ``(columns, minimal, maximal, complete, certificate)``: the
-    re-checked solutions in canonical order, each a tuple of pre-image
-    masks indexed by target vertex, and the rest as in ``solve``.
+    Returns ``(columns, keys, minimal, maximal, complete, certificate)``:
+    the re-checked solutions in canonical order, each a tuple of pre-image
+    masks indexed by target vertex; each one's ``_canonical_keys`` entry,
+    its sorted pair numbers ``x*m + b``; and the rest as in ``solve``.
+    After the search, each solution is keyed once, sorted by its key,
+    re-checked once, and packed once for the antichains, which read its
+    pairs off the key.
     """
     g, h = query.source, query.target
     weak = query.mode == "weak"
@@ -762,23 +821,24 @@ def _solve_masks(query: SolveQuery, use_fast_paths: bool = True) -> _Masks:
             "exhausted",
             "weak composition always yields a loop-free graph; the target has loops",
         )
-        return [], (), (), True, cert
+        return [], [], (), (), True, cert
 
+    src_maps = tgt_maps = None
     if use_fast_paths and query.enumeration == "exists":
         gc, src_maps = _reduce(g)
         hc, tgt_maps = (h, None) if weak else _reduce(h)
-        if src_maps is not None or tgt_maps is not None:
-            return _solve_on_cores(query, gc, src_maps, hc, tgt_maps)
-
-    _check_cap(g, h)
-    found, complete, cert = _search(query, g, h, use_fast_paths)
-    found.sort(key=_canonical_key(g.n, h.n))
+    if src_maps is not None or tgt_maps is not None:
+        found, complete, cert = _solve_on_cores(query, gc, src_maps, hc, tgt_maps)
+    else:
+        _check_cap(g, h)
+        found, complete, cert = _search(query, g, h, use_fast_paths)
+    found, keys = _canonical_order(g.n, h.n, found)
     _check_solutions(g, h, found, weak, fulldom)
     minimal: tuple[int, ...] = ()
     maximal: tuple[int, ...] = ()
     if complete and found and query.enumeration != "exists":
-        minimal, maximal = _antichains(g.n, h.n, found)
-    return found, minimal, maximal, complete, cert
+        minimal, maximal = _antichains(g.n, h.n, found, keys)
+    return found, keys, minimal, maximal, complete, cert
 
 
 def _search(
@@ -890,20 +950,19 @@ def _reduce(g: Graph):
 
 def _solve_on_cores(
     query: SolveQuery, gc: Graph, src_maps, hc: Graph, tgt_maps
-) -> _Masks:
+) -> tuple[list[tuple[int, ...]], bool, Certificate | None]:
     """Decide an exists-query on R-cores and lift the answer to the inputs.
 
     ``gc``/``src_maps`` and ``hc``/``tgt_maps`` come from ``_reduce`` of
     the source and target; a side that was not reduced has None for maps.
-    A core solution R' lifts to forward ; R' ; backward, which is
-    re-checked on the inputs. A negative answer rests on the reductions:
-    a solution R of the inputs gives the solution backward ; R ; forward
-    of the cores. So the source's backward map and the target's forward
-    map are re-checked before a negative answer is returned.
+    Returns what ``_search`` returns, for the inputs. A core solution R'
+    lifts to forward ; R' ; backward, which ``_solve_masks`` re-checks on
+    the inputs. A negative answer rests on the reductions: a solution R of
+    the inputs gives the solution backward ; R ; forward of the cores. So
+    the source's backward map and the target's forward map are re-checked
+    here before a negative answer is returned.
     """
     g, h = query.source, query.target
-    weak = query.mode == "weak"
-    fulldom = query.domain == "full"
     _check_cap(gc, hc)
     found, complete, cert = _search(query, gc, hc, True)
     if found:
@@ -913,10 +972,9 @@ def _solve_on_cores(
             cols = _compose_columns(src_maps[1], cols)
         if tgt_maps is not None:
             cols = _compose_columns(cols, tgt_maps[2])
-        _check_solutions(g, h, [cols], weak, fulldom)
-        return [cols], (), (), True, None
+        return [cols], True, None
     if not complete:
-        return [], (), (), False, None
+        return [], False, None
     if src_maps is not None:
         _check_solutions(gc, g, [src_maps[2]], False, True, "solve: R-core backward map")
     if tgt_maps is not None:
@@ -934,7 +992,7 @@ def _solve_on_cores(
             )
             + cert.values,
         )
-    return [], (), (), True, cert
+    return [], True, cert
 
 
 def relation_exists(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import random
 import subprocess
@@ -29,6 +30,93 @@ def test_triangle_onto_edge_has_six_solutions():
     # canonical ordering: sorted by pair set
     keys = [tuple(sorted(r.pairs)) for r in ss.solutions]
     assert keys == sorted(keys)
+
+
+def test_canonical_keys_order_as_sorted_pair_lists():
+    """On random column-mask families, the keys list each solution's pair
+    numbers and order the family exactly as its sorted pair lists do:
+    prefixes, pair 255 at n*m = 256, and list keys past it."""
+    rng = random.Random(61)
+    for trial in range(300):
+        if trial % 10 == 0:
+            n, m = 16, 16
+        elif trial % 10 == 1:
+            n, m = rng.randint(17, 40), rng.randint(7, 16)
+        else:
+            n, m = rng.randint(1, 16), rng.randint(0, 8)
+        family = [
+            tuple(rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m))
+            for _ in range(rng.randint(1, 30))
+        ]
+        # One pair list a prefix of another: add a pair above all of a member's.
+        for cols in list(family):
+            pairs = [(x, b) for b, mask in enumerate(cols) for x in range(n) if mask >> x & 1]
+            top = max(pairs, default=(-1, m - 1))
+            above = [(x, b) for x in range(n) for b in range(m) if (x, b) > top]
+            if above:
+                x, b = rng.choice(above)
+                family.append(tuple(mask | (1 << x if c == b else 0) for c, mask in enumerate(cols)))
+        if n * m == 256:
+            family.append(tuple([0] * (m - 1) + [1 << 15]))  # pair number 255
+        keys = solver._canonical_keys(n, m, family)
+        pair_lists = [
+            sorted((x, b) for b, mask in enumerate(cols) for x in range(n) if mask >> x & 1)
+            for cols in family
+        ]
+        assert [list(k) for k in keys] == [[x * m + b for x, b in p] for p in pair_lists]
+        assert all(isinstance(k, bytes if n * m <= 256 else list) for k in keys)
+        for i in range(len(family)):
+            for j in range(len(family)):
+                assert (keys[i] < keys[j]) == (pair_lists[i] < pair_lists[j])
+        ordered, ordered_keys = solver._canonical_order(n, m, family)
+        assert ordered == sorted(family, key=lambda cols: pair_lists[family.index(cols)])
+        assert ordered_keys == solver._canonical_keys(n, m, ordered)
+    # A solution past 256 pair numbers prints through the CLI: see
+    # test_cli_decides_exists_past_the_cap_on_rcores.
+
+
+def test_complete_enumeration_rechecks_every_solution(monkeypatch):
+    # C6 -> P3's solutions plus a non-solution assembled from their own
+    # column masks: each of its columns also occurs, in the same place, in
+    # a solution that comes before it in the canonical order, so a memo of
+    # anything seen earlier cannot vouch for it.
+    g, h = rg.cycle_graph(6), rg.path_graph(3)
+    query = rg.SolveQuery(g, h)
+    good, complete, _ = solver._search(query, g, h, True)
+    assert complete and len(good) > 2
+    key = dict(zip(good, solver._canonical_keys(g.n, h.n, good)))
+    per_column = [sorted({cols[b] for cols in good}) for b in range(h.n)]
+    bad = next(
+        cand for cand in itertools.product(*per_column)
+        if cand not in key and all(
+            any(cols[b] == mask and key[cols] < solver._canonical_keys(g.n, h.n, [cand])[0]
+                for cols in good)
+            for b, mask in enumerate(cand)
+        )
+    )
+    assert matrix_composition(g, rg.Relation._of_columns(g.n, h.n, bad)) != h
+    mid = len(good) // 2
+    monkeypatch.setattr(
+        solver, "_search", lambda *args: (good[:mid] + [bad] + good[mid:], True, None)
+    )
+    for enumeration in ("all", "minimal", "maximal"):
+        with pytest.raises(rg.WitnessCheckError):
+            rg.solve(dataclasses.replace(query, enumeration=enumeration))
+
+
+def test_c8_onto_p4_enumeration_is_pinned():
+    """The sort and the antichains on 12,448 solutions, at Tier-1 speed."""
+    ss, cert = rg.solve(rg.SolveQuery(rg.cycle_graph(8), rg.path_graph(4)))
+    assert cert is None and ss.complete
+    counts = (len(ss.solutions), len(ss.minimal_elements), len(ss.maximal_elements))
+    assert counts == (12448, 336, 160)
+    assert sorted(ss.solutions[0].pairs) == [
+        (0, 0), (0, 1), (0, 2), (0, 3), (2, 0), (2, 2), (3, 1), (4, 2), (5, 1), (5, 3)
+    ]
+    assert sorted(ss.solutions[-1].pairs) == [(4, 3), (5, 2), (6, 1), (7, 0), (7, 2)]
+    assert ss.minimal_elements[:5] == (755, 786, 839, 843, 851)
+    assert ss.maximal_elements[:5] == (1, 5, 16, 21, 22)
+    assert (ss.minimal_elements[-1], ss.maximal_elements[-1]) == (12446, 11068)
 
 
 def test_edge_onto_triangle_is_certified_unsolvable():
@@ -367,6 +455,20 @@ def test_side_doors_recheck_every_solution(monkeypatch):
         rg.relation_exists(edge, edge)
     with pytest.raises(rg.WitnessCheckError):
         solver.search_with_pinned_columns(edge, edge, [0, 0])
+
+
+def test_rechecks_test_every_loop(monkeypatch):
+    # K2 onto an edge with a loop at its end. Columns ({0}, {1}) give the
+    # edge but not the loop: only the last entry of the last row is wrong.
+    g, h = rg.complete_graph(2), rg.graph_from_edges(2, [(0, 1), (1, 1)])
+    bad = (0b01, 0b10)
+    monkeypatch.setattr(solver, "_search_columns", lambda *args, **kwargs: iter([bad]))
+    with pytest.raises(rg.WitnessCheckError):
+        next(rg.iter_solutions(rg.SolveQuery(g, h), use_fast_paths=False))
+    # The same in a batch, between the two real solutions.
+    monkeypatch.setattr(solver, "_search", lambda *args: ([(1, 3), bad, (2, 3)], True, None))
+    with pytest.raises(rg.WitnessCheckError):
+        rg.solve(rg.SolveQuery(g, h))
 
 
 def test_weak_pinned_search_onto_a_looped_target_finds_nothing():
@@ -751,6 +853,8 @@ def test_exists_past_the_cap_searches_the_cores():
 
 
 CORE_ROUTE_CHECKS_UNDER_O = """
+import itertools
+
 import relgraph as rg
 from relgraph import core, solver
 
@@ -794,6 +898,25 @@ solver._search = bad_strong
 expect_check_error(
     rg.SolveQuery(rg.cycle_graph(8), rg.path_graph(4), mode="weak", enumeration="exists")
 )
+solver._search = search
+
+# A complete enumeration with one non-solution among the solutions, built
+# from their own column masks.
+c6, p3 = rg.cycle_graph(6), rg.path_graph(3)
+all_of = rg.SolveQuery(c6, p3)
+good = search(all_of, c6, p3, True)[0]
+key = dict(zip(good, solver._canonical_keys(6, 3, good)))
+per_column = [sorted({cols[b] for cols in good}) for b in range(3)]
+bad = next(
+    cand for cand in itertools.product(*per_column)
+    if cand not in key and all(
+        any(cols[b] == mask and key[cols] < solver._canonical_keys(6, 3, [cand])[0]
+            for cols in good)
+        for b, mask in enumerate(cand)
+    )
+)
+solver._search = lambda *args: (good + [bad], True, None)
+expect_check_error(all_of)
 solver._search = search
 
 # A reduction whose backward map sends every core vertex everywhere: the
