@@ -9,12 +9,11 @@ new immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Graph,
     ImageNotFullError,
     LoopsNotAllowedError,
+    Record,
     Relation,
     UniverseMismatchError,
     _bits_for,
@@ -73,8 +72,7 @@ def apply_weak(g: Graph, rel: Relation) -> Graph:
     return Graph(strong.n, frozenset(e for e in strong.edges if e[0] != e[1]))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Standard split of a relation into duplicate-then-contract form.
 
     ``duplicator`` is injective with full domain on ``domain_vertices``;
@@ -117,8 +115,7 @@ def decompose(rel: Relation) -> Decomposition:
     return out
 
 
-@dataclass(frozen=True)
-class HallReport:
+class HallReport(Record):
     """Outcome of the matching-based Hall condition check.
 
     Exactly one of ``violating_set`` / ``monomorphism`` is populated:

@@ -14,16 +14,14 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import io as rio
 from .core import CapExceededError, Graph, Relation
 
 # Each command imports the library modules it runs, so a process loads only
-# those: ``--help`` and ``rcore`` never import the solver.
-if TYPE_CHECKING:
-    from .solver import Certificate
+# those: ``--help`` and ``rcore`` never import the solver. So the
+# ``Certificate`` annotation, ``solver.Certificate``, is not imported either:
+# under ``from __future__ import annotations`` it is never evaluated.
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -40,7 +38,8 @@ class _CliError(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
 

@@ -5,12 +5,17 @@ an optional label table used by the I/O layer. Graphs are undirected and
 may carry loops, stored as normalized ``(min, max)`` pairs. Every type is
 an immutable value and every operation is a pure function, so everything
 here is safe to share across threads.
+
+relgraph's value records, here and in the other modules, derive from
+:class:`Record`, not from the standard library's record decorator:
+importing that module pulls in ``inspect`` and its parsers, and each
+decorated class compiles its generated methods, which together cost a CLI
+process more start-up than a ``reduce`` command spends computing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
@@ -44,12 +49,90 @@ def check_witness(ok: bool, what: str) -> None:
         raise WitnessCheckError(what)
 
 
+def _frozen_error(message: str) -> AttributeError:
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(message)
+
+
+class Record:
+    """Base of relgraph's frozen value records.
+
+    A subclass's fields are its annotated class attributes, in order,
+    after those it inherits; a class attribute of the same name is the
+    field's default. The base provides what a frozen standard-library
+    record would generate from them: a constructor taking the fields by
+    position or keyword that then calls ``__post_init__``, equality between
+    instances of the same class and a hash, both over the tuple of fields,
+    a ``Name(field=value, ...)`` repr, ``__match_args__``, and
+    ``FrozenInstanceError`` on assigning or deleting any attribute. Fields
+    live in the instance ``__dict__``, as do the values of
+    ``cached_property``, which writes there directly.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values, in order, from a call's arguments and the defaults."""
+        name = cls.__name__
+        fields = cls.__match_args__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, {len(args)} given")
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif hasattr(cls, field):
+                values.append(getattr(cls, field))
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        if kwargs:
+            # A keyword left over names no field, or one given by position.
+            raise TypeError(f"{name}() got an unexpected or repeated argument {min(kwargs)!r}")
+        return values
+
+    def __post_init__(self) -> None:
+        """Checks of the fields, run by the constructor; none by default."""
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = zip(self.__match_args__, self._fields())
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __setattr__(self, name, value):
+        raise _frozen_error(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise _frozen_error(f"cannot delete field {name!r}")
+
+
 def _normalize_edges(edges) -> frozenset[tuple[int, int]]:
     return frozenset((u, v) if u <= v else (v, u) for u, v in edges)
 
 
-@dataclass(frozen=True, eq=False)
-class Graph:
+class Graph(Record):
     """Finite undirected graph with loops allowed.
 
     ``edges`` must hold normalized pairs ``(u, v)`` with ``u <= v``; use
@@ -59,16 +142,23 @@ class Graph:
 
     n: int
     edges: frozenset[tuple[int, int]]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(
+        self, n: int, edges: frozenset[tuple[int, int]], labels: tuple[str, ...] | None = None
+    ) -> None:
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        for u, v in self.edges:
-            if not (0 <= u <= v < self.n):
+        for u, v in edges:
+            if not (0 <= u <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range or not normalized")
-        if self.labels is not None and len(self.labels) != self.n:
+        if labels is not None and len(labels) != n:
             raise ValueError("label table size must match vertex count")
+        # Stored directly: the solver and the witness checks build many graphs.
+        fields = self.__dict__
+        fields["n"] = n
+        fields["edges"] = edges
+        fields["labels"] = labels
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -360,8 +450,7 @@ def _compose_columns(first, second) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Relation:
+class Relation(Record):
     """Binary relation between two dense vertex universes, stored as its columns.
 
     ``columns[b]`` is the bitmask of the source vertices related to target
@@ -403,10 +492,11 @@ class Relation:
         return rel
 
     def _set(self, domain_size: int, image_size: int, columns: tuple[int, ...]) -> None:
-        # The dataclass is frozen: its fields are set once, here.
-        object.__setattr__(self, "domain_size", domain_size)
-        object.__setattr__(self, "image_size", image_size)
-        object.__setattr__(self, "columns", columns)
+        # The record is frozen: its fields are set once, here.
+        fields = self.__dict__
+        fields["domain_size"] = domain_size
+        fields["image_size"] = image_size
+        fields["columns"] = columns
 
     def __repr__(self):
         return f"Relation({self.domain_size}x{self.image_size}, {sorted(self.pairs)})"
@@ -510,8 +600,7 @@ def compose_rel(first: Relation, *rest: Relation) -> Relation:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Partition:
+class Partition(Record):
     """Disjoint nonempty classes covering ``0..universe_size-1``."""
 
     universe_size: int

@@ -11,13 +11,12 @@ exhaustive search over candidate graphs and relation pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import apply_strong
 from .core import (
     CapExceededError,
     Graph,
     Partition,
+    Record,
     Relation,
     _rcore_maps,
     _rcore_sweep,
@@ -26,12 +25,10 @@ from .core import (
     compose_rel,
     partition_from_classes,
 )
-from .generate import _leaves, _permute, all_graphs, canonical_key, graph_of
 from .retract import _sweep_reattach
 
 
-@dataclass(frozen=True)
-class ThinQuotient:
+class ThinQuotient(Record):
     """Quotient of a graph by the equal-open-neighborhood relation.
 
     ``class_relation`` maps each vertex to its class; applying the quotient
@@ -80,6 +77,9 @@ def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     """
     if g.n != h.n or len(g.edges) != len(h.edges):
         return None
+    # Imported here, so that ``rcore`` and ``thin`` never load ``generate``.
+    from .generate import _leaves, _permute
+
     profile: list[list[int]] = []
 
     def record(depth: int, colour: list[int]) -> bool:
@@ -95,8 +95,7 @@ def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     return None
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(Record):
     """Relations realizing an equivalence; strong witnesses are transposes."""
 
     kind: str  # strong | weak
@@ -168,6 +167,7 @@ def rcore_oracle(g: Graph, cap: int = 7) -> Graph:
     Independent of the deletion algorithm: existence is decided by the
     equation solver.
     """
+    from .generate import all_graphs, canonical_key, graph_of
     from .solver import relation_exists
 
     if g.n > cap:

@@ -10,13 +10,13 @@ set system. Brute-force searches double-check both constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import apply_strong
 from .core import (
     CapExceededError,
     Graph,
+    Record,
     Relation,
     _non_isolated,
     _reduced_graph,
@@ -101,8 +101,7 @@ def is_coretraction(g: Graph, sub, rel: Relation) -> bool:
     return apply_strong(induced_subgraph(g, vs), dense) == g
 
 
-@dataclass(frozen=True)
-class RetractionWitness:
+class RetractionWitness(Record):
     """A verified retraction or coretraction onto/from ``sub``."""
 
     direction: str  # retraction | coretraction

@@ -26,6 +26,7 @@ from .core import (
     CapExceededError,
     Graph,
     LoopsNotAllowedError,
+    Record,
     Relation,
     SOLVER_VERTEX_CAP,
     WitnessCheckError,
@@ -358,8 +359,7 @@ def _canonical_order(
     return list(map(found.__getitem__, order)), list(map(keys.__getitem__, order))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Machine-checkable reason a no-instance answer is correct."""
 
     # components | chromatic | distance | radius | pathChar | completeChar
@@ -568,6 +568,8 @@ def certificate_holds(
     return rule is not None and rule(g, h, weak, domain) is not None
 
 
+# Unlike the other records, not a ``core.Record``: callers copy a query
+# with ``replace``, which reads the decorator's field metadata.
 @dataclass(frozen=True)
 class SolveQuery:
     """One equation ``source * R = target`` and how to answer it.
@@ -604,8 +606,7 @@ class SolveQuery:
             _check_cap(self.source, self.target)
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(Record):
     """Solutions in canonical order plus inclusion-order structure.
 
     ``complete`` is False exactly when a budget cut the enumeration short;
@@ -666,7 +667,7 @@ def _check_solutions(
                 bit <<= 1
             if row != tadj[b] >> (b + weak):
                 raise WitnessCheckError(f"{what}: not a solution")
-    else:
+    elif found:
         columns = list(zip(*found))
         nbrs: dict[int, int] = {}
         for column in columns:
@@ -794,8 +795,13 @@ def solve(
     and one deadline covers both. A negative answer, and its certificate,
     come only from the weak search.
     """
-    found, keys, minimal, maximal, complete, cert = _solve_masks(query, use_fast_paths)
-    del keys  # not part of the result: freed before the Relations are built
+    if query.enumeration == "exists":
+        # At most one solution: nothing to sort, so no key is computed.
+        found, complete, cert = _checked_masks(query, use_fast_paths)
+        minimal = maximal = ()
+    else:
+        found, keys, minimal, maximal, complete, cert = _solve_masks(query, use_fast_paths)
+        del keys  # not part of the result: freed before the Relations are built
     n, m = query.source.n, query.target.n
     rels = tuple(Relation._of_columns(n, m, cols) for cols in found)
     return SolutionSet(rels, minimal, maximal, complete), cert
@@ -808,10 +814,25 @@ def _solve_masks(query: SolveQuery, use_fast_paths: bool = True) -> _Masks:
     the re-checked solutions in canonical order, each a tuple of pre-image
     masks indexed by target vertex; each one's ``_canonical_keys`` entry,
     its sorted pair numbers ``x*m + b``; and the rest as in ``solve``.
-    After the search, each solution is keyed once, sorted by its key,
-    re-checked once, and packed once for the antichains, which read its
-    pairs off the key.
+    After the search, each solution is re-checked once, keyed once, sorted
+    by its key, and packed once for the antichains, which read its pairs
+    off the key.
     """
+    found, complete, cert = _checked_masks(query, use_fast_paths)
+    n, m = query.source.n, query.target.n
+    found, keys = _canonical_order(n, m, found)
+    minimal: tuple[int, ...] = ()
+    maximal: tuple[int, ...] = ()
+    if complete and found and query.enumeration != "exists":
+        minimal, maximal = _antichains(n, m, found, keys)
+    return found, keys, minimal, maximal, complete, cert
+
+
+def _checked_masks(
+    query: SolveQuery, use_fast_paths: bool
+) -> tuple[list[tuple[int, ...]], bool, Certificate | None]:
+    """The query's re-checked solutions as column masks, in search order,
+    whether the search completed, and the certificate of a no-instance."""
     g, h = query.source, query.target
     weak = query.mode == "weak"
     fulldom = query.domain == "full"
@@ -821,7 +842,7 @@ def _solve_masks(query: SolveQuery, use_fast_paths: bool = True) -> _Masks:
             "exhausted",
             "weak composition always yields a loop-free graph; the target has loops",
         )
-        return [], [], (), (), True, cert
+        return [], True, cert
 
     src_maps = tgt_maps = None
     if use_fast_paths and query.enumeration == "exists":
@@ -832,13 +853,8 @@ def _solve_masks(query: SolveQuery, use_fast_paths: bool = True) -> _Masks:
     else:
         _check_cap(g, h)
         found, complete, cert = _search(query, g, h, use_fast_paths)
-    found, keys = _canonical_order(g.n, h.n, found)
     _check_solutions(g, h, found, weak, fulldom)
-    minimal: tuple[int, ...] = ()
-    maximal: tuple[int, ...] = ()
-    if complete and found and query.enumeration != "exists":
-        minimal, maximal = _antichains(g.n, h.n, found, keys)
-    return found, keys, minimal, maximal, complete, cert
+    return found, complete, cert
 
 
 def _search(
@@ -956,7 +972,7 @@ def _solve_on_cores(
     ``gc``/``src_maps`` and ``hc``/``tgt_maps`` come from ``_reduce`` of
     the source and target; a side that was not reduced has None for maps.
     Returns what ``_search`` returns, for the inputs. A core solution R'
-    lifts to forward ; R' ; backward, which ``_solve_masks`` re-checks on
+    lifts to forward ; R' ; backward, which ``_checked_masks`` re-checks on
     the inputs. A negative answer rests on the reductions: a solution R of
     the inputs gives the solution backward ; R ; forward of the cores. So
     the source's backward map and the target's forward map are re-checked

@@ -6,15 +6,13 @@ composition import ``fractions``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import Graph, Relation, UniverseMismatchError, _bits_for
+from .core import Graph, Record, Relation, UniverseMismatchError, _bits_for
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedGraph:
+class WeightedGraph(Record):
     """Symmetric rational edge weights; absent entries weigh zero."""
 
     n: int

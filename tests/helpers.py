@@ -82,9 +82,15 @@ def naive_solution_masks(g: rg.Graph, h: rg.Graph, weak: bool):
 
 
 def relation_to_mask(rel: rg.Relation) -> int:
+    """The relation as one integer: pair (x, b) is bit ``b * n + x``.
+
+    Built from the columns, column b shifted by ``b * n``, so that reading
+    many solutions builds no pair sets.
+    """
+    n = rel.domain_size
     acc = 0
-    for x, b in rel.pairs:
-        acc |= 1 << (b * rel.domain_size + x)
+    for b, col in enumerate(rel.columns):
+        acc |= col << (b * n)
     return acc
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import relgraph as rg
-from helpers import brute_isomorphic, random_graph, random_image_full_relation
+from helpers import brute_isomorphic, random_graph, random_image_full_relation, relation_to_mask
 
 
 def test_graph_construction_normalizes_and_validates():
@@ -84,6 +84,7 @@ def test_relation_matches_a_pair_set_reference():
             sum(1 << x for x, c in pairs if c == b) for b in range(m)
         ]
         assert r.row_masks() == [sum(1 << b for a, b in pairs if a == x) for x in range(n)]
+        assert relation_to_mask(r) == sum(1 << (b * n + x) for x, b in pairs)
         t = r.transpose()
         assert (t.domain_size, t.image_size) == (m, n)
         assert t.pairs == {(b, x) for x, b in pairs}
@@ -244,6 +245,101 @@ def test_weighted_graph_basics():
     assert w.weight(1, 2) == 2
     assert w.weight(0, 2) == 0
     assert w.to_graph() == rg.graph_from_edges(3, [(0, 1), (1, 2)])
+
+
+def test_value_records_keep_their_semantics():
+    """Construction, equality, hashing, repr and frozenness of every value
+    record, as the frozen standard-library records they replace had them."""
+    from fractions import Fraction
+
+    r = rg.Relation(2, 2, [(0, 1), (1, 0)])
+    ident = rg.identity_relation(2)
+    classes = (frozenset({0, 2}), frozenset({1}))
+    thin = (rg.path_graph(3), rg.Partition(3, classes), rg.complete_graph(2),
+            rg.Relation(3, 2, [(0, 0), (1, 1), (2, 0)]))
+    # class, field values, the values of an unequal instance, the hash key
+    # of given values, and the repr.
+    cases = [
+        (rg.Graph, (3, frozenset({(0, 1), (1, 2)}), ("a", "b", "c")),
+         (3, frozenset({(0, 1)}), None), lambda n, edges, labels: (n, edges),
+         "Graph(n=3, edges=[(0, 1), (1, 2)])"),
+        (rg.Partition, (3, classes), (3, (frozenset({0}), frozenset({1, 2}))),
+         lambda size, classes: (size, frozenset(classes)),
+         "Partition(universe_size=3, classes=(frozenset({0, 2}), frozenset({1})))"),
+        (rg.Decomposition, (frozenset({0, 1}), 2, ((0, 1), (1, 0)), ident, ident, r),
+         (frozenset({0, 1}), 2, ((0, 1), (1, 0)), ident, ident, ident), None,
+         "Decomposition(domain_vertices=frozenset({0, 1}), mid_size=2, "
+         "mid_pairs=((0, 1), (1, 0)), identity_on_domain=Relation(2x2, [(0, 0), (1, 1)]), "
+         "duplicator=Relation(2x2, [(0, 0), (1, 1)]), "
+         "contractor=Relation(2x2, [(0, 1), (1, 0)]))"),
+        (rg.HallReport, (True, None, ((0, 1), (1, 0))), (False, frozenset({0, 1}), None), None,
+         "HallReport(satisfied=True, violating_set=None, monomorphism=((0, 1), (1, 0)))"),
+        (rg.ThinQuotient, thin, (rg.path_graph(3),) * 4, None,
+         "ThinQuotient(source=Graph(n=3, edges=[(0, 1), (1, 2)]), "
+         "partition=Partition(universe_size=3, classes=(frozenset({0, 2}), frozenset({1}))), "
+         "thin_graph=Graph(n=2, edges=[(0, 1)]), "
+         "class_relation=Relation(3x2, [(0, 0), (1, 1), (2, 0)]))"),
+        (rg.EquivalenceWitness, ("strong", r, r), ("weak", r, r), None,
+         "EquivalenceWitness(kind='strong', forward=Relation(2x2, [(0, 1), (1, 0)]), "
+         "backward=Relation(2x2, [(0, 1), (1, 0)]))"),
+        (rg.RetractionWitness, ("retraction", frozenset({0, 1}), r),
+         ("coretraction", frozenset({0, 1}), r), None,
+         "RetractionWitness(direction='retraction', sub=frozenset({0, 1}), "
+         "relation=Relation(2x2, [(0, 1), (1, 0)]))"),
+        (rg.Certificate, ("rcore", "y", (("rule", "components"),)), ("rcore", "y", ()), None,
+         "Certificate(kind='rcore', detail='y', values=(('rule', 'components'),))"),
+        (rg.SolutionSet, ((r,), (0,), (0,), True), ((r,), (0,), (0,), False), None,
+         "SolutionSet(solutions=(Relation(2x2, [(0, 1), (1, 0)]),), minimal_elements=(0,), "
+         "maximal_elements=(0,), complete=True)"),
+        (rg.WeightedGraph, (2, ((0, 1, Fraction(1, 2)),)), (2, ((0, 1, Fraction(1)),)),
+         lambda n, weights: (n, frozenset(weights)),
+         "WeightedGraph(n=2, weights=((0, 1, Fraction(1, 2)),))"),
+    ]
+    for cls, values, other, key, text in cases:
+        names = cls.__match_args__
+        assert len(names) == len(values), cls
+        key = key or (lambda *fields: fields)
+        a, b, c = cls(*values), cls(**dict(zip(names, values))), cls(*other)
+        assert tuple(getattr(b, name) for name in names) == values
+        assert a == b and hash(a) == hash(b) == hash(key(*values)), cls
+        assert a != c and not a == c and hash(c) == hash(key(*other)), cls
+        assert a != values and repr(a) == repr(b) == text
+        for name in (*names, "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(a, name)
+        for args, kwargs in (
+            (values + (None,), {}), (values, {"other": 1}), (values[:1], {names[0]: values[0]}),
+            ((), {}),
+        ):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+    assert rg.Graph.__match_args__ == ("n", "edges", "labels")
+    assert rg.Graph(1, frozenset()).labels is None
+    assert rg.Certificate("components", "x") == rg.Certificate("components", "x", ())
+    assert rg.Certificate(detail="x", kind="components").values == ()
+    with pytest.raises(ValueError):
+        rg.Partition(universe_size=2, classes=(frozenset({0}),))
+
+    class Renamed(rg.Certificate):
+        pass
+
+    assert Renamed.__match_args__ == ("kind", "detail", "values")
+    assert Renamed("rcore", "y") != rg.Certificate("rcore", "y")
+
+    assert rg.Relation.__match_args__ == ("domain_size", "image_size", "columns")
+    s = rg.Relation(domain_size=2, image_size=2, pairs=[(1, 0), (0, 1)])
+    assert s == r and hash(s) == hash(r) == hash((2, 2, (0b10, 0b01)))
+    assert r != ident and repr(r) == "Relation(2x2, [(0, 1), (1, 0)])"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del r.columns
+
+    g, h = rg.cycle_graph(5), rg.path_graph(2)
+    query = rg.SolveQuery(g, h)
+    assert dataclasses.replace(query, enumeration="exists") == rg.SolveQuery(
+        g, h, enumeration="exists"
+    )
 
 
 def test_package_exports_resolve_to_their_defining_modules():

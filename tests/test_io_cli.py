@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -295,10 +296,14 @@ runpy.run_module("relgraph", run_name="__main__", alter_sys=True)
 """
 
 
-def _modules_loaded(*args: str) -> set[str]:
+# Where relgraph was imported from: ``python -S`` has no ``site`` to find it.
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(rg.__file__)))
+
+
+def _modules_loaded(*args: str, flags: tuple[str, ...] = ()) -> set[str]:
     proc = subprocess.run(
-        [sys.executable, "-c", _PRINT_MODULES_AT_EXIT, *args],
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, *flags, "-c", _PRINT_MODULES_AT_EXIT, *args],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": _SRC},
     )
     assert proc.returncode == 0, proc.stderr[:2000]
     return {line[8:] for line in proc.stderr.splitlines() if line.startswith("module: ")}
@@ -310,11 +315,18 @@ def test_each_command_loads_only_the_modules_it_runs(files):
         ["--help"], ["rcore", g], ["thin", g], ["core", g], ["--json", "cocore", g],
         ["equiv", "--weak", g, h], ["--json", "equiv", "--strong", g, h],
     ]
+    # Without ``site``, which may import some of these itself, none of the
+    # standard library's slow-to-import modules loads either.
+    heavy = {"dataclasses", "inspect", "pathlib", "typing"}
     for args in without_solver:
         loaded = _modules_loaded(*args)
         assert "relgraph.cli" in loaded, args
         assert "relgraph.solver" not in loaded, args
         assert "fractions" not in loaded, args
+        bare = _modules_loaded(*args, flags=("-S",))
+        assert "relgraph.cli" in bare and not bare & heavy, (args, bare & heavy)
+        if args[0] in ("rcore", "thin"):
+            assert "relgraph.generate" not in bare, args
     loaded = _modules_loaded("--json", "solve", "--all", g, h)
     assert "relgraph.solver" in loaded
     unused = {
