@@ -36,24 +36,15 @@ class _CliError(Exception):
         self.code = code
 
 
-def _read(path: str) -> str:
+def _load(parse, path: str):
+    """``parse`` of the file at ``path``: a graph or a relation."""
     try:
         with open(path) as f:
-            return f.read()
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_graph(path: str) -> Graph:
     try:
-        return rio.parse_graph(_read(path))
-    except rio.ParseError as exc:
-        raise _CliError(f"{path}: {exc}") from exc
-
-
-def _load_relation(path: str) -> Relation:
-    try:
-        return rio.parse_relation(_read(path))
+        return parse(text)
     except rio.ParseError as exc:
         raise _CliError(f"{path}: {exc}") from exc
 
@@ -64,68 +55,73 @@ def _cert_json(cert: Certificate | None):
     return {"kind": cert.kind, "detail": cert.detail, "values": cert.values_dict()}
 
 
-def _emit(doc: dict, as_json: bool, text: str) -> None:
+def _emit(as_json: bool, doc: dict, *blocks) -> None:
+    """Print a command's output: ``doc`` plus its ``(key, value, text)`` blocks.
+
+    Under ``--json`` each block's ``value`` goes into ``doc`` under ``key``,
+    a Graph or Relation as its ``graph_to_json``/``relation_to_json``
+    document, and ``doc`` prints as one JSON document; a block whose key
+    is None is text only. In text mode the blocks print in order: a Graph
+    or Relation in its file form headed by the note ``text``, any other
+    value as ``text``. Only the output printed is built.
+    """
     if as_json:
+        for key, value, _ in blocks:
+            if key is None:
+                continue
+            if isinstance(value, Graph):
+                value = rio.graph_to_json(value)
+            elif isinstance(value, Relation):
+                value = rio.relation_to_json(value)
+            doc[key] = value
         print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
+        return
+    for _, value, text in blocks:
+        if isinstance(value, Graph):
+            text = rio.format_graph(value, note=text)
+        elif isinstance(value, Relation):
+            text = rio.format_relation(value, note=text)
         sys.stdout.write(text)
 
 
-def _env_int(name: str) -> int | None:
+def _env(name: str, convert, what: str):
+    """``convert`` of the environment variable ``name``; None when unset or empty."""
     raw = os.environ.get(name)
-    if raw is None or raw == "":
+    if not raw:
         return None
     try:
-        return int(raw)
+        return convert(raw)
     except ValueError:
-        raise _CliError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise _CliError(f"{name} must be a number, got {raw!r}") from None
+        raise _CliError(f"{name} must be {what}, got {raw!r}") from None
 
 
 def _cmd_apply(args) -> int:
     from .algebra import apply_strong, apply_weak
 
-    g = _load_graph(args.graph)
-    rel = _load_relation(args.relation)
+    g = _load(rio.parse_graph, args.graph)
+    rel = _load(rio.parse_relation, args.relation)
+    apply = apply_weak if args.command == "apply-weak" else apply_strong
     try:
-        result = apply_weak(g, rel) if args.weak else apply_strong(g, rel)
+        result = apply(g, rel)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
-    _emit(
-        {"command": "apply-weak" if args.weak else "apply", "status": "decided",
-         "result": rio.graph_to_json(result)},
-        args.json,
-        rio.format_graph(result),
-    )
+    _emit(args.json, {"command": args.command, "status": "decided"}, ("result", result, None))
     return EXIT_OK
 
 
 def _cmd_thin(args) -> int:
     from .equivalence import thin_quotient
 
-    g = _load_graph(args.graph)
+    g = _load(rio.parse_graph, args.graph)
     tq = thin_quotient(g)
     classes = [sorted(c) for c in tq.partition.classes]
-    text = rio.format_graph(tq.thin_graph)
-    for i, cls in enumerate(classes):
-        text += f"# class {i} = {' '.join(map(str, cls))}\n"
-    text += rio.format_relation(tq.class_relation, note="witness: vertex to class")
     _emit(
-        {"command": "thin", "status": "decided",
-         "result": rio.graph_to_json(tq.thin_graph),
-         "classes": classes,
-         "witness": rio.relation_to_json(tq.class_relation)},
         args.json,
-        text,
+        {"command": "thin", "status": "decided"},
+        ("result", tq.thin_graph, None),
+        ("classes", classes,
+         "".join(f"# class {i} = {' '.join(map(str, c))}\n" for i, c in enumerate(classes))),
+        ("witness", tq.class_relation, "witness: vertex to class"),
     )
     return EXIT_OK
 
@@ -133,59 +129,37 @@ def _cmd_thin(args) -> int:
 def _cmd_rcore(args) -> int:
     from .equivalence import rcore_with_witness
 
-    g = _load_graph(args.graph)
+    g = _load(rio.parse_graph, args.graph)
     core, forward, backward = rcore_with_witness(g)
-    text = rio.format_graph(core)
-    text += rio.format_relation(forward, note="witness: input * R = core")
-    text += rio.format_relation(backward, note="witness: core * S = input")
     _emit(
-        {"command": "rcore", "status": "decided",
-         "result": rio.graph_to_json(core),
-         "forward": rio.relation_to_json(forward),
-         "backward": rio.relation_to_json(backward)},
         args.json,
-        text,
-    )
-    return EXIT_OK
-
-
-def _cmd_cocore(args) -> int:
-    from .retract import cocore_with_witness
-
-    g = _load_graph(args.graph)
-    core, witness = cocore_with_witness(g)
-    text = rio.format_graph(core)
-    text += f"# kept vertices: {' '.join(map(str, sorted(witness.sub)))}\n"
-    text += rio.format_relation(witness.relation, note="witness coretraction")
-    _emit(
-        {"command": "cocore", "status": "decided",
-         "result": rio.graph_to_json(core),
-         "kept": sorted(witness.sub),
-         "witness": rio.relation_to_json(witness.relation)},
-        args.json,
-        text,
+        {"command": "rcore", "status": "decided"},
+        ("result", core, None),
+        ("forward", forward, "witness: input * R = core"),
+        ("backward", backward, "witness: core * S = input"),
     )
     return EXIT_OK
 
 
 def _cmd_core(args) -> int:
-    from .retract import graph_core_with_witness
+    """``core`` (the smallest retract) and ``cocore`` (the minimal coretract)."""
+    from .retract import cocore_with_witness, graph_core_with_witness
 
-    g = _load_graph(args.graph)
+    g = _load(rio.parse_graph, args.graph)
     try:
-        core, witness = graph_core_with_witness(g)
+        if args.command == "core":
+            core, witness = graph_core_with_witness(g)
+        else:
+            core, witness = cocore_with_witness(g)
     except CapExceededError as exc:
         raise _CliError(str(exc)) from exc
-    text = rio.format_graph(core)
-    text += f"# kept vertices: {' '.join(map(str, sorted(witness.sub)))}\n"
-    text += rio.format_relation(witness.relation, note="witness retraction")
+    kept = sorted(witness.sub)
     _emit(
-        {"command": "core", "status": "decided",
-         "result": rio.graph_to_json(core),
-         "kept": sorted(witness.sub),
-         "witness": rio.relation_to_json(witness.relation)},
         args.json,
-        text,
+        {"command": args.command, "status": "decided"},
+        ("result", core, None),
+        ("kept", kept, f"# kept vertices: {' '.join(map(str, kept))}\n"),
+        ("witness", witness.relation, f"witness {witness.direction}"),
     )
     return EXIT_OK
 
@@ -193,27 +167,23 @@ def _cmd_core(args) -> int:
 def _cmd_equiv(args) -> int:
     from .equivalence import strongly_equivalent, weakly_equivalent
 
-    g = _load_graph(args.graph)
-    h = _load_graph(args.other)
+    g = _load(rio.parse_graph, args.graph)
+    h = _load(rio.parse_graph, args.other)
     witness = weakly_equivalent(g, h) if args.weak else strongly_equivalent(g, h)
     if witness is None:
         _emit(
+            args.json,
             {"command": "equiv", "status": "negative",
              "kind": "weak" if args.weak else "strong", "equivalent": False},
-            args.json,
-            "NOT-EQUIVALENT\n",
+            (None, None, "NOT-EQUIVALENT\n"),
         )
         return EXIT_NEGATIVE
-    text = "EQUIVALENT\n"
-    text += rio.format_relation(witness.forward, note="forward witness")
-    text += rio.format_relation(witness.backward, note="backward witness")
     _emit(
-        {"command": "equiv", "status": "decided",
-         "kind": witness.kind, "equivalent": True,
-         "forward": rio.relation_to_json(witness.forward),
-         "backward": rio.relation_to_json(witness.backward)},
         args.json,
-        text,
+        {"command": "equiv", "status": "decided", "kind": witness.kind, "equivalent": True},
+        (None, None, "EQUIVALENT\n"),
+        ("forward", witness.forward, "forward witness"),
+        ("backward", witness.backward, "backward witness"),
     )
     return EXIT_OK
 
@@ -224,27 +194,20 @@ def _cmd_solve(args) -> int:
     if args.exists and (args.minimal or args.maximal):
         # An exists-query computes no antichains to pick from.
         raise _CliError("--exists cannot be combined with --minimal or --maximal")
-    g = _load_graph(args.graph)
-    h = _load_graph(args.other)
-    enumeration = "all"
-    if args.exists:
-        enumeration = "exists"
-    elif args.minimal and not args.maximal:
-        enumeration = "minimal"
-    elif args.maximal and not args.minimal:
-        enumeration = "maximal"
+    g = _load(rio.parse_graph, args.graph)
+    h = _load(rio.parse_graph, args.other)
     node_budget, time_budget = args.node_budget, args.time_budget
     if node_budget is None:
-        node_budget = _env_int("RELGRAPH_NODE_BUDGET")
+        node_budget = _env("RELGRAPH_NODE_BUDGET", int, "an integer")
     if time_budget is None:
-        time_budget = _env_float("RELGRAPH_TIME_BUDGET")
+        time_budget = _env("RELGRAPH_TIME_BUDGET", float, "a number")
     try:
         query = SolveQuery(
             g,
             h,
             mode="weak" if args.weak else "strong",
             domain="full" if args.full_domain else "any",
-            enumeration=enumeration,
+            enumeration="exists" if args.exists else "all",
             node_budget=node_budget,
             time_budget=time_budget,
         )
@@ -301,9 +264,12 @@ def _write_solve(as_json: bool, doc: dict, text: str, keys, picked, n: int, m: i
 
     ``keys`` are the solutions' ``_canonical_keys`` from ``_solve_masks``:
     each lists a solution's pair numbers ``x*m + b`` in canonical order.
-    The bytes are those ``_emit`` prints for ``doc`` with ``"solutions"``
-    set to the solutions' ``relation_to_json`` documents, or for ``text``
-    followed by their ``format_relation`` blocks. They are written a
+    Under ``--json`` the bytes are those ``_emit`` prints for ``doc`` with
+    ``"solutions"`` set to the list of the solutions' ``relation_to_json``
+    documents: one ``json.dumps(..., indent=2, sort_keys=True)`` line. In
+    text mode they are ``text`` followed by each solution's
+    ``format_relation`` block headed by the note ``solution i``. They are
+    written a
     solution at a time, straight from the keys: each of the ``n*m`` pairs
     is rendered once, and a solution's text is its pairs' renderings
     looked up by number.
@@ -335,8 +301,6 @@ def _write_solve(as_json: bool, doc: dict, text: str, keys, picked, n: int, m: i
 
 
 def _parse_subset(raw: str) -> list[int]:
-    if raw.strip() == "":
-        return []
     try:
         return [int(p) for p in raw.replace(",", " ").split()]
     except ValueError:
@@ -352,73 +316,58 @@ def _cmd_check(args) -> int:
     if len(args.inputs) != needed:
         raise _CliError(f"check {kind} takes {needed} input file(s), got {len(args.inputs)}")
     if kind == "hall":
-        rel = _load_relation(args.inputs[0])
+        rel = _load(rio.parse_relation, args.inputs[0])
         report = hall_check(rel)
-        doc = {"command": "check", "predicate": "hall", "satisfied": report.satisfied}
-        if report.satisfied:
+        answer = report.satisfied
+        if answer:
             mono = Relation(rel.domain_size, rel.image_size, report.monomorphism)
-            doc["monomorphism"] = rio.relation_to_json(mono)
-            text = "true\n" + rio.format_relation(mono, note="monomorphism")
+            witness = ("monomorphism", mono, "monomorphism")
         else:
-            doc["violating_set"] = sorted(report.violating_set)
-            text = "false\n# violating set: " + " ".join(
-                map(str, sorted(report.violating_set))
-            ) + "\n"
-        doc["status"] = "decided" if report.satisfied else "negative"
-        _emit(doc, args.json, text)
-        return EXIT_OK if report.satisfied else EXIT_NEGATIVE
-
-    if kind == "reversible":
-        g = _load_graph(args.inputs[0])
-        rel = _load_relation(args.inputs[1])
-        try:
-            answer = is_reversible(g, rel)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
-    elif kind == "prop-n":
-        answer = property_n(_load_graph(args.inputs[0]))
-    elif kind == "prop-nstar":
-        answer = property_n_star(_load_graph(args.inputs[0]))
-    elif kind in ("retraction", "coretraction"):
-        g = _load_graph(args.inputs[0])
-        rel = _load_relation(args.inputs[1])
-        if args.sub is None:
-            raise _CliError(f"{kind} check needs --sub with the subgraph vertices")
-        sub = _parse_subset(args.sub)
-        try:
+            violating = sorted(report.violating_set)
+            witness = ("violating_set", violating,
+                       f"# violating set: {' '.join(map(str, violating))}\n")
+        blocks = [("satisfied", answer, "true\n" if answer else "false\n"), witness]
+    else:
+        g = _load(rio.parse_graph, args.inputs[0])
+        if kind == "reversible":
+            rel = _load(rio.parse_relation, args.inputs[1])
+            try:
+                answer = is_reversible(g, rel)
+            except ValueError as exc:
+                raise _CliError(str(exc)) from exc
+        elif kind == "prop-n":
+            answer = property_n(g)
+        elif kind == "prop-nstar":
+            answer = property_n_star(g)
+        else:  # retraction or coretraction; argparse restricts the choices
+            rel = _load(rio.parse_relation, args.inputs[1])
+            if args.sub is None:
+                raise _CliError(f"{kind} check needs --sub with the subgraph vertices")
+            sub = _parse_subset(args.sub)
             check = is_retraction if kind == "retraction" else is_coretraction
-            answer = check(g, sub, rel)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
-    else:  # pragma: no cover - argparse restricts choices
-        raise _CliError(f"unknown predicate {kind}")
-    _emit(
-        {"command": "check", "predicate": kind, "answer": answer,
-         "status": "decided" if answer else "negative"},
-        args.json,
-        ("true" if answer else "false") + "\n",
-    )
+            try:
+                answer = check(g, sub, rel)
+            except ValueError as exc:
+                raise _CliError(str(exc)) from exc
+        blocks = [("answer", answer, "true\n" if answer else "false\n")]
+    status = "decided" if answer else "negative"
+    _emit(args.json, {"command": "check", "predicate": kind, "status": status}, *blocks)
     return EXIT_OK if answer else EXIT_NEGATIVE
 
 
 def _cmd_decompose(args) -> int:
     from .algebra import decompose
 
-    rel = _load_relation(args.relation)
+    rel = _load(rio.parse_relation, args.relation)
     dec = decompose(rel)
-    text = rio.format_relation(dec.duplicator, note="duplicator (injective)")
-    for i, pair in enumerate(dec.mid_pairs):
-        text += f"# mid vertex {i} = pair {pair[0]} {pair[1]}\n"
-    text += rio.format_relation(dec.contractor, note="contractor (functional)")
     _emit(
-        {"command": "decompose", "status": "decided",
-         "domain_vertices": sorted(dec.domain_vertices),
-         "mid_size": dec.mid_size,
-         "mid_pairs": [list(p) for p in dec.mid_pairs],
-         "duplicator": rio.relation_to_json(dec.duplicator),
-         "contractor": rio.relation_to_json(dec.contractor)},
         args.json,
-        text,
+        {"command": "decompose", "status": "decided",
+         "domain_vertices": sorted(dec.domain_vertices), "mid_size": dec.mid_size},
+        ("duplicator", dec.duplicator, "duplicator (injective)"),
+        ("mid_pairs", [list(p) for p in dec.mid_pairs],
+         "".join(f"# mid vertex {i} = pair {x} {b}\n" for i, (x, b) in enumerate(dec.mid_pairs))),
+        ("contractor", dec.contractor, "contractor (functional)"),
     )
     return EXIT_OK
 
@@ -426,17 +375,16 @@ def _cmd_decompose(args) -> int:
 def _cmd_reduce(args) -> int:
     from .solver import reduce_fulrel_to_shom, reduce_hom_to_fulrel
 
-    g = _load_graph(args.graph)
-    h = _load_graph(args.other)
+    g = _load(rio.parse_graph, args.graph)
+    h = _load(rio.parse_graph, args.other)
     if args.construction == "hom-to-fulrel":
         result = reduce_hom_to_fulrel(g, h)
     else:
         result = reduce_fulrel_to_shom(g, h)
     _emit(
-        {"command": "reduce", "construction": args.construction,
-         "status": "decided", "result": rio.graph_to_json(result)},
         args.json,
-        rio.format_graph(result),
+        {"command": "reduce", "construction": args.construction, "status": "decided"},
+        ("result", result, None),
     )
     return EXIT_OK
 
@@ -450,31 +398,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("apply", help="compose a graph with a relation")
-    p.add_argument("graph")
-    p.add_argument("relation")
-    p.set_defaults(func=_cmd_apply, weak=False)
-
-    p = sub.add_parser("apply-weak", help="loop-free composition")
-    p.add_argument("graph")
-    p.add_argument("relation")
-    p.set_defaults(func=_cmd_apply, weak=True)
-
-    p = sub.add_parser("thin", help="quotient by equal neighborhoods")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_thin)
-
-    p = sub.add_parser("rcore", help="minimum weak-equivalence representative")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_rcore)
-
-    p = sub.add_parser("cocore", help="minimal generating subgraph")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_cocore)
-
-    p = sub.add_parser("core", help="smallest retract (graph core)")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_core)
+    for name, inputs, func, help_text in (
+        ("apply", ("graph", "relation"), _cmd_apply, "compose a graph with a relation"),
+        ("apply-weak", ("graph", "relation"), _cmd_apply, "loop-free composition"),
+        ("thin", ("graph",), _cmd_thin, "quotient by equal neighborhoods"),
+        ("rcore", ("graph",), _cmd_rcore, "minimum weak-equivalence representative"),
+        ("cocore", ("graph",), _cmd_core, "minimal generating subgraph"),
+        ("core", ("graph",), _cmd_core, "smallest retract (graph core)"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for arg in inputs:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("equiv", help="decide relational equivalence")
     mode = p.add_mutually_exclusive_group(required=True)

@@ -17,7 +17,7 @@ by exhaustive search.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, count, repeat
 from operator import and_, lshift, or_
@@ -569,7 +569,7 @@ def certificate_holds(
 
 
 # Unlike the other records, not a ``core.Record``: callers copy a query
-# with ``replace``, which reads the decorator's field metadata.
+# with ``dataclasses.replace``, which reads the decorator's field metadata.
 @dataclass(frozen=True)
 class SolveQuery:
     """One equation ``source * R = target`` and how to answer it.
@@ -785,7 +785,9 @@ def solve(
     drops on a reduced target would come back as edges among the target
     vertices it stands for. The cores are capped at SOLVER_VERTEX_CAP
     vertices instead of the inputs, a node budget counts the search on
-    the cores, and a certificate found there comes back as kind ``rcore``.
+    the cores, and a certificate found there comes back as kind ``rcore``
+    when a core is smaller than its input. Every exists-query takes this
+    one route: a graph that is its own R-core is searched as it is.
 
     A weak exists-query that no certificate decides first tries the strong
     equation from the source's R-core onto the target's: weak composition
@@ -844,45 +846,44 @@ def _checked_masks(
         )
         return [], True, cert
 
-    src_maps = tgt_maps = None
-    if use_fast_paths and query.enumeration == "exists":
-        gc, src_maps = _reduce(g)
-        hc, tgt_maps = (h, None) if weak else _reduce(h)
-    if src_maps is not None or tgt_maps is not None:
-        found, complete, cert = _solve_on_cores(query, gc, src_maps, hc, tgt_maps)
+    budget = _Budget(query.node_budget, query.time_budget)
+    exists = query.enumeration == "exists"
+    if use_fast_paths and exists:
+        found, complete, cert = _solve_on_cores(g, h, weak, query.domain, budget)
     else:
         _check_cap(g, h)
-        found, complete, cert = _search(query, g, h, use_fast_paths)
+        found, complete, cert = _search(g, h, weak, query.domain, exists, use_fast_paths, budget)
     _check_solutions(g, h, found, weak, fulldom)
     return found, complete, cert
 
 
 def _search(
-    query: SolveQuery,
     g: Graph,
     h: Graph,
+    weak: bool,
+    domain: str,
+    exists: bool,
     use_fast_paths: bool,
-    budget: _Budget | None = None,
+    budget: _Budget,
     nbr: list[int] | None = None,
 ) -> tuple[list[tuple[int, ...]], bool, Certificate | None]:
-    """Certify, the fast paths, then the column search.
+    """Certify, the fast paths, then the column search of ``g * R = h``.
 
-    Runs on ``g`` and ``h`` in place of the query's graphs and returns the
-    solutions as unchecked column masks, whether the search completed, and
-    the certificate of a no-instance. ``budget`` defaults to the query's,
-    and ``nbr``, ``_subset_neighbors(g)``, is built here when not given.
-    A weak exists-query that no certificate or complete-source witness
-    decides tries ``_strong_first`` before its own column search.
+    Returns the solutions as unchecked column masks, only the first when
+    ``exists``, whether the search completed within ``budget``, and the
+    certificate of a no-instance. ``nbr``, ``_subset_neighbors(g)``, is
+    built here when not given. A weak exists-query that no certificate or
+    complete-source witness decides tries ``_strong_first`` before its own
+    column search.
     """
-    weak = query.mode == "weak"
-    exists = query.enumeration == "exists"
+    mode = "weak" if weak else "strong"
     if use_fast_paths:
-        cert = certify(g, h, query.mode, query.domain)
+        cert = certify(g, h, mode, domain)
         if cert is not None:
             return [], True, cert
         if (
             exists
-            and query.domain == "any"
+            and domain == "any"
             and g.n >= 1
             and is_complete(g)
             and h.is_simple
@@ -891,18 +892,16 @@ def _search(
             if witness is not None:
                 return [witness.columns], True, None
 
-    if budget is None:
-        budget = _Budget(query.node_budget, query.time_budget)
     if nbr is None:
         nbr = _subset_neighbors(g)
     found: list[tuple[int, ...]] = []
     complete = True
     try:
         if use_fast_paths and weak and exists:
-            found = _strong_first(query, g, h, budget, nbr)
+            found = _strong_first(g, h, domain, budget, nbr)
         if not found:
             for colmasks in _search_columns(
-                g, h, nbr, weak=weak, full_domain=query.domain == "full", budget=budget
+                g, h, nbr, weak=weak, full_domain=domain == "full", budget=budget
             ):
                 found.append(colmasks)
                 if exists:
@@ -912,7 +911,7 @@ def _search(
 
     cert = None
     if complete and not found:
-        cert = certify(g, h, query.mode, query.domain) if not use_fast_paths else None
+        cert = certify(g, h, mode, domain) if not use_fast_paths else None
         if cert is None:
             cert = Certificate(
                 "exhausted",
@@ -923,11 +922,11 @@ def _search(
 
 
 def _strong_first(
-    query: SolveQuery, g: Graph, h: Graph, budget: _Budget, nbr: list[int]
+    g: Graph, h: Graph, domain: str, budget: _Budget, nbr: list[int]
 ) -> list[tuple[int, ...]]:
-    """A solution of the strong equation ``g * R = h``, searched on the
-    R-core of the simple ``h`` and lifted to ``h``, as unchecked columns;
-    an empty list when the attempt finds none.
+    """A solution of the strong equation ``g * R = h`` under ``domain``,
+    searched on the R-core of the simple ``h`` and lifted to ``h``, as
+    unchecked columns; an empty list when the attempt finds none.
 
     Weak composition is strong composition minus its loops, and ``h`` has
     none, so the strong solution is a weak one. The attempt may spend at
@@ -939,7 +938,7 @@ def _strong_first(
     total = budget.nodes_left
     if total is not None:
         budget.nodes_left = total // 10
-    found, complete, _ = _search(replace(query, mode="strong"), g, hc, True, budget, nbr)
+    found, complete, _ = _search(g, hc, False, domain, True, True, budget, nbr)
     timed_out = not complete and (total is None or budget.nodes_left >= 0)
     if total is not None:
         budget.nodes_left = total - total // 10 + max(budget.nodes_left, 0)
@@ -965,22 +964,25 @@ def _reduce(g: Graph):
 
 
 def _solve_on_cores(
-    query: SolveQuery, gc: Graph, src_maps, hc: Graph, tgt_maps
+    g: Graph, h: Graph, weak: bool, domain: str, budget: _Budget
 ) -> tuple[list[tuple[int, ...]], bool, Certificate | None]:
-    """Decide an exists-query on R-cores and lift the answer to the inputs.
+    """Decide the exists-query ``g * R = h`` on R-cores and lift the answer.
 
-    ``gc``/``src_maps`` and ``hc``/``tgt_maps`` come from ``_reduce`` of
-    the source and target; a side that was not reduced has None for maps.
+    The route of every exists-query on the fast paths. The source is
+    reduced by ``_reduce``, and so is the target in strong mode; a side
+    whose R-core is itself has None for maps and is searched as it is.
     Returns what ``_search`` returns, for the inputs. A core solution R'
     lifts to forward ; R' ; backward, which ``_checked_masks`` re-checks on
     the inputs. A negative answer rests on the reductions: a solution R of
     the inputs gives the solution backward ; R ; forward of the cores. So
     the source's backward map and the target's forward map are re-checked
-    here before a negative answer is returned.
+    here before a negative answer is returned, and its certificate comes
+    back as kind ``rcore`` when a side shrank.
     """
-    g, h = query.source, query.target
+    gc, src_maps = _reduce(g)
+    hc, tgt_maps = (h, None) if weak else _reduce(h)
     _check_cap(gc, hc)
-    found, complete, cert = _search(query, gc, hc, True)
+    found, complete, cert = _search(gc, hc, weak, domain, True, True, budget)
     if found:
         # Lift R' to forward ; R' ; backward, a side at a time.
         cols = found[0]
@@ -995,7 +997,7 @@ def _solve_on_cores(
         _check_solutions(gc, g, [src_maps[2]], False, True, "solve: R-core backward map")
     if tgt_maps is not None:
         _check_solutions(h, hc, [tgt_maps[1]], False, True, "solve: R-core forward map")
-    if cert.kind != "exhausted":
+    if cert.kind != "exhausted" and (src_maps is not None or tgt_maps is not None):
         cert = Certificate(
             "rcore",
             f"on the R-cores, of {gc.n} and {hc.n} vertices: {cert.detail}",

@@ -255,6 +255,13 @@ def test_cli_time_budget_exhaustion(tmp_path, capsys, monkeypatch):
 
 def test_json_and_text_decide_identically(files, tmp_path, capsys):
     c5 = _write(tmp_path, "c5.graph", rio.format_graph(rg.cycle_graph(5)))
+    four_to_k2 = _write(tmp_path, "fold.rel", rio.format_relation(
+        rg.relation_from_pairs(4, 2, [(0, 0), (1, 1), (2, 0), (3, 1)])))
+    squeeze = _write(tmp_path, "squeeze.rel", rio.format_relation(
+        rg.relation_from_pairs(2, 1, [(0, 0), (1, 0)])))
+    identity = _write(tmp_path, "id.rel", rio.format_relation(rg.identity_relation(4)))
+    retract = _write(tmp_path, "ret.rel", rio.format_relation(
+        rg.relation_from_pairs(4, 4, [(2, 2), (3, 3), (0, 2), (1, 3)])))
     commands = [
         ["apply", files["c3"], files["r1"]],
         ["solve", files["c3"], files["k2"]],
@@ -265,6 +272,17 @@ def test_json_and_text_decide_identically(files, tmp_path, capsys):
         ["check", "prop-nstar", c5],
         ["rcore", files["c4"]],
         ["decompose", files["r1"]],
+        ["apply-weak", files["c4"], four_to_k2],
+        ["thin", files["c4"]],
+        ["cocore", files["c4"]],
+        ["core", files["c4"]],
+        ["check", "hall", files["r1"]],
+        ["check", "hall", squeeze],
+        ["check", "reversible", files["c4"], four_to_k2],
+        ["check", "retraction", files["c4"], retract, "--sub", "2,3"],
+        ["check", "coretraction", files["c4"], identity, "--sub", "0,1"],
+        ["reduce", "hom-to-fulrel", files["k2"], files["c3"]],
+        ["reduce", "fulrel-to-shom", files["k2"], files["c3"]],
     ]
     for argv in commands:
         text_code = main(argv)
@@ -438,6 +456,248 @@ def test_cli_solve_streams_the_reference_bytes(tmp_path, capsys):
                                      rg.cycle_graph(6), rg.path_graph(4))
     assert len(json.loads(budget)["solutions"]) == 12
     assert '"pairs": []' in _reference_solve_output(["--json", "--all"], p3, rg.empty_graph(0))
+
+
+# The input files each command reads, in order, by command or predicate;
+# the rest read graphs.
+_READS = {
+    "apply": (rio.parse_graph, rio.parse_relation),
+    "apply-weak": (rio.parse_graph, rio.parse_relation),
+    "decompose": (rio.parse_relation,),
+    "hall": (rio.parse_relation,),
+    "reversible": (rio.parse_graph, rio.parse_relation),
+    "retraction": (rio.parse_graph, rio.parse_relation),
+    "coretraction": (rio.parse_graph, rio.parse_relation),
+    "prop-n": (rio.parse_graph,),
+    "prop-nstar": (rio.parse_graph,),
+}
+
+
+def _reference_output(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of a command other than ``solve``, built
+    from the library's results through ``io``'s renderers: one
+    ``json.dumps`` of the whole document, or the text blocks in order."""
+    as_json = argv[0] == "--json"
+    command, *rest = argv[as_json:]
+    sub = rest[rest.index("--sub") + 1] if "--sub" in rest else None
+    words = [a for a in rest if not a.startswith("--") and a != sub]
+    kind = words.pop(0) if command in ("check", "reduce") else None
+    reads = _READS.get(kind or command, ())
+    if command == "check" and len(words) != len(reads):
+        return 2, "", f"error: check {kind} takes {len(reads)} input file(s), got {len(words)}\n"
+    objs = []
+    for i, path in enumerate(words):
+        try:
+            with open(path) as f:
+                text = f.read()
+        except OSError as exc:
+            return 2, "", f"error: cannot read {path}: {exc}\n"
+        try:
+            objs.append((reads[i] if i < len(reads) else rio.parse_graph)(text))
+        except rio.ParseError as exc:
+            return 2, "", f"error: {path}: {exc}\n"
+    graph, rel = rio.format_graph, rio.format_relation
+    graph_doc, rel_doc = rio.graph_to_json, rio.relation_to_json
+    doc = {"command": command, "status": "decided"}
+    code = 0
+    try:
+        if command in ("apply", "apply-weak"):
+            result = (rg.apply_weak if command == "apply-weak" else rg.apply_strong)(*objs)
+            doc["result"] = graph_doc(result)
+            text = graph(result)
+        elif command == "thin":
+            tq = rg.thin_quotient(*objs)
+            classes = [sorted(c) for c in tq.partition.classes]
+            doc.update(result=graph_doc(tq.thin_graph), classes=classes,
+                       witness=rel_doc(tq.class_relation))
+            text = graph(tq.thin_graph) + "".join(
+                f"# class {i} = {' '.join(map(str, c))}\n" for i, c in enumerate(classes)
+            ) + rel(tq.class_relation, note="witness: vertex to class")
+        elif command == "rcore":
+            core, forward, backward = rg.rcore_with_witness(*objs)
+            doc.update(result=graph_doc(core), forward=rel_doc(forward),
+                       backward=rel_doc(backward))
+            text = (graph(core) + rel(forward, note="witness: input * R = core")
+                    + rel(backward, note="witness: core * S = input"))
+        elif command in ("core", "cocore"):
+            find = rg.graph_core_with_witness if command == "core" else rg.cocore_with_witness
+            core, witness = find(*objs)
+            kept = sorted(witness.sub)
+            doc.update(result=graph_doc(core), kept=kept, witness=rel_doc(witness.relation))
+            note = "witness retraction" if command == "core" else "witness coretraction"
+            text = (graph(core) + f"# kept vertices: {' '.join(map(str, kept))}\n"
+                    + rel(witness.relation, note=note))
+        elif command == "equiv":
+            weak = "--weak" in rest
+            witness = (rg.weakly_equivalent if weak else rg.strongly_equivalent)(*objs)
+            if witness is None:
+                code = 1
+                doc.update(status="negative", kind="weak" if weak else "strong",
+                           equivalent=False)
+                text = "NOT-EQUIVALENT\n"
+            else:
+                doc.update(kind=witness.kind, equivalent=True,
+                           forward=rel_doc(witness.forward), backward=rel_doc(witness.backward))
+                text = ("EQUIVALENT\n" + rel(witness.forward, note="forward witness")
+                        + rel(witness.backward, note="backward witness"))
+        elif command == "decompose":
+            dec = rg.decompose(*objs)
+            doc.update(domain_vertices=sorted(dec.domain_vertices), mid_size=dec.mid_size,
+                       mid_pairs=[list(p) for p in dec.mid_pairs],
+                       duplicator=rel_doc(dec.duplicator), contractor=rel_doc(dec.contractor))
+            text = rel(dec.duplicator, note="duplicator (injective)") + "".join(
+                f"# mid vertex {i} = pair {x} {b}\n" for i, (x, b) in enumerate(dec.mid_pairs)
+            ) + rel(dec.contractor, note="contractor (functional)")
+        elif command == "reduce":
+            build = rg.reduce_hom_to_fulrel if kind == "hom-to-fulrel" else rg.reduce_fulrel_to_shom
+            result = build(*objs)
+            doc.update(construction=kind, result=graph_doc(result))
+            text = graph(result)
+        elif kind == "hall":
+            (r,) = objs
+            report = rg.hall_check(r)
+            code = 0 if report.satisfied else 1
+            doc.update(predicate="hall", satisfied=report.satisfied,
+                       status="decided" if report.satisfied else "negative")
+            if report.satisfied:
+                mono = rg.relation_from_pairs(r.domain_size, r.image_size, report.monomorphism)
+                doc["monomorphism"] = rel_doc(mono)
+                text = "true\n" + rel(mono, note="monomorphism")
+            else:
+                doc["violating_set"] = sorted(report.violating_set)
+                text = f"false\n# violating set: {' '.join(map(str, doc['violating_set']))}\n"
+        else:
+            if kind in ("retraction", "coretraction"):
+                if sub is None:
+                    return 2, "", f"error: {kind} check needs --sub with the subgraph vertices\n"
+                g, r = objs
+                vertices = [int(v) for v in sub.replace(",", " ").split()]
+                check = rg.is_retraction if kind == "retraction" else rg.is_coretraction
+                answer = check(g, vertices, r)
+            else:
+                answer = {"reversible": rg.is_reversible, "prop-n": rg.property_n,
+                          "prop-nstar": rg.property_n_star}[kind](*objs)
+            code = 0 if answer else 1
+            doc.update(predicate=kind, answer=answer,
+                       status="decided" if answer else "negative")
+            text = "true\n" if answer else "false\n"
+    except ValueError as exc:  # CapExceededError and the universe checks
+        return 2, "", f"error: {exc}\n"
+    return code, json.dumps(doc, indent=2, sort_keys=True) + "\n" if as_json else text, ""
+
+
+_HELP = """\
+usage: relgraph [-h] [--json]
+                {apply,apply-weak,thin,rcore,cocore,core,equiv,solve,check,decompose,reduce}
+                ...
+
+Algebra of relations between graphs: composition, equivalences, cores,
+cocores, and an exhaustive equation solver.
+
+positional arguments:
+  {apply,apply-weak,thin,rcore,cocore,core,equiv,solve,check,decompose,reduce}
+    apply               compose a graph with a relation
+    apply-weak          loop-free composition
+    thin                quotient by equal neighborhoods
+    rcore               minimum weak-equivalence representative
+    cocore              minimal generating subgraph
+    core                smallest retract (graph core)
+    equiv               decide relational equivalence
+    solve               solve graph * R = target for R
+    check               boolean predicates with witnesses
+    decompose           duplicate-then-contract split
+    reduce              problem reductions
+
+options:
+  -h, --help            show this help message and exit
+  --json                emit one JSON document
+"""
+
+
+def test_cli_commands_print_the_reference_bytes(tmp_path, capsys, monkeypatch):
+    """Every command but ``solve``, text and ``--json``: stdout, stderr and
+    exit code match the library's results rendered through ``io``, on
+    graphs with loops, isolated vertices and no vertices at all."""
+    c4 = rg.cycle_graph(4)
+    graphs = {
+        "c4": c4,
+        "c5": rg.cycle_graph(5),
+        "k2": rg.complete_graph(2),
+        "k3": rg.complete_graph(3),
+        "p3": rg.path_graph(3),
+        "loops": rg.graph_from_edges(6, [(0, 1), (1, 2), (2, 2), (3, 4)]),  # vertex 5 isolated
+        "isolated": rg.empty_graph(3),
+        "empty": rg.empty_graph(0),
+        "twins": blow_up(rg.path_graph(4), 2, seed=5),
+        "c11": rg.cycle_graph(11),  # past graph_core's cap of 10
+    }
+    _, cocore_witness = rg.cocore_with_witness(graphs["twins"])
+    relations = {
+        "onto_k3": rg.relation_from_pairs(4, 3, [(0, 0), (1, 1), (2, 2), (3, 1)]),
+        "onto_p3": rg.relation_from_pairs(6, 3, [(0, 0), (1, 1), (2, 2), (5, 2)]),
+        "squeeze": rg.relation_from_pairs(2, 1, [(0, 0), (1, 0)]),  # Hall violation
+        "matching": rg.relation_from_pairs(3, 4, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 3), (1, 2)]),
+        "identity": rg.identity_relation(4),
+        "partial": rg.relation_from_pairs(4, 4, [(0, 0), (1, 1)]),  # image not full
+        "collapse": rg.relation_from_pairs(4, 1, [(x, 0) for x in range(4)]),
+        "nothing": rg.relation_from_pairs(0, 0, []),
+        "retract": rg.relation_from_pairs(4, 4, [(2, 2), (3, 3), (0, 2), (1, 3)]),
+        "coretract": cocore_witness.relation,
+    }
+    paths = {name: _write(tmp_path, f"{name}.graph", rio.format_graph(g))
+             for name, g in graphs.items()}
+    paths.update({name: _write(tmp_path, f"{name}.rel", rio.format_relation(r))
+                  for name, r in relations.items()})
+    paths["bad"] = _write(tmp_path, "bad.graph", "graph 2\n0 9\n")
+    paths["missing"] = str(tmp_path / "missing.graph")
+    kept = ",".join(map(str, sorted(cocore_witness.sub)))
+    cases = [
+        ["apply", "c4", "onto_k3"], ["apply", "loops", "onto_p3"], ["apply", "c5", "onto_k3"],
+        ["apply-weak", "c4", "onto_k3"], ["apply-weak", "loops", "onto_p3"],
+        ["equiv", "--strong", "c4", "p3"], ["equiv", "--strong", "c4", "k3"],
+        ["equiv", "--weak", "c4", "k2"], ["equiv", "--weak", "c5", "k3"],
+        ["equiv", "--strong", "empty", "empty"],
+        ["decompose", "onto_k3"], ["decompose", "matching"], ["decompose", "nothing"],
+        ["reduce", "hom-to-fulrel", "k2", "k3"], ["reduce", "fulrel-to-shom", "k2", "k3"],
+        ["reduce", "fulrel-to-shom", "loops", "p3"], ["reduce", "hom-to-fulrel", "empty", "empty"],
+        ["check", "hall", "squeeze"], ["check", "hall", "matching"], ["check", "hall", "nothing"],
+        ["check", "hall", "c4", "squeeze"],
+        ["check", "reversible", "c4", "identity"], ["check", "reversible", "c4", "onto_k3"],
+        ["check", "reversible", "c4", "partial"], ["check", "reversible", "c4", "collapse"],
+        ["check", "prop-n", "c4"], ["check", "prop-n", "c5"], ["check", "prop-nstar", "c5"],
+        ["check", "prop-nstar", "loops"],
+        ["check", "retraction", "c4", "retract", "--sub", "2,3"],
+        ["check", "retraction", "c4", "retract", "--sub", "0 1"],
+        ["check", "retraction", "c4", "retract"],
+        ["check", "coretraction", "twins", "coretract", "--sub", kept],
+        ["check", "coretraction", "c4", "identity", "--sub", "0,1"],
+        ["rcore", "bad"], ["apply", "c4", "missing"],
+    ]
+    for command in ("thin", "rcore", "cocore", "core"):
+        cases += [[command, name] for name in ("c4", "loops", "isolated", "empty", "twins")]
+    cases += [["core", "c11"], ["cocore", "c11"]]
+    for case in cases:
+        files = [paths.get(word, word) for word in case]
+        for argv in (files, ["--json"] + files):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert (code, out, err) == _reference_output(argv), argv
+    # The usage errors that do not depend on the library.
+    assert main(["check", "retraction", paths["c4"], paths["retract"]]) == 2
+    assert capsys.readouterr() == (
+        "", "error: retraction check needs --sub with the subgraph vertices\n"
+    )
+    assert main(["check", "prop-n", paths["c4"], paths["c5"]]) == 2
+    assert capsys.readouterr() == ("", "error: check prop-n takes 1 input file(s), got 2\n")
+    for name, value, what in (("RELGRAPH_NODE_BUDGET", "many", "an integer"),
+                              ("RELGRAPH_TIME_BUDGET", "soon", "a number")):
+        monkeypatch.setenv(name, value)
+        assert main(["solve", paths["c4"], paths["k2"]]) == 2
+        assert capsys.readouterr() == ("", f"error: {name} must be {what}, got {value!r}\n")
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--help"]) == 0
+    assert capsys.readouterr() == (_HELP, "")
 
 
 def test_cli_solve_builds_no_relations(files, monkeypatch, capsys):

@@ -82,7 +82,7 @@ def test_complete_enumeration_rechecks_every_solution(monkeypatch):
     # anything seen earlier cannot vouch for it.
     g, h = rg.cycle_graph(6), rg.path_graph(3)
     query = rg.SolveQuery(g, h)
-    good, complete, _ = solver._search(query, g, h, True)
+    good, complete, _ = solver._search(g, h, False, "any", False, True, solver._NO_BUDGET)
     assert complete and len(good) > 2
     key = dict(zip(good, solver._canonical_keys(g.n, h.n, good)))
     per_column = [sorted({cols[b] for cols in good}) for b in range(h.n)]
@@ -789,10 +789,10 @@ def test_weak_exists_rechecks_the_strong_solution(monkeypatch, source):
     # source was reduced.
     search = solver._search
 
-    def bad_strong(query, g, h, *args):
-        if query.mode == "strong":
+    def bad_strong(g, h, weak, *args):
+        if not weak:
             return [(1,) * h.n], True, None
-        return search(query, g, h, *args)
+        return search(g, h, weak, *args)
 
     monkeypatch.setattr(solver, "_search", bad_strong)
     query = rg.SolveQuery(source, rg.path_graph(4), mode="weak", enumeration="exists")
@@ -888,10 +888,10 @@ solver._compose_columns = lift
 search = solver._search
 
 
-def bad_strong(query, g, h, *args):
-    if query.mode == "strong":
+def bad_strong(g, h, weak, *args):
+    if not weak:
         return [(1,) * h.n], True, None
-    return search(query, g, h, *args)
+    return search(g, h, weak, *args)
 
 
 solver._search = bad_strong
@@ -904,7 +904,7 @@ solver._search = search
 # from their own column masks.
 c6, p3 = rg.cycle_graph(6), rg.path_graph(3)
 all_of = rg.SolveQuery(c6, p3)
-good = search(all_of, c6, p3, True)[0]
+good = search(c6, p3, False, "any", False, True, solver._NO_BUDGET)[0]
 key = dict(zip(good, solver._canonical_keys(6, 3, good)))
 per_column = [sorted({cols[b] for cols in good}) for b in range(3)]
 bad = next(
