@@ -17,6 +17,8 @@ from .core import (
     Relation,
     UniverseMismatchError,
     _bits_for,
+    _generated_rows,
+    _loopless,
     check_witness,
 )
 
@@ -43,33 +45,20 @@ def apply_strong(g: Graph, rel: Relation) -> Graph:
 
     Requires every target vertex to have a pre-image, so the result's
     vertex set is well defined. Equals the relational product
-    transpose(R) . G . R, computed one target column at a time: column b's
-    neighbour mask is the union of its pre-images' adjacency rows, so a
-    call costs O(|R| + m^2) mask operations for m target vertices.
+    transpose(R) . G . R, built as adjacency rows by
+    ``core._generated_rows`` in O(|R| + sum_b |N_G(C_b)|) mask operations,
+    where N_G(C_b) is the neighbourhood of target b's pre-image.
     """
     _check_universes(g, rel)
     _require_full_image(rel)
-    m = rel.image_size
-    adj = g.adjacency
-    bits = _bits_for(g.n)
-    cols = rel.columns
-    edges = set()
-    for b, col in enumerate(cols):
-        nb = 0
-        for x in bits(col):
-            nb |= adj[x]
-        for c in range(b, m):
-            if nb & cols[c]:
-                edges.add((b, c))
-    return Graph(m, frozenset(edges))
+    return Graph._of_rows(_generated_rows(g.adjacency, rel.columns))
 
 
 def apply_weak(g: Graph, rel: Relation) -> Graph:
     """Irreflexive part of the strong composition; source must be simple."""
     if not g.is_simple:
         raise LoopsNotAllowedError("weak composition needs a loop-free source")
-    strong = apply_strong(g, rel)
-    return Graph(strong.n, frozenset(e for e in strong.edges if e[0] != e[1]))
+    return Graph._of_rows(_loopless(apply_strong(g, rel).adjacency))
 
 
 class Decomposition(Record):

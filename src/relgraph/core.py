@@ -2,9 +2,10 @@
 
 Vertices are dense integers ``0..n-1``; external vertex names live only in
 an optional label table used by the I/O layer. Graphs are undirected and
-may carry loops, stored as normalized ``(min, max)`` pairs. Every type is
-an immutable value and every operation is a pure function, so everything
-here is safe to share across threads.
+may carry loops, stored as their adjacency rows, one neighbour bitmask per
+vertex; relations are stored as their columns, one pre-image bitmask per
+target vertex. Every type is an immutable value and every operation is a
+pure function, so everything here is safe to share across threads.
 
 relgraph's value records, here and in the other modules, derive from
 :class:`Record`, not from the standard library's record decorator:
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 
 class UniverseMismatchError(ValueError):
@@ -128,16 +128,15 @@ class Record:
         raise _frozen_error(f"cannot delete field {name!r}")
 
 
-def _normalize_edges(edges) -> frozenset[tuple[int, int]]:
-    return frozenset((u, v) if u <= v else (v, u) for u, v in edges)
-
-
 class Graph(Record):
-    """Finite undirected graph with loops allowed.
+    """Finite undirected graph with loops allowed, stored as its adjacency rows.
 
-    ``edges`` must hold normalized pairs ``(u, v)`` with ``u <= v``; use
-    :func:`graph_from_edges` for arbitrary input. Equality and hashing
-    ignore ``labels`` (they are I/O metadata, not graph identity).
+    ``adjacency[v]`` is the bitmask of v's neighbours; a loop puts v in its
+    own row. ``Graph(n, edges, labels)`` takes pairs ``(u, v)`` with
+    ``u <= v`` and checks each; use :func:`graph_from_edges` for arbitrary
+    input. ``edges`` is derived from the rows on first use. Equality and
+    hashing compare the rows and ignore ``labels`` (they are I/O metadata,
+    not graph identity).
     """
 
     n: int
@@ -149,36 +148,51 @@ class Graph(Record):
     ) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        rows = [0] * n
         for u, v in edges:
             if not (0 <= u <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range or not normalized")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         if labels is not None and len(labels) != n:
             raise ValueError("label table size must match vertex count")
         # Stored directly: the solver and the witness checks build many graphs.
-        fields = self.__dict__
-        fields["n"] = n
-        fields["edges"] = edges
-        fields["labels"] = labels
+        self.__dict__.update(n=n, adjacency=tuple(rows), labels=labels)
+
+    @classmethod
+    def _of_rows(cls, rows, labels: tuple[str, ...] | None = None) -> Graph:
+        """The graph whose vertex v has the neighbour mask ``rows[v]``.
+
+        The internal constructor: it checks, in O(n), only that every row
+        is a mask over the n vertices; the rows must be symmetric.
+        """
+        rows = tuple(rows)
+        full = 1 << len(rows)
+        for row in rows:
+            if not 0 <= row < full:
+                raise ValueError(f"row {row:#x} outside a {len(rows)}-vertex graph")
+        g = cls.__new__(cls)
+        g.__dict__.update(n=len(rows), adjacency=rows, labels=labels)
+        return g
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.adjacency == other.adjacency
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash(self.adjacency)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
     @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmasks; a loop puts a vertex in its own mask."""
-        adj = [0] * self.n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return tuple(adj)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The ``(u, v)`` pairs with ``u <= v``, from the rows."""
+        bits = _bits_for(self.n)
+        return frozenset(
+            (u, v) for u, row in enumerate(self.adjacency) for v in bits(row >> u << u)
+        )
 
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood N(v); contains v itself exactly when v has a loop."""
@@ -193,14 +207,14 @@ class Graph(Record):
         return bool(self.adjacency[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return bin(self.adjacency[v]).count("1")
+        return self.adjacency[v].bit_count()
 
     @property
     def is_simple(self) -> bool:
-        return not any(u == v for u, v in self.edges)
+        return not self.loop_vertices()
 
     def loop_vertices(self) -> list[int]:
-        return sorted(u for u, v in self.edges if u == v)
+        return [v for v, row in enumerate(self.adjacency) if row >> v & 1]
 
     def isolated_vertices(self) -> list[int]:
         """Vertices with no incident edge at all. A loop vertex is not isolated."""
@@ -212,15 +226,17 @@ class Graph(Record):
 
 def graph_from_edges(n: int, edges, labels=None) -> Graph:
     """Build a graph from an arbitrary iterable of (u, v) pairs."""
-    return Graph(n, _normalize_edges(edges), tuple(labels) if labels else None)
+    edges = ((u, v) if u <= v else (v, u) for u, v in edges)
+    return Graph(n, edges, tuple(labels) if labels else None)
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, frozenset())
+    return Graph(n, ())
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
+    full = (1 << n) - 1
+    return Graph._of_rows(full ^ 1 << v for v in range(n))
 
 
 def path_graph(n: int) -> Graph:
@@ -236,9 +252,7 @@ def cycle_graph(n: int) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    edges = set(g.edges)
-    edges.update((u + g.n, v + g.n) for u, v in h.edges)
-    return Graph(g.n + h.n, frozenset(edges))
+    return Graph._of_rows(g.adjacency + tuple(row << g.n for row in h.adjacency))
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
@@ -250,11 +264,7 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     kept = sorted(set(vertices))
     if any(v < 0 or v >= g.n for v in kept):
         raise ValueError("subgraph vertices out of range")
-    index = {v: i for i, v in enumerate(kept)}
-    edges = frozenset(
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    )
-    return Graph(len(kept), edges, tuple(g.label_of(v) for v in kept))
+    return _reduced_graph(g, kept)
 
 
 def components(g: Graph) -> list[frozenset[int]]:
@@ -323,10 +333,8 @@ def complement(g: Graph) -> Graph:
     """Complement of a simple graph (swap adjacency on distinct pairs)."""
     if not g.is_simple:
         raise LoopsNotAllowedError("complement is defined for simple graphs only")
-    edges = frozenset(
-        (u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)
-    )
-    return Graph(g.n, edges)
+    full = (1 << g.n) - 1
+    return Graph._of_rows(full ^ 1 << v ^ row for v, row in enumerate(g.adjacency))
 
 
 def path_length_of(g: Graph) -> int | None:
@@ -346,7 +354,8 @@ def path_length_of(g: Graph) -> int | None:
 
 
 def is_complete(g: Graph) -> bool:
-    return g.is_simple and len(g.edges) == g.n * (g.n - 1) // 2
+    full = (1 << g.n) - 1
+    return all(row == full ^ 1 << v for v, row in enumerate(g.adjacency))
 
 
 def _degeneracy_order(g: Graph) -> list[int]:
@@ -450,6 +459,34 @@ def _compose_columns(first, second) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _transpose_columns(n: int, columns) -> list[int]:
+    """Rows of the relation with ``columns`` over an ``n``-vertex domain:
+    row x is the mask of the columns holding x."""
+    rows = [0] * n
+    bits = _bits_for(n)
+    for b, col in enumerate(columns):
+        for x in bits(col):
+            rows[x] |= 1 << b
+    return rows
+
+
+def _generated_rows(adjacency, columns) -> tuple[int, ...]:
+    """Adjacency rows of ``G * R``, from the rows of G and the columns of R.
+
+    ``G * R`` is the relational product transpose(R) . G . R, composed by
+    the one column kernel: row b is the mask of the columns that meet
+    N_G(C_b), the union of the rows of column b's members. A call costs
+    O(|R| + sum_b |N_G(C_b)|) mask operations, at most |R| + n*m.
+    """
+    rows = _transpose_columns(len(adjacency), columns)
+    return _compose_columns(rows, _compose_columns(adjacency, columns))
+
+
+def _loopless(rows) -> tuple[int, ...]:
+    """``rows`` without the diagonal: the rows of the graph minus its loops."""
+    return tuple(row & ~(1 << v) for v, row in enumerate(rows))
+
+
 class Relation(Record):
     """Binary relation between two dense vertex universes, stored as its columns.
 
@@ -550,12 +587,7 @@ class Relation(Record):
 
     def row_masks(self) -> list[int]:
         """Image bitmask for each source vertex."""
-        rows = [0] * self.domain_size
-        bits = _bits_for(self.domain_size)
-        for b, col in enumerate(self.columns):
-            for x in bits(col):
-                rows[x] |= 1 << b
-        return rows
+        return _transpose_columns(self.domain_size, self.columns)
 
     def transpose(self) -> Relation:
         return Relation._of_columns(self.image_size, self.domain_size, self.row_masks())
@@ -741,12 +773,13 @@ def _rcore_maps(
 
 
 def _reduced_graph(g: Graph, keep: list[int]) -> Graph:
-    """The reduced form on ``keep``: ascending survivors of a sweep, then
-    possibly one isolated vertex standing for all of them.
+    """The subgraph of ``g`` induced on the distinct vertices ``keep``, in
+    that order: vertex i is ``keep[i]`` and carries its name.
 
-    Its vertices carry the names of the vertices of ``g`` they keep, unless
-    the stand-in is there.
+    A reduced form keeps the ascending survivors of a sweep, then possibly
+    one isolated vertex standing for all of them.
     """
-    if keep and not g.adjacency[keep[-1]]:
-        return disjoint_union(induced_subgraph(g, keep[:-1]), empty_graph(1))
-    return induced_subgraph(g, keep)
+    bit = {v: 1 << i for i, v in enumerate(keep)}
+    bits = _bits_for(g.n)
+    rows = [sum(bit.get(u, 0) for u in bits(g.adjacency[v])) for v in keep]
+    return Graph._of_rows(rows, tuple(map(g.label_of, keep)))

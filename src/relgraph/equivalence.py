@@ -73,9 +73,10 @@ def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     searches ``h``'s tree depth first for a leaf that relabels ``h`` to the
     same rows, skipping every subtree whose cell sizes differ. An
     isomorphism maps ``g``'s path onto one of ``h``'s, so the search is
-    complete. On a graph and itself it returns the identity.
+    complete. On a graph and itself it returns the identity. Graphs whose
+    sorted degree sequences differ are rejected at once.
     """
-    if g.n != h.n or len(g.edges) != len(h.edges):
+    if sorted(map(int.bit_count, g.adjacency)) != sorted(map(int.bit_count, h.adjacency)):
         return None
     # Imported here, so that ``rcore`` and ``thin`` never load ``generate``.
     from .generate import _leaves, _permute
@@ -167,7 +168,7 @@ def rcore_oracle(g: Graph, cap: int = 7) -> Graph:
     Independent of the deletion algorithm: existence is decided by the
     equation solver.
     """
-    from .generate import all_graphs, canonical_key, graph_of
+    from .generate import all_graphs, canonical_key
     from .solver import relation_exists
 
     if g.n > cap:
@@ -183,7 +184,7 @@ def rcore_oracle(g: Graph, cap: int = 7) -> Graph:
                 return cand
     # No strictly smaller representative: the input itself (trivially
     # equivalent to itself) has minimum order; return its canonical form.
-    return graph_of(canonical_key(g))
+    return Graph._of_rows(canonical_key(g))
 
 
 def weakly_equivalent(g: Graph, h: Graph) -> EquivalenceWitness | None:

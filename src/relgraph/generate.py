@@ -1,8 +1,9 @@
 """Exhaustive generation of small graphs up to isomorphism, and the one
 individualization-refinement engine behind canonical forms and isomorphisms.
 
-Graphs are represented internally as tuples of adjacency bitmasks (bit v of
-row u set iff edge (u, v); a loop sets bit u of row u).
+Everything here works on row tuples, a graph's ``adjacency`` (bit v of row
+u set iff edge (u, v); a loop sets bit u of row u), and builds graphs from
+them with ``Graph._of_rows``.
 
 A colouring gives each vertex the rank of its signature. Colours start from
 (loop, degree) and are refined by (colour, sorted neighbour colours) until
@@ -25,24 +26,6 @@ from functools import lru_cache
 from .core import Graph
 
 Rows = tuple[int, ...]
-
-
-def rows_of(g: Graph) -> Rows:
-    return g.adjacency
-
-
-def graph_of(rows: Rows) -> Graph:
-    n = len(rows)
-    edges = set()
-    for u in range(n):
-        m = rows[u]
-        v = 0
-        while m:
-            if m & 1 and u <= v:
-                edges.add((u, v))
-            m >>= 1
-            v += 1
-    return Graph(n, frozenset(edges))
 
 
 def _permute(rows: Rows, perm: tuple[int, ...]) -> Rows:
@@ -109,7 +92,7 @@ def canonical_rows(rows: Rows) -> Rows:
 
 
 def canonical_key(g: Graph) -> Rows:
-    return canonical_rows(rows_of(g))
+    return canonical_rows(g.adjacency)
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +118,7 @@ def _all_rows(n: int, loops: bool) -> tuple[Rows, ...]:
 
 def all_graphs(n: int, loops: bool = False) -> list[Graph]:
     """All graphs on exactly n vertices, one per isomorphism class."""
-    return [graph_of(rows) for rows in _all_rows(n, loops)]
+    return [Graph._of_rows(rows) for rows in _all_rows(n, loops)]
 
 
 def all_graphs_up_to(n: int, loops: bool = False) -> list[Graph]:

@@ -10,7 +10,7 @@ and round-trips through the parser.
 
 from __future__ import annotations
 
-from .core import Graph, Relation, graph_from_edges, relation_from_pairs
+from .core import Graph, Relation, relation_from_pairs
 
 
 class ParseError(ValueError):
@@ -54,13 +54,14 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(lineno, f"vertex count must be an integer, got {parts[1]!r}") from None
     if n < 0:
         raise ParseError(lineno, "vertex count must be non-negative")
-    edges = set()
+    rows = [0] * n
     for lineno, line in lines:
         u, v = _int_fields(lineno, line, 2, "an edge")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(lineno, f"edge ({u}, {v}) out of range for {n} vertices")
-        edges.add((u, v) if u <= v else (v, u))
-    return graph_from_edges(n, edges)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph._of_rows(rows)
 
 
 def parse_relation(text: str) -> Relation:

@@ -19,12 +19,49 @@ def test_graph_construction_normalizes_and_validates():
         rg.Graph(2, frozenset({(0, 3)}))
     with pytest.raises(ValueError):
         rg.Graph(2, frozenset({(1, 0)}))  # not normalized
+    assert rg.Graph._of_rows((0b10, 0b01)) == rg.path_graph(2)
+    for bad in ((0b100, 0), (-1, 0)):
+        with pytest.raises(ValueError):
+            rg.Graph._of_rows(bad)
 
 
 def test_graph_equality_ignores_labels():
     a = rg.graph_from_edges(2, [(0, 1)], labels=["x", "y"])
     b = rg.graph_from_edges(2, [(0, 1)])
     assert a == b and hash(a) == hash(b)
+
+
+def test_graph_builders_match_the_graph_of_their_edges():
+    """Each builder, working on adjacency rows, against ``Graph(n, edges)``
+    built from the same edges: equal, hashing equal, with the same edges."""
+    rng = random.Random(29)
+    graphs = rg.all_graphs_up_to(4, loops=True)
+    for g in graphs:
+        n = g.n
+        edges = frozenset((u, v) for u in range(n) for v in range(u, n) if g.adjacency[u] >> v & 1)
+        pairs = frozenset((u, v) for u in range(n) for v in range(u + 1, n))
+        built = [
+            (g, edges),
+            (rg.Graph(g.n, g.edges, g.labels), edges),
+            (rg.complete_graph(n), pairs),
+            (rg.empty_graph(n), frozenset()),
+        ]
+        if g.is_simple:
+            built.append((rg.complement(g), pairs - edges))
+        other = rng.choice(graphs)
+        shifted = {(u + n, v + n) for u, v in other.edges}
+        built.append((rg.disjoint_union(g, other), edges | shifted))
+        labelled = rg.graph_from_edges(n, edges, labels=[f"v{v}" for v in range(n)])
+        kept = sorted(rng.sample(range(n), rng.randint(0, n)))
+        index = {v: i for i, v in enumerate(kept)}
+        sub = rg.induced_subgraph(labelled, reversed(kept))
+        assert sub.labels == tuple(f"v{v}" for v in kept)
+        inside = {(index[u], index[v]) for u, v in edges if u in index and v in index}
+        built.append((sub, inside))
+        for graph, reference in built:
+            expected = rg.Graph(graph.n, reference)
+            assert graph == expected and hash(graph) == hash(expected), (g, graph)
+            assert graph.edges == reference
 
 
 def test_loop_vertex_is_not_isolated():
@@ -261,7 +298,11 @@ def test_value_records_keep_their_semantics():
     # of given values, and the repr.
     cases = [
         (rg.Graph, (3, frozenset({(0, 1), (1, 2)}), ("a", "b", "c")),
-         (3, frozenset({(0, 1)}), None), lambda n, edges, labels: (n, edges),
+         (3, frozenset({(0, 1)}), None),
+         # The adjacency rows: edge (u, v) puts the other end in row w.
+         lambda n, edges, labels: tuple(
+             sum(1 << u + v - w for u, v in edges if w in (u, v)) for w in range(n)
+         ),
          "Graph(n=3, edges=[(0, 1), (1, 2)])"),
         (rg.Partition, (3, classes), (3, (frozenset({0}), frozenset({1, 2}))),
          lambda size, classes: (size, frozenset(classes)),

@@ -627,6 +627,7 @@ def test_cli_commands_print_the_reference_bytes(tmp_path, capsys, monkeypatch):
         "p3": rg.path_graph(3),
         "loops": rg.graph_from_edges(6, [(0, 1), (1, 2), (2, 2), (3, 4)]),  # vertex 5 isolated
         "isolated": rg.empty_graph(3),
+        "c4_isolated": rg.disjoint_union(rg.empty_graph(2), c4),  # the stand-in is vertex 0
         "empty": rg.empty_graph(0),
         "twins": blow_up(rg.path_graph(4), 2, seed=5),
         "c11": rg.cycle_graph(11),  # past graph_core's cap of 10
@@ -674,7 +675,8 @@ def test_cli_commands_print_the_reference_bytes(tmp_path, capsys, monkeypatch):
         ["rcore", "bad"], ["apply", "c4", "missing"],
     ]
     for command in ("thin", "rcore", "cocore", "core"):
-        cases += [[command, name] for name in ("c4", "loops", "isolated", "empty", "twins")]
+        cases += [[command, name]
+                  for name in ("c4", "loops", "isolated", "c4_isolated", "empty", "twins")]
     cases += [["core", "c11"], ["cocore", "c11"]]
     for case in cases:
         files = [paths.get(word, word) for word in case]
@@ -682,6 +684,12 @@ def test_cli_commands_print_the_reference_bytes(tmp_path, capsys, monkeypatch):
             code = main(argv)
             out, err = capsys.readouterr()
             assert (code, out, err) == _reference_output(argv), argv
+    # A reduced form names every vertex as the input vertex it keeps, the
+    # isolated stand-in too.
+    assert main(["rcore", paths["c4_isolated"]]) == 0
+    assert capsys.readouterr().out.startswith(
+        "graph 3\n0 1\n# vertex 0 = 4\n# vertex 1 = 5\n# vertex 2 = 0\n"
+    )
     # The usage errors that do not depend on the library.
     assert main(["check", "retraction", paths["c4"], paths["retract"]]) == 2
     assert capsys.readouterr() == (

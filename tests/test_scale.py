@@ -98,6 +98,22 @@ def test_equivalences_at_scale(big, other):
     assert rg.weakly_equivalent(big, cycle) is None
 
 
+def test_witness_checks_compare_rows(big, other):
+    """No call derives its 100-vertex inputs' edge sets: each witness check
+    compares adjacency rows."""
+    calls = (
+        lambda g, h: rg.rcore_with_witness(g),
+        lambda g, h: rg.cocore_with_witness(g),
+        lambda g, h: rg.thin_quotient(g),
+        rg.strongly_equivalent,
+        rg.weakly_equivalent,
+    )
+    for call in calls:
+        g, h = rg.Graph._of_rows(big.adjacency), rg.Graph._of_rows(other.adjacency)
+        assert call(g, h) is not None
+        assert "edges" not in g.__dict__ and "edges" not in h.__dict__
+
+
 def moebius_ladder(n: int) -> rg.Graph:
     """The n-cycle plus its n/2 antipodal chords: 3-regular, vertex-transitive."""
     return rg.graph_from_edges(
