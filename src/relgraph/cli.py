@@ -269,10 +269,9 @@ def _write_solve(as_json: bool, doc: dict, text: str, keys, picked, n: int, m: i
     documents: one ``json.dumps(..., indent=2, sort_keys=True)`` line. In
     text mode they are ``text`` followed by each solution's
     ``format_relation`` block headed by the note ``solution i``. They are
-    written a
-    solution at a time, straight from the keys: each of the ``n*m`` pairs
-    is rendered once, and a solution's text is its pairs' renderings
-    looked up by number.
+    written a solution at a time, straight from the keys: each of the
+    ``n*m`` pairs is rendered once, and a solution's text is its pairs'
+    renderings looked up by number.
     """
     out = sys.stdout
     if not as_json:

@@ -17,7 +17,6 @@ by exhaustive search.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, count, repeat
 from operator import and_, lshift, or_
@@ -87,10 +86,11 @@ class _Budget:
     returns the fewest units whose charge could raise or read the clock:
     ``nodes_left + 1`` under a node budget, the units left to the next
     multiple of 256 under a deadline, the smaller of the two under both;
-    an unlimited budget is never charged. Charges held back below that number and then passed in one call run
-    out the budget and read the clock where one call per charge would.
-    Only ``_ticks`` after the node budget ran out can differ, because
-    ``spend`` raises before it counts the units of the call that overdrew.
+    an unlimited budget is never charged. Charges held back below that
+    number and then passed in one call run out the budget and read the
+    clock where one call per charge would. Only ``_ticks`` after the node
+    budget ran out can differ, because ``spend`` raises before it counts
+    the units of the call that overdrew.
     """
 
     __slots__ = ("nodes_left", "deadline", "_ticks", "unlimited")
@@ -569,15 +569,14 @@ def certificate_holds(
     return rule is not None and rule(g, h, weak, domain) is not None
 
 
-# Unlike the other records, not a ``core.Record``: callers copy a query
-# with ``dataclasses.replace``, which reads the decorator's field metadata.
-@dataclass(frozen=True)
-class SolveQuery:
+class SolveQuery(Record):
     """One equation ``source * R = target`` and how to answer it.
 
     ``enumeration="exists"`` stops at the first solution. ``"all"``,
     ``"minimal"`` and ``"maximal"`` answer alike: every solution plus both
-    antichains; the CLI picks what to print.
+    antichains; the CLI picks what to print. ``query.__replace__(**changes)``
+    (``copy.replace`` on Python 3.13+) copies a query with some fields
+    changed and checks the copy again.
     """
 
     source: Graph
@@ -605,6 +604,9 @@ class SolveQuery:
         # An exists-query is capped on the pair its search runs on (see solve).
         if self.enumeration != "exists":
             _check_cap(self.source, self.target)
+
+    def __replace__(self, **changes) -> SolveQuery:
+        return SolveQuery(**dict(zip(self.__match_args__, self._fields()), **changes))
 
 
 class SolutionSet(Record):

@@ -8,7 +8,6 @@ they can stand as the second route in every dual-route check.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from itertools import permutations
 
@@ -211,7 +210,7 @@ def min_completing_budget(query: rg.SolveQuery, guess: int = 1) -> int:
     """
 
     def completes(budget: int) -> bool:
-        return rg.solve(dataclasses.replace(query, node_budget=budget))[0].complete
+        return rg.solve(query.__replace__(node_budget=budget))[0].complete
 
     step = 1
     if completes(guess):

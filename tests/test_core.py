@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import relgraph as rg
+from relgraph import core
 from helpers import brute_isomorphic, random_graph, random_image_full_relation, relation_to_mask
 
 
@@ -292,7 +293,8 @@ def test_value_records_keep_their_semantics():
     r = rg.Relation(2, 2, [(0, 1), (1, 0)])
     ident = rg.identity_relation(2)
     classes = (frozenset({0, 2}), frozenset({1}))
-    thin = (rg.path_graph(3), rg.Partition(3, classes), rg.complete_graph(2),
+    p3, k2 = rg.path_graph(3), rg.complete_graph(2)
+    thin = (p3, rg.Partition(3, classes), k2,
             rg.Relation(3, 2, [(0, 0), (1, 1), (2, 0)]))
     # class, field values, the values of an unequal instance, the hash key
     # of given values, and the repr.
@@ -335,6 +337,11 @@ def test_value_records_keep_their_semantics():
         (rg.WeightedGraph, (2, ((0, 1, Fraction(1, 2)),)), (2, ((0, 1, Fraction(1)),)),
          lambda n, weights: (n, frozenset(weights)),
          "WeightedGraph(n=2, weights=((0, 1, Fraction(1, 2)),))"),
+        (rg.SolveQuery, (p3, k2, "weak", "full", "exists", 10, 1.5),
+         (p3, k2, "strong", "full", "exists", 10, 1.5), None,
+         "SolveQuery(source=Graph(n=3, edges=[(0, 1), (1, 2)]), "
+         "target=Graph(n=2, edges=[(0, 1)]), mode='weak', domain='full', "
+         "enumeration='exists', node_budget=10, time_budget=1.5)"),
     ]
     for cls, values, other, key, text in cases:
         names = cls.__match_args__
@@ -378,9 +385,28 @@ def test_value_records_keep_their_semantics():
 
     g, h = rg.cycle_graph(5), rg.path_graph(2)
     query = rg.SolveQuery(g, h)
-    assert dataclasses.replace(query, enumeration="exists") == rg.SolveQuery(
+    assert query.__replace__(enumeration="exists") == rg.SolveQuery(
         g, h, enumeration="exists"
     )
+    assert rg.SolveQuery.__match_args__ == (
+        "source", "target", "mode", "domain", "enumeration", "node_budget", "time_budget"
+    )
+    assert query == rg.SolveQuery(g, h, "strong", "any", "all", None, None)
+    looped = rg.graph_from_edges(2, [(0, 0), (0, 1)])
+    big = rg.path_graph(core.SOLVER_VERTEX_CAP + 1)
+    for kwargs, error in (
+        ({"mode": "both"}, ValueError),
+        ({"time_budget": float("nan")}, ValueError),
+        ({"node_budget": 0}, ValueError),
+        ({"source": looped, "mode": "weak"}, rg.LoopsNotAllowedError),
+        ({"source": big, "enumeration": "all"}, rg.CapExceededError),
+    ):
+        with pytest.raises(error):
+            rg.SolveQuery(**{"source": g, "target": h, **kwargs})
+    # A copy is checked again; the cap is on the pair an exists-query searches.
+    with pytest.raises(ValueError):
+        query.__replace__(node_budget=0)
+    assert rg.SolveQuery(big, h, enumeration="exists").source is big
 
 
 def test_package_exports_resolve_to_their_defining_modules():

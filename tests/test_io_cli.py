@@ -352,6 +352,9 @@ def test_each_command_loads_only_the_modules_it_runs(files):
         "fractions",
     }
     assert not loaded & unused, loaded & unused
+    for enumeration in ("--all", "--exists"):
+        bare = _modules_loaded("--json", "solve", enumeration, g, h, flags=("-S",))
+        assert "relgraph.solver" in bare and not bare & heavy, (enumeration, bare & heavy)
     others = [["apply", files["c3"], rel], ["check", "prop-n", files["c3"]], ["decompose", rel],
               ["reduce", "hom-to-fulrel", h, g]]
     for args in others:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import random
@@ -101,7 +100,7 @@ def test_complete_enumeration_rechecks_every_solution(monkeypatch):
     )
     for enumeration in ("all", "minimal", "maximal"):
         with pytest.raises(rg.WitnessCheckError):
-            rg.solve(dataclasses.replace(query, enumeration=enumeration))
+            rg.solve(query.__replace__(enumeration=enumeration))
 
 
 def test_c8_onto_p4_enumeration_is_pinned():
@@ -253,7 +252,7 @@ def test_pinned_node_budget_thresholds(source, target, mode, domain, enumeration
     g, h = _GRAPHS[source], _GRAPHS[target]
     query = rg.SolveQuery(g, h, mode=mode, domain=domain, enumeration=enumeration)
     assert min_completing_budget(query, guess=threshold) == threshold
-    ss, cert = rg.solve(dataclasses.replace(query, node_budget=threshold - 1))
+    ss, cert = rg.solve(query.__replace__(node_budget=threshold - 1))
     assert not ss.complete and cert is None
 
 
