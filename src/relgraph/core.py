@@ -673,71 +673,68 @@ def partition_from_classes(universe_size: int, classes) -> Partition:
 
 
 def _sweep(
-    adj: tuple[int, ...], alive: int, *, rcore: bool, fixpoint: bool
+    g: Graph, *, rcore: bool
 ) -> tuple[int, list[tuple[int, tuple[int, ...], int | None]]]:
     """The neighbourhood-deletion rule behind R-cores and R-cocores.
 
-    Visits the vertices of the mask ``alive`` in ascending order. Vertex i
-    goes when its neighbourhood is the union of the neighbourhoods of other
-    live vertices contained in it ("contributors") and, for R-cores, some
-    other live vertex's neighbourhood contains it (the first such is its
-    "container"). With ``fixpoint`` neighbourhoods are restricted to the live
-    vertices and sweeps repeat until none deletes; without it one pass reads
-    the original neighbourhoods, stale entries of deleted vertices included.
+    One pass visits the vertices of ``g`` with an edge in ascending order,
+    with neighbourhoods read on the live set L (those not yet deleted;
+    isolated vertices are never in it). Vertex i goes when N(i) is the
+    union of the neighbourhoods of other live vertices contained in it
+    ("contributors") and, for R-cores, some other live vertex's
+    neighbourhood contains it (the first such is its "container").
+
+    One pass is the fixpoint. Let (P) say that every vertex v has
+    N(v) = U{N(c) : c in L, N(c) <= N(v)}. (P) holds at the start, where
+    isolated rows are empty, and survives deleting i, since N(i) is the
+    union of its live contributors' rows, none of them i. Under (P), for
+    live j and k, N(j) & L <= N(k) & L iff N(j) <= N(k): for y in
+    N(j) - L, (P) gives a live c in N(j) with N(c) <= N(y); then c is in
+    N(k), so k is in N(c) <= N(y) and y is in N(k). The same argument
+    makes the union test on rows restricted to L equivalent to the one on
+    full rows, over the same contributors and container, so both readings
+    decide identically. Under full rows a vertex's contributors and
+    containers only shrink as L shrinks, so a vertex kept when visited
+    stays kept, and a second pass would delete nothing.
 
     Returns the surviving vertex mask and the trace of deletions, in order,
     as ``(vertex, contributors, container)``.
     """
-    live = [v for v in range(len(adj)) if alive >> v & 1]
+    adj = g.adjacency
+    live = [v for v, row in enumerate(adj) if row]
+    alive = sum(1 << v for v in live)
     trace = []
-    changed = True
-    while changed:
-        changed = False
-        for i in tuple(live):
-            restrict = alive if fixpoint else -1
-            ni = adj[i] & restrict
-            container = None
-            if rcore:
-                # Most vertices have no container: look for one first.
-                for j in live:
-                    if j != i and not ni & ~adj[j]:
-                        container = j
-                        break
-                if container is None:
-                    continue
-            outside = restrict & ~ni
-            union = 0
-            contributors = []
+    for i in tuple(live):
+        ni = adj[i] & alive
+        container = None
+        if rcore:
+            # Most vertices have no container: look for one first. Tested
+            # without ``~adj[j]``, a negative int slow to build and to AND.
             for j in live:
-                if j != i and not adj[j] & outside:
-                    union |= adj[j] & restrict
-                    contributors.append(j)
-            if union == ni:
-                live.remove(i)
-                alive &= ~(1 << i)
-                trace.append((i, tuple(contributors), container))
-                changed = fixpoint
+                if j != i and adj[j] & ni == ni:
+                    container = j
+                    break
+            if container is None:
+                continue
+        outside = alive ^ ni
+        union = 0
+        contributors = []
+        for j in live:
+            if j != i and not adj[j] & outside:
+                union |= adj[j]
+                contributors.append(j)
+        if union & alive == ni:
+            live.remove(i)
+            alive ^= 1 << i
+            trace.append((i, tuple(contributors), container))
     return alive, trace
-
-
-def _non_isolated(g: Graph) -> int:
-    mask = 0
-    for v, row in enumerate(g.adjacency):
-        if row:
-            mask |= 1 << v
-    return mask
-
-
-def _rcore_sweep(g: Graph) -> tuple[int, list[tuple[int, tuple[int, ...], int | None]]]:
-    """The fixpoint R-core sweep over the non-isolated vertices of ``g``."""
-    return _sweep(g.adjacency, _non_isolated(g), rcore=True, fixpoint=True)
 
 
 def _rcore_maps(
     g: Graph, survivors: int, trace: list[tuple[int, tuple[int, ...], int | None]]
 ) -> tuple[list[int], list[int], list[int]]:
     """The R-core of ``g`` as the columns of its two witnesses, from
-    ``_rcore_sweep(g)``.
+    ``_sweep(g, rcore=True)``.
 
     Returns ``(keep, forward, backward)``. ``keep`` lists the core's
     vertices as vertices of ``g``: the survivors of the sweep, ascending,

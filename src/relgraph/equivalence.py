@@ -19,13 +19,12 @@ from .core import (
     Record,
     Relation,
     _rcore_maps,
-    _rcore_sweep,
     _reduced_graph,
+    _sweep,
     check_witness,
     compose_rel,
     partition_from_classes,
 )
-from .retract import _sweep_reattach
 
 
 class ThinQuotient(Record):
@@ -128,15 +127,14 @@ def rcore(g: Graph, mode: str = "fixpoint") -> Graph:
     """Minimum-order representative of the weak equivalence class.
 
     Isolated vertices are split off first and re-attached as a single
-    isolated vertex. ``mode="literal"`` runs the one-pass variant with
-    stale neighborhoods instead of the recomputed fixpoint.
+    isolated vertex. ``mode`` is ``"fixpoint"`` or ``"literal"``; both
+    compute the same graph, that of :func:`rcore_with_witness`, since one
+    pass of the deletion sweep already is its fixpoint.
     """
-    if mode == "fixpoint":
-        core, _, _ = rcore_with_witness(g)
-        return core
-    if mode != "literal":
+    if mode not in ("fixpoint", "literal"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _sweep_reattach(g, rcore=True, fixpoint=False)
+    core, _, _ = rcore_with_witness(g)
+    return core
 
 
 def rcore_with_witness(g: Graph) -> tuple[Graph, Relation, Relation]:
@@ -150,7 +148,7 @@ def rcore_with_witness(g: Graph) -> tuple[Graph, Relation, Relation]:
     if g.n == 0:
         empty = Relation(0, 0, frozenset())
         return g, empty, empty
-    keep, forward, backward = _rcore_maps(g, *_rcore_sweep(g))
+    keep, forward, backward = _rcore_maps(g, *_sweep(g, rcore=True))
     core = _reduced_graph(g, keep)
     forward = Relation._of_columns(g.n, core.n, forward)
     backward = Relation._of_columns(core.n, g.n, backward)

@@ -18,8 +18,6 @@ from .core import (
     Graph,
     Record,
     Relation,
-    _non_isolated,
-    _reduced_graph,
     _sweep,
     check_witness,
     identity_relation,
@@ -46,7 +44,7 @@ def property_n_star(g: Graph) -> bool:
     with an edge must delete none of them. The covering family must be
     nonempty; a lone isolated vertex does not defeat itself, two do.
     """
-    _, trace = _sweep(g.adjacency, _non_isolated(g), rcore=False, fixpoint=False)
+    _, trace = _sweep(g, rcore=False)
     return not trace and len(g.isolated_vertices()) <= 1
 
 
@@ -183,22 +181,17 @@ def graph_core_with_witness(
     return induced_subgraph(g, sub), RetractionWitness("retraction", frozenset(sub), rel)
 
 
-def _sweep_reattach(g: Graph, *, rcore: bool, fixpoint: bool) -> Graph:
-    """Sweep the non-isolated vertices; isolated ones come back as one vertex."""
-    if g.n == 0:
-        return g
-    survivors, _ = _sweep(g.adjacency, _non_isolated(g), rcore=rcore, fixpoint=fixpoint)
-    keep = [v for v in range(g.n) if survivors >> v & 1]
-    return _reduced_graph(g, keep + g.isolated_vertices()[:1])
-
-
 def cocore(g: Graph, mode: str = "literal") -> Graph:
-    if mode == "literal":
-        core, _ = cocore_with_witness(g)
-        return core
-    if mode != "fixpoint":
+    """Minimal generating subgraph (R-cocore).
+
+    ``mode`` is ``"literal"`` or ``"fixpoint"``; both compute the same
+    graph, that of :func:`cocore_with_witness`, since one pass of the
+    deletion sweep already is its fixpoint.
+    """
+    if mode not in ("literal", "fixpoint"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _sweep_reattach(g, rcore=False, fixpoint=True)
+    core, _ = cocore_with_witness(g)
+    return core
 
 
 def cocore_with_witness(g: Graph) -> tuple[Graph, RetractionWitness]:
@@ -214,7 +207,7 @@ def cocore_with_witness(g: Graph) -> tuple[Graph, RetractionWitness]:
             "coretraction", frozenset(), Relation(0, 0, frozenset())
         )
     adj = g.adjacency
-    survivors, _ = _sweep(adj, _non_isolated(g), rcore=False, fixpoint=False)
+    survivors, _ = _sweep(g, rcore=False)
     keep = [v for v in range(g.n) if survivors >> v & 1]
     pairs = {(x, x) for x in keep}
     for d in range(g.n):

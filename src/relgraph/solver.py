@@ -34,8 +34,8 @@ from .core import (
     _generated_rows,
     _loopless,
     _rcore_maps,
-    _rcore_sweep,
     _reduced_graph,
+    _sweep,
     chromatic_number,
     complement,
     components,
@@ -951,7 +951,7 @@ def _reduce(g: Graph):
     sweep deleted nothing and there is at most one isolated vertex, and no
     map or graph is built.
     """
-    survivors, trace = _rcore_sweep(g)
+    survivors, trace = _sweep(g, rcore=True)
     if not trace and g.n - survivors.bit_count() <= 1:
         return g, None
     maps = _rcore_maps(g, survivors, trace)

@@ -232,3 +232,51 @@ def min_completing_budget(query: rg.SolveQuery, guess: int = 1) -> int:
         else:
             lo = mid
     return hi
+
+
+def reference_sweep(adj, alive: int, *, rcore: bool, fixpoint: bool):
+    """The deletion sweep in its two former forms, as a reference.
+
+    With ``fixpoint`` neighbourhoods are restricted to the live vertices
+    and passes repeat until one deletes nothing; without it one pass reads
+    the full rows, entries of deleted vertices included. Returns the
+    surviving mask and the trace ``(vertex, contributors, container)``.
+    """
+    live = [v for v in range(len(adj)) if alive >> v & 1]
+    trace = []
+    changed = True
+    while changed:
+        changed = False
+        for i in tuple(live):
+            restrict = alive if fixpoint else -1
+            ni = adj[i] & restrict
+            container = None
+            if rcore:
+                container = next((j for j in live if j != i and not ni & ~adj[j]), None)
+                if container is None:
+                    continue
+            outside = restrict & ~ni
+            union = 0
+            contributors = []
+            for j in live:
+                if j != i and not adj[j] & outside:
+                    union |= adj[j] & restrict
+                    contributors.append(j)
+            if union == ni:
+                live.remove(i)
+                alive &= ~(1 << i)
+                trace.append((i, tuple(contributors), container))
+                changed = fixpoint
+    return alive, trace
+
+
+def all_labelled_rows(n: int, loops: bool):
+    """The adjacency rows of every labelled graph on n vertices."""
+    pairs = [(u, v) for u in range(n) for v in range(u if loops else u + 1, n)]
+    for edges in range(1 << len(pairs)):
+        rows = [0] * n
+        for k, (u, v) in enumerate(pairs):
+            if edges >> k & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        yield rows

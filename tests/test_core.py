@@ -8,7 +8,15 @@ import pytest
 
 import relgraph as rg
 from relgraph import core
-from helpers import brute_isomorphic, random_graph, random_image_full_relation, relation_to_mask
+from helpers import (
+    all_labelled_rows,
+    blow_up,
+    brute_isomorphic,
+    random_graph,
+    random_image_full_relation,
+    reference_sweep,
+    relation_to_mask,
+)
 
 
 def test_graph_construction_normalizes_and_validates():
@@ -273,6 +281,32 @@ def test_path_recognition():
     assert rg.path_length_of(rg.disjoint_union(rg.path_graph(2), rg.path_graph(2))) is None
     # A path's degree sequence, but not connected.
     assert rg.path_length_of(rg.disjoint_union(rg.path_graph(3), rg.cycle_graph(3))) is None
+
+
+def test_one_sweep_pass_matches_both_former_forms():
+    """The one-pass sweep deletes what the repeated pass on live rows and
+    the single pass on full rows deleted, in the same order, with the same
+    contributors and container, under both rules."""
+    graphs = [
+        rg.Graph._of_rows(rows)
+        for loops, largest in ((True, 5), (False, 6))
+        for n in range(largest + 1)
+        for rows in all_labelled_rows(n, loops)
+    ]
+    rng = random.Random(22)
+    for _ in range(120):
+        graphs.append(random_graph(rng, rng.randint(6, 40), rng.random(), loops=rng.random() < 0.3))
+    for seed in range(30):
+        base = random_graph(rng, rng.randint(3, 8), rng.random(), loops=seed % 3 == 0)
+        graphs.append(blow_up(base, rng.randint(2, 5), seed))
+    for g in graphs:
+        alive = sum(1 << v for v, row in enumerate(g.adjacency) if row)
+        for rcore in (False, True):
+            got = core._sweep(g, rcore=rcore)
+            for fixpoint in (False, True):
+                assert got == reference_sweep(g.adjacency, alive, rcore=rcore, fixpoint=fixpoint), (
+                    g, rcore, fixpoint
+                )
 
 
 def test_weighted_graph_basics():

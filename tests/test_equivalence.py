@@ -156,6 +156,9 @@ def test_rcore_oracle_agreement_small():
         oracle = rg.rcore_oracle(g)
         assert rg.find_isomorphism(rg.rcore(g), oracle) is not None
         assert rg.find_isomorphism(rg.rcore(g, mode="literal"), oracle) is not None
+        assert rg.rcore(g, mode="literal") == rg.rcore(g, mode="fixpoint")
+    with pytest.raises(ValueError, match="unknown mode"):
+        rg.rcore(rg.cycle_graph(4), mode="stale")
 
 
 def test_rcore_oracle_instances():
@@ -258,8 +261,8 @@ expect_check_error(lambda: rg.weakly_equivalent(c4, p3))
 sweep = retract._sweep
 
 
-def lossy_sweep(adj, alive, **kwargs):
-    survivors, trace = sweep(adj, alive, **kwargs)
+def lossy_sweep(*args, **kwargs):
+    survivors, trace = sweep(*args, **kwargs)
     return survivors & (survivors - 1), trace
 
 

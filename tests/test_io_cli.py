@@ -345,6 +345,8 @@ def test_each_command_loads_only_the_modules_it_runs(files):
         assert "relgraph.cli" in bare and not bare & heavy, (args, bare & heavy)
         if args[0] in ("rcore", "thin"):
             assert "relgraph.generate" not in bare, args
+        if args[0] in ("rcore", "thin") or "equiv" in args:
+            assert "relgraph.retract" not in loaded, args
     loaded = _modules_loaded("--json", "solve", "--all", g, h)
     assert "relgraph.solver" in loaded
     unused = {

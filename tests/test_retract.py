@@ -107,6 +107,9 @@ def test_cocore_oracle_agreement_small():
         oracle = rg.cocore_oracle(g)
         assert rg.find_isomorphism(rg.cocore(g), oracle) is not None
         assert rg.find_isomorphism(rg.cocore(g, mode="fixpoint"), oracle) is not None
+        assert rg.cocore(g, mode="fixpoint") == rg.cocore(g, mode="literal")
+    with pytest.raises(ValueError, match="unknown mode"):
+        rg.cocore(rg.cycle_graph(4), mode="stale")
 
 
 def test_cocore_oracle_instances():
