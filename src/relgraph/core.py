@@ -71,37 +71,51 @@ class Record:
     """
 
     __match_args__: tuple[str, ...] = ()
+    # Set per class: each field with a default, mapped to it, and for each
+    # count k of positional arguments, the fields a keyword may name.
+    _defaults: dict = {}
+    _tails: tuple[frozenset[str], ...] = (frozenset(),)
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls.__match_args__ += tuple(cls.__dict__.get("__annotations__", ()))
+        fields = cls.__match_args__ = cls.__match_args__ + tuple(
+            cls.__dict__.get("__annotations__", ())
+        )
+        cls._defaults = {field: getattr(cls, field) for field in fields if hasattr(cls, field)}
+        cls._tails = tuple(frozenset(fields[k:]) for k in range(len(fields) + 1))
 
     def __init__(self, *args, **kwargs) -> None:
         names = self.__match_args__
         if kwargs or len(args) != len(names):
-            args = self._bind(args, kwargs)
-        self.__dict__.update(zip(names, args))
+            # Valid when each keyword names a field after the positional
+            # ones and every field is then given or has a default.
+            given = {**self._defaults, **kwargs}
+            given.update(zip(names, args))
+            if (
+                len(args) > len(names)
+                or len(given) != len(names)
+                or not kwargs.keys() <= self._tails[len(args)]
+            ):
+                self._raise_bad_call(args, kwargs)
+            self.__dict__.update(given)
+        else:
+            self.__dict__.update(zip(names, args))
         self.__post_init__()
 
     @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The field values, in order, from a call's arguments and the defaults."""
+    def _raise_bad_call(cls, args: tuple, kwargs: dict) -> None:
+        """Raise the ``TypeError`` that names what is wrong with a call."""
         name = cls.__name__
         fields = cls.__match_args__
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} arguments, {len(args)} given")
-        values = list(args)
         for field in fields[len(args):]:
             if field in kwargs:
-                values.append(kwargs.pop(field))
-            elif hasattr(cls, field):
-                values.append(getattr(cls, field))
-            else:
+                kwargs.pop(field)
+            elif field not in cls._defaults:
                 raise TypeError(f"{name}() missing argument {field!r}")
-        if kwargs:
-            # A keyword left over names no field, or one given by position.
-            raise TypeError(f"{name}() got an unexpected or repeated argument {min(kwargs)!r}")
-        return values
+        # A keyword left over names no field, or one given by position.
+        raise TypeError(f"{name}() got an unexpected or repeated argument {min(kwargs)!r}")
 
     def __post_init__(self) -> None:
         """Checks of the fields, run by the constructor; none by default."""
@@ -672,9 +686,7 @@ def partition_from_classes(universe_size: int, classes) -> Partition:
     return Partition(universe_size, ordered)
 
 
-def _sweep(
-    g: Graph, *, rcore: bool
-) -> tuple[int, list[tuple[int, tuple[int, ...], int | None]]]:
+def _deletions(g: Graph, *, rcore: bool):
     """The neighbourhood-deletion rule behind R-cores and R-cocores.
 
     One pass visits the vertices of ``g`` with an edge in ascending order,
@@ -697,13 +709,12 @@ def _sweep(
     containers only shrink as L shrinks, so a vertex kept when visited
     stays kept, and a second pass would delete nothing.
 
-    Returns the surviving vertex mask and the trace of deletions, in order,
-    as ``(vertex, contributors, container)``.
+    Yields each deletion as it is made, as ``(vertex, contributors,
+    container)``, so a caller may stop at the first.
     """
     adj = g.adjacency
     live = [v for v, row in enumerate(adj) if row]
     alive = sum(1 << v for v in live)
-    trace = []
     for i in tuple(live):
         ni = adj[i] & alive
         container = None
@@ -726,8 +737,17 @@ def _sweep(
         if union & alive == ni:
             live.remove(i)
             alive ^= 1 << i
-            trace.append((i, tuple(contributors), container))
-    return alive, trace
+            yield i, tuple(contributors), container
+
+
+def _sweep(
+    g: Graph, *, rcore: bool
+) -> tuple[int, list[tuple[int, tuple[int, ...], int | None]]]:
+    """The surviving vertex mask after every ``_deletions`` of ``g``, and
+    the trace of those deletions, in order."""
+    trace = list(_deletions(g, rcore=rcore))
+    alive = sum(1 << v for v, row in enumerate(g.adjacency) if row)
+    return alive ^ sum(1 << i for i, _, _ in trace), trace
 
 
 def _rcore_maps(

@@ -18,6 +18,7 @@ from .core import (
     Graph,
     Record,
     Relation,
+    _deletions,
     _sweep,
     check_witness,
     identity_relation,
@@ -40,12 +41,12 @@ def property_n_star(g: Graph) -> bool:
 
     Greedy test: the union of all neighborhoods contained in N(x) is the
     largest candidate union, so comparing it against N(x) is exact. That is
-    the R-cocore deletion rule, so a pass of ``_sweep`` over the vertices
-    with an edge must delete none of them. The covering family must be
-    nonempty; a lone isolated vertex does not defeat itself, two do.
+    the R-cocore deletion rule, so a pass of ``_deletions`` over the
+    vertices with an edge must delete none of them; the first deletion
+    settles it. The covering family must be nonempty; a lone isolated
+    vertex does not defeat itself, two do.
     """
-    _, trace = _sweep(g, rcore=False)
-    return not trace and len(g.isolated_vertices()) <= 1
+    return next(_deletions(g, rcore=False), None) is None and len(g.isolated_vertices()) <= 1
 
 
 def _identity_within(sub: list[int], rel: Relation) -> bool:

@@ -47,10 +47,6 @@ from .core import (
     radius,
 )
 
-# Masks that one column search may store in its candidate-list memos: the
-# size of the subset table the search already holds.
-_MEMO_LIMIT = 1 << SOLVER_VERTEX_CAP
-
 # certify() is called once per candidate inside the oracle scans, so the
 # underlying invariants are memoized on the (hashable) graph values.
 _chromatic = lru_cache(maxsize=65536)(chromatic_number)
@@ -141,6 +137,17 @@ def _subset_neighbors(g: Graph) -> list[int]:
     return table
 
 
+@lru_cache(maxsize=SOLVER_VERTEX_CAP + 1)
+def _containing(n: int) -> tuple[int, ...]:
+    """For each source vertex x < n, the set of the masks below 2^n that
+    contain x, as the integer with bit ``mask`` set for each. Each doubles
+    the one for n - 1; vertex n - 1 is in the upper half of the masks."""
+    if n == 0:
+        return ()
+    half = 1 << n - 1
+    return tuple(has | has << half for has in _containing(n - 1)) + ((1 << half) - 1 << half,)
+
+
 def _search_columns(
     src: Graph,
     tgt: Graph,
@@ -157,23 +164,25 @@ def _search_columns(
     ``nbr`` is ``_subset_neighbors(src)``. ``required``/``universe`` give
     per-target-vertex masks that each column must contain / stay inside.
     The target may be disconnected: columns of different components are
-    non-adjacent, so the ``forbidden`` mask keeps their domains apart.
+    non-adjacent, so each avoids the others' neighbourhoods.
 
-    A node scans only its column's candidates disjoint from ``forbidden``,
-    the union of the neighbourhoods the column must avoid. The same
-    ``forbidden`` recurs at most nodes, so each candidate list keeps a memo
-    from ``forbidden`` to the positions of that sub-list in the whole list,
-    for this call only. The memos store at most ``_MEMO_LIMIT`` positions
-    in all; past that, a sub-list is built and dropped. Budget units are
-    still charged by position in the whole list, so the memo changes no
-    solution, order or unit.
+    Candidate sets are bit-parallel, as in San Segundo, Rodriguez-Losada
+    and Jimenez, "An exact bit-parallel algorithm for the maximum clique
+    problem" (2011): one integer with bit ``mask`` set for each member. A
+    column's base set holds the nonempty masks that keep its pins and, in
+    strong mode, its loop requirement. ``mets[j]`` holds the masks meeting
+    the neighbourhood of the column chosen at position j. A node ANDs its
+    base set with those of the earlier columns adjacent to it, with the
+    complements of the others' and, in full-domain mode, with the masks
+    that leave every source vertex coverable; it walks the rest ascending.
 
-    The units are counted in a local ``held`` and passed to
-    ``budget.spend`` only when they reach the number ``spend`` last
-    returned, before every yield and when the search ends. So the budget
-    runs out, and reads the clock, after the same candidate as with one
-    call per charge, and ``nodes_left`` is exact whenever the search is
-    suspended or done.
+    Each mask of the base set costs one budget unit, kept or not: a kept
+    mask is charged up to its position in the base set before the search
+    goes on from it, the rest when the node ends. The units are passed to
+    ``budget.spend`` only when they reach the number it last returned, and
+    before every yield and when the search ends. So the budget runs out,
+    and reads the clock, before the same yield as with one call per mask,
+    and ``nodes_left`` is exact whenever the search is suspended or done.
     """
     n, m = src.n, tgt.n
     full = (1 << n) - 1
@@ -183,41 +192,50 @@ def _search_columns(
         return
     if n == 0:
         return
-    tadj = tgt.adjacency
+    tadj, sadj = tgt.adjacency, src.adjacency
     order = sorted(range(m), key=lambda b: (-tgt.degree(b), b))
+    slot = sorted(range(m), key=order.__getitem__)
+    has = _containing(n)
 
-    # Columns with the same pins (and, in strong mode, the same loop
-    # requirement) share one read-only candidate list, ascending, and one
-    # memo: ``forbidden`` -> the positions of the list's masks disjoint
-    # from it, in order. All positions stand for ``forbidden = 0``.
-    lists: dict[tuple[int, int, bool | None], tuple[list[int], dict[int, range | list[int]]]] = {}
-    cand = []
+    # The masks meeting a source-vertex set, per set, for this call. It
+    # stores at most 2^22 >> n sets of 2^n bits, 512 KiB in all: every set
+    # it sees for n <= 11.
+    memo: dict[int, int] = {}
+    room = 1 << 22 >> n
+
+    def meeting(vertices: int) -> int:
+        met = memo.get(vertices)
+        if met is None:
+            met, rest = 0, vertices
+            while rest:
+                low = rest & -rest
+                met |= has[low.bit_length() - 1]
+                rest ^= low
+            if len(memo) < room:
+                memo[vertices] = met
+        return met
+
+    # A strong column is loopless iff its mask is independent: no x in it meets N(x).
+    indep = None if weak else reduce(and_, [~(has[x] & meeting(sadj[x])) for x in range(n)])
+    bases = []
     for b in order:
-        req = required[b] if required is not None else 0
-        uni = universe[b] if universe is not None else full
-        loop = None if weak else bool(tadj[b] >> b & 1)
-        entry = lists.get((req, uni, loop))
-        if entry is None:
-            opts = [
-                mask
-                for mask in range(1, full + 1)
-                if not mask & ~uni
-                and mask & req == req
-                and (loop is None or bool(nbr[mask] & mask) == loop)
-            ]
-            entry = lists[req, uni, loop] = (opts, {0: range(len(opts))})
-        if not entry[0]:
+        base = (2 << full) - 2
+        for x in range(n):
+            if required is not None and required[b] >> x & 1:
+                base &= has[x]
+            if universe is not None and not universe[b] >> x & 1:
+                base &= ~has[x]
+        if not weak:
+            base &= ~indep if tadj[b] >> b & 1 else indep
+        if not base:
             return
-        cand.append(entry)
-    # Masks the memos may still store. An entry costs its masks plus one,
-    # so empty sub-lists count too.
-    room = _MEMO_LIMIT
+        bases.append(base)
 
     # Full-domain pruning rests on one rule: a vertex next to column j's
     # contents may only sit in columns adjacent to j, at the positions set in
     # ``tpos_adj[j]``. ``avail[p]`` holds the source vertices that may still
     # join the column at position p; in strong mode a looped vertex never
-    # joins a loopless column.
+    # joins a loopless column. ``spare[v]``: the masks that hold v or avoid N(v).
     avail = []
     if full_domain:
         pos_of = {b: i for i, b in enumerate(order)}
@@ -226,8 +244,11 @@ def _search_columns(
         for b in order:
             uni = universe[b] if universe is not None else full
             avail.append(uni if tadj[b] >> b & 1 else uni & ~looped)
+        spare = [has[v] | ~meeting(sadj[v]) for v in range(n)]
 
     chosen = [0] * m
+    mets = [0] * m
+    last = m - 1
     limited = not budget.unlimited
     spend = budget.spend
     # Units charged but not yet spent, and the count at which they must be.
@@ -235,32 +256,20 @@ def _search_columns(
     limit = spend(0) if limited else None
 
     def dfs(i: int, covered: int):
-        nonlocal room, held, limit
-        if i == m:
-            if held:
-                limit = spend(held)
-                held = 0
-            out = [0] * m
-            for pos, b in enumerate(order):
-                out[b] = chosen[pos]
-            yield tuple(out)
-            return
-        b = order[i]
-        # Collapse the constraints from assigned columns: a candidate must
-        # avoid every neighborhood it may not touch and hit each one it must.
-        forbidden = 0
-        need_hit = []
-        tb = tadj[b]
+        nonlocal held, limit
+        base = keep = bases[i]
+        tb = tadj[order[i]]
+        avoid = 0
         for j in range(i):
-            nb_j = nbr[chosen[j]]
             if tb >> order[j] & 1:
-                need_hit.append(nb_j)
+                keep &= mets[j]
             else:
-                forbidden |= nb_j
+                avoid |= mets[j]
+        keep &= ~avoid
         if full_domain:
-            # What the later columns may take: those adjacent to b (``near``)
-            # keep it, the rest (``far``) lose a candidate's neighbours.
-            tp = tpos_adj[b]
+            # What the later columns may take: those adjacent to this one
+            # (``near``) keep it, the rest (``far``) lose a mask's neighbours.
+            tp = tpos_adj[order[i]]
             near = far = 0
             far_pos = []
             for p in range(i + 1, m):
@@ -269,48 +278,39 @@ def _search_columns(
                 else:
                     far |= avail[p]
                     far_pos.append(p)
-        opts, memo = cand[i]
-        allowed = memo.get(forbidden)
-        if allowed is None:
-            allowed = [k for k, mask in enumerate(opts) if not mask & forbidden]
-            if len(allowed) < room:
-                memo[forbidden] = allowed
-                room -= len(allowed) + 1
-        # Every mask of ``opts`` costs one budget unit, whether or not it is
-        # in ``allowed``. A rejected mask has no effect, so the units are
-        # charged in bulk: up to each accepted mask before the search goes
-        # on from it, and the rest when the loop ends.
+            rest = full & ~(covered | near)
+            while rest and keep:
+                low = rest & -rest
+                rest ^= low
+                keep &= spare[low.bit_length() - 1] if far & low else has[low.bit_length() - 1]
         charged = 0
-        for k in allowed:
-            mask = opts[k]
-            ok = True
-            for h in need_hit:
-                if not mask & h:
-                    ok = False
-                    break
-            if not ok:
-                continue
+        while keep:
+            low = keep & -keep
+            keep ^= low
+            mask = low.bit_length() - 1
             if limited:
-                held += k + 1 - charged
-                charged = k + 1
-                if held >= limit:
+                k = (base & ((low << 1) - 1)).bit_count()
+                held += k - charged
+                charged = k
+                # A solution is yielded with every unit spent.
+                if held >= limit or i == last:
                     limit = spend(held)
                     held = 0
             chosen[i] = mask
+            if i == last:
+                yield tuple(map(chosen.__getitem__, slot))
+                continue
+            mets[i] = memo.get(nbr[mask]) or meeting(nbr[mask])
             if full_domain:
-                # Dead when a source vertex can no longer be covered.
-                keep = ~nbr[mask]
-                if covered | mask | near | (far & keep) != full:
-                    continue
                 saved = avail[i + 1:]
                 for p in far_pos:
-                    avail[p] &= keep
+                    avail[p] &= ~nbr[mask]
                 yield from dfs(i + 1, covered | mask)
                 avail[i + 1:] = saved
             else:
                 yield from dfs(i + 1, covered | mask)
         if limited:
-            held += len(opts) - charged
+            held += base.bit_count() - charged
             if held >= limit:
                 limit = spend(held)
                 held = 0

@@ -14,6 +14,7 @@ from itertools import permutations
 import numpy as np
 
 import relgraph as rg
+from relgraph.solver import _NO_BUDGET
 
 
 def naive_neighbor_table(g: rg.Graph) -> np.ndarray:
@@ -280,3 +281,167 @@ def all_labelled_rows(n: int, loops: bool):
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
         yield rows
+
+
+def reference_search_columns(
+    src: rg.Graph,
+    tgt: rg.Graph,
+    nbr: list[int],
+    *,
+    weak: bool = False,
+    full_domain: bool = False,
+    required: list[int] | None = None,
+    universe: list[int] | None = None,
+    budget=_NO_BUDGET,
+):
+    """The column search with its candidates as lists, as a reference.
+
+    Yields what ``solver._search_columns`` yields, in the same order, and
+    charges ``budget`` the same units before each yield: one per
+    candidate mask of the column's list, walked one mask at a time. Each
+    list keeps a memo from a ``forbidden`` mask to the positions of its
+    masks disjoint from it, up to 2^16 stored positions in all.
+    """
+    n, m = src.n, tgt.n
+    full = (1 << n) - 1
+    if m == 0:
+        if not (full_domain and n > 0):
+            yield ()
+        return
+    if n == 0:
+        return
+    tadj = tgt.adjacency
+    order = sorted(range(m), key=lambda b: (-tgt.degree(b), b))
+
+    # Columns with the same pins (and, in strong mode, the same loop
+    # requirement) share one read-only candidate list, ascending, and one
+    # memo: ``forbidden`` -> the positions of the list's masks disjoint
+    # from it, in order. All positions stand for ``forbidden = 0``.
+    lists: dict[tuple[int, int, bool | None], tuple[list[int], dict[int, range | list[int]]]] = {}
+    cand = []
+    for b in order:
+        req = required[b] if required is not None else 0
+        uni = universe[b] if universe is not None else full
+        loop = None if weak else bool(tadj[b] >> b & 1)
+        entry = lists.get((req, uni, loop))
+        if entry is None:
+            opts = [
+                mask
+                for mask in range(1, full + 1)
+                if not mask & ~uni
+                and mask & req == req
+                and (loop is None or bool(nbr[mask] & mask) == loop)
+            ]
+            entry = lists[req, uni, loop] = (opts, {0: range(len(opts))})
+        if not entry[0]:
+            return
+        cand.append(entry)
+    # Masks the memos may still store. An entry costs its masks plus one,
+    # so empty sub-lists count too.
+    room = 1 << 16
+
+    # Full-domain pruning rests on one rule: a vertex next to column j's
+    # contents may only sit in columns adjacent to j, at the positions set in
+    # ``tpos_adj[j]``. ``avail[p]`` holds the source vertices that may still
+    # join the column at position p; in strong mode a looped vertex never
+    # joins a loopless column.
+    avail = []
+    if full_domain:
+        pos_of = {b: i for i, b in enumerate(order)}
+        tpos_adj = [sum(1 << pos_of[c] for c in range(m) if tadj[b] >> c & 1) for b in range(m)]
+        looped = 0 if weak else sum(1 << x for x in src.loop_vertices())
+        for b in order:
+            uni = universe[b] if universe is not None else full
+            avail.append(uni if tadj[b] >> b & 1 else uni & ~looped)
+
+    chosen = [0] * m
+    limited = not budget.unlimited
+    spend = budget.spend
+    # Units charged but not yet spent, and the count at which they must be.
+    held = 0
+    limit = spend(0) if limited else None
+
+    def dfs(i: int, covered: int):
+        nonlocal room, held, limit
+        if i == m:
+            if held:
+                limit = spend(held)
+                held = 0
+            out = [0] * m
+            for pos, b in enumerate(order):
+                out[b] = chosen[pos]
+            yield tuple(out)
+            return
+        b = order[i]
+        # Collapse the constraints from assigned columns: a candidate must
+        # avoid every neighborhood it may not touch and hit each one it must.
+        forbidden = 0
+        need_hit = []
+        tb = tadj[b]
+        for j in range(i):
+            nb_j = nbr[chosen[j]]
+            if tb >> order[j] & 1:
+                need_hit.append(nb_j)
+            else:
+                forbidden |= nb_j
+        if full_domain:
+            # What the later columns may take: those adjacent to b (``near``)
+            # keep it, the rest (``far``) lose a candidate's neighbours.
+            tp = tpos_adj[b]
+            near = far = 0
+            far_pos = []
+            for p in range(i + 1, m):
+                if tp >> p & 1:
+                    near |= avail[p]
+                else:
+                    far |= avail[p]
+                    far_pos.append(p)
+        opts, memo = cand[i]
+        allowed = memo.get(forbidden)
+        if allowed is None:
+            allowed = [k for k, mask in enumerate(opts) if not mask & forbidden]
+            if len(allowed) < room:
+                memo[forbidden] = allowed
+                room -= len(allowed) + 1
+        # Every mask of ``opts`` costs one budget unit, whether or not it is
+        # in ``allowed``. A rejected mask has no effect, so the units are
+        # charged in bulk: up to each accepted mask before the search goes
+        # on from it, and the rest when the loop ends.
+        charged = 0
+        for k in allowed:
+            mask = opts[k]
+            ok = True
+            for h in need_hit:
+                if not mask & h:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if limited:
+                held += k + 1 - charged
+                charged = k + 1
+                if held >= limit:
+                    limit = spend(held)
+                    held = 0
+            chosen[i] = mask
+            if full_domain:
+                # Dead when a source vertex can no longer be covered.
+                keep = ~nbr[mask]
+                if covered | mask | near | (far & keep) != full:
+                    continue
+                saved = avail[i + 1:]
+                for p in far_pos:
+                    avail[p] &= keep
+                yield from dfs(i + 1, covered | mask)
+                avail[i + 1:] = saved
+            else:
+                yield from dfs(i + 1, covered | mask)
+        if limited:
+            held += len(opts) - charged
+            if held >= limit:
+                limit = spend(held)
+                held = 0
+
+    yield from dfs(0, 0)
+    if held:
+        spend(held)

@@ -17,6 +17,7 @@ from helpers import (
     min_completing_budget,
     naive_solution_masks,
     random_graph,
+    reference_search_columns,
     relation_to_mask,
 )
 
@@ -275,54 +276,23 @@ def test_iter_solutions_raises_budget_exhaustion_to_its_caller():
     assert not ss.complete and cert is None
 
 
-def _column_run(g, h, weak, full_domain, required, universe, node_budget, limit=2_000):
-    """Up to ``limit`` yields of one column search, a marker if its budget
-    ran out, and the budget's counters afterwards."""
+def _column_run(search, g, h, weak, full_domain, required, universe, node_budget, limit=2_000):
+    """Up to ``limit`` yields of one column search by ``search``, each with
+    the budget's ``nodes_left`` when it came, a marker if the budget ran
+    out, and the budget's ``_ticks`` afterwards."""
     budget = solver._Budget(node_budget, None)
-    search = solver._search_columns(
-        g, h, solver._subset_neighbors(g), weak=weak, full_domain=full_domain,
-        required=required, universe=universe, budget=budget,
-    )
     out = []
     try:
-        for cols in search:
-            out.append(cols)
+        for cols in search(
+            g, h, solver._subset_neighbors(g), weak=weak, full_domain=full_domain,
+            required=required, universe=universe, budget=budget,
+        ):
+            out.append((cols, budget.nodes_left))
             if len(out) == limit:
                 break
     except rg.BudgetExhaustedError:
         out.append("exhausted")
-    return out, budget.nodes_left, budget._ticks
-
-
-def test_candidate_memo_changes_nothing_a_caller_sees(monkeypatch):
-    """The same yields, in the same order, and the same budget counters,
-    whether the memos store every sub-list or none."""
-    rng = random.Random(61)
-    for trial in range(500):
-        n, m = rng.randint(1, 7), rng.randint(1, 5)
-        weak = trial % 2 == 1
-        g = random_graph(rng, n, p=rng.random(), loops=not weak and trial % 3 == 0)
-        if trial % 5 < 2:
-            h = random_graph(rng, m, p=rng.random(), loops=not weak)
-        else:
-            # The image of a random relation: a target with solutions.
-            pairs = [(rng.randrange(n), b) for b in range(m) for _ in range(rng.randint(1, 2))]
-            rel = rg.relation_from_pairs(n, m, pairs)
-            h = rg.apply_weak(g, rel) if weak else rg.apply_strong(g, rel)
-        full = (1 << n) - 1
-        required = universe = None
-        if trial % 4 == 0:
-            required = [rng.randrange(full + 1) & rng.randrange(full + 1) for _ in range(m)]
-        if trial % 3 == 0:
-            universe = [
-                rng.randrange(full + 1) | (required[b] if required else 0) for b in range(m)
-            ]
-        node_budget = rng.choice([None, rng.randint(1, 20_000), int(20_000 ** rng.random())])
-        args = (g, h, weak, trial % 4 >= 2, required, universe, node_budget)
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "_MEMO_LIMIT", 0)
-            bare = _column_run(*args)
-        assert _column_run(*args) == bare, args
+    return out, budget._ticks
 
 
 def _random_column_search(rng, trial):
@@ -344,6 +314,28 @@ def _random_column_search(rng, trial):
     if rng.random() < 0.3:
         universe = [rng.randrange(full + 1) | (required[b] if required else 0) for b in range(m)]
     return g, h, weak, trial % 4 >= 2, required, universe
+
+
+def test_column_search_matches_the_list_reference():
+    """The bit-parallel search against ``reference_search_columns``, which
+    walks candidate lists a mask at a time: the same yields in the same
+    order, the same ``nodes_left`` at each yield, the same exhaustion and
+    the same final ``_ticks``, on 2,400 random searches with n <= 8 and
+    m <= 5. A search drawn without a budget runs without one when it needs
+    at most 50,000 units, and under 50,000 units otherwise."""
+    rng = random.Random(29)
+    unlimited = 0
+    for trial in range(2_400):
+        args = _random_column_search(rng, trial)
+        node_budget = rng.choice([None, rng.randint(1, 20_000), int(20_000 ** rng.random())])
+        if node_budget is None:
+            if "exhausted" in _column_run(solver._search_columns, *args, 50_000)[0]:
+                node_budget = 50_000
+            else:
+                unlimited += 1
+        got = _column_run(solver._search_columns, *args, node_budget)
+        assert got == _column_run(reference_search_columns, *args, node_budget), args
+    assert unlimited >= 400
 
 
 def test_budget_units_are_exact_on_random_searches(monkeypatch):
@@ -410,26 +402,41 @@ def test_budget_units_are_exact_on_random_searches(monkeypatch):
     assert len(sizes) >= 300 and sum(units >= 512 for units in sizes) >= 40
 
 
-def test_candidate_memo_stays_within_its_limit(monkeypatch):
-    g, h = rg.cycle_graph(9), rg.path_graph(4)
-    want = list(solver._search_columns(g, h, solver._subset_neighbors(g)))
-    monkeypatch.setattr(solver, "_MEMO_LIMIT", 1_000)
-    search = solver._search_columns(g, h, solver._subset_neighbors(g))
-    got, peak = [], 0
-    for cols in search:
-        got.append(cols)
-        if len(got) % 500 == 1:
-            state = search.gi_frame.f_locals
-            stored = sum(
-                len(sub) + 1
-                for _, memo in state["lists"].values()
-                for forbidden, sub in memo.items()
-                if forbidden
-            )
-            assert stored == 1_000 - state["room"] <= 1_000
-            peak = max(peak, stored)
-    assert got == want and len(got) == 84_240
-    assert peak > 900
+def _first_or_frame(search, g, h, weak, node_budget):
+    """The first yield of a full-domain column search under ``node_budget``
+    with the budget's counters, and the search's frame if it ran out."""
+    budget = solver._Budget(node_budget, None)
+    try:
+        cols = next(search(
+            g, h, solver._subset_neighbors(g), weak=weak, full_domain=True, budget=budget
+        ))
+    except rg.BudgetExhaustedError as exc:
+        tb = exc.__traceback__
+        while tb.tb_frame.f_code is not search.__code__:
+            tb = tb.tb_next
+        return ("exhausted", budget._ticks), tb.tb_frame
+    return (cols, budget.nodes_left, budget._ticks), None
+
+
+def test_near_cap_searches_match_the_reference_within_the_memo_bound():
+    """At n = 16, C16 -> C5 full-domain runs out of 200,000 units and a
+    planted weak full-domain query finds a solution after 139,264, as the
+    reference does. The memo of the masks meeting each neighbourhood keeps
+    within the 2^22 bits its comment states, and fills it on C16 -> C5."""
+    rng = random.Random(0)
+    g = random_graph(rng, 16, p=0.25)
+    pairs = [(x, rng.randrange(4)) for x in range(16)] + [(rng.randrange(16), b) for b in range(4)]
+    planted = rg.apply_weak(g, rg.relation_from_pairs(16, 4, pairs))
+    for g, h, weak in [(rg.cycle_graph(16), rg.cycle_graph(5), False), (g, planted, True)]:
+        want, _ = _first_or_frame(reference_search_columns, g, h, weak, 200_000)
+        got, frame = _first_or_frame(solver._search_columns, g, h, weak, 200_000)
+        assert got == want
+        if weak:
+            assert frame is None and got[1] == 200_000 - 139_264
+        else:
+            memo = frame.f_locals["memo"]
+            assert len(memo) == 64
+            assert sum(met.bit_length() for met in memo.values()) <= 1 << 22
 
 
 def test_side_doors_enforce_the_vertex_cap():
