@@ -392,7 +392,7 @@ def chromatic_number(g: Graph) -> int:
         raise LoopsNotAllowedError("chromatic number is defined for simple graphs")
     if g.n == 0:
         return 0
-    if not g.edges:
+    if not any(g.adjacency):
         return 1
     # Color in reverse degeneracy order: most constrained vertices first.
     order = _degeneracy_order(g)[::-1]

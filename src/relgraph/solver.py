@@ -74,7 +74,9 @@ class PreconditionViolatedError(ValueError):
 class _Budget:
     """Node/time budget of one query, counted in candidate masks considered.
 
-    A weak exists-query's strong attempt and weak search draw on one budget.
+    A child that the column search's forward check cuts costs its column's
+    whole base set, which is what visiting it would cost at least. A weak
+    exists-query's strong attempt and weak search draw on one budget.
 
     ``spend(count)`` charges ``count`` units at once: the node budget runs
     out as soon as fewer than zero units are left, and the deadline is
@@ -123,16 +125,10 @@ def _check_cap(g: Graph, h: Graph) -> None:
         raise CapExceededError(f"solver instances are capped at {SOLVER_VERTEX_CAP} vertices")
 
 
-def _subset_neighbors(g: Graph) -> list[int]:
-    """For every vertex-subset mask of ``g``, the union of its members' rows.
-
-    The table has 2^n entries, at most 65,536 under SOLVER_VERTEX_CAP. Each
-    solver entry point builds it once, after the certificates have had
-    their chance to decide the query, passes it down, and drops it on
-    return.
-    """
+def _unions(rows: list[int]) -> list[int]:
+    """For every subset mask of ``rows``' indices, the union of its rows."""
     table = [0]
-    for row in g.adjacency:
+    for row in rows:
         table += [t | row for t in table]
     return table
 
@@ -151,7 +147,6 @@ def _containing(n: int) -> tuple[int, ...]:
 def _search_columns(
     src: Graph,
     tgt: Graph,
-    nbr: list[int],
     *,
     weak: bool = False,
     full_domain: bool = False,
@@ -161,28 +156,34 @@ def _search_columns(
 ):
     """Yield solutions as tuples of pre-image masks indexed by target vertex.
 
-    ``nbr`` is ``_subset_neighbors(src)``. ``required``/``universe`` give
-    per-target-vertex masks that each column must contain / stay inside.
-    The target may be disconnected: columns of different components are
-    non-adjacent, so each avoids the others' neighbourhoods.
+    ``required``/``universe`` give per-target-vertex masks that each column
+    must contain / stay inside. The target may be disconnected: columns of
+    different components are non-adjacent, so each avoids the others'
+    neighbourhoods.
 
     Candidate sets are bit-parallel, as in San Segundo, Rodriguez-Losada
     and Jimenez, "An exact bit-parallel algorithm for the maximum clique
     problem" (2011): one integer with bit ``mask`` set for each member. A
     column's base set holds the nonempty masks that keep its pins and, in
-    strong mode, its loop requirement. ``mets[j]`` holds the masks meeting
-    the neighbourhood of the column chosen at position j. A node ANDs its
-    base set with those of the earlier columns adjacent to it, with the
-    complements of the others' and, in full-domain mode, with the masks
-    that leave every source vertex coverable; it walks the rest ascending.
+    strong mode, its loop requirement. A node receives ``sets``, the
+    candidate sets of its own column and of every later one, and, in
+    full-domain mode, ANDs its own with the masks that leave every source
+    vertex coverable; it walks the rest ascending. The choice of a mask is
+    forward-checked, as in Haralick and Elliott, "Increasing tree search
+    efficiency for constraint satisfaction problems" (1980): each later set
+    keeps the masks that meet the chosen mask's neighbourhood if its column
+    is adjacent to this one, and those that avoid it otherwise. A child
+    with an empty later set has no solution below it and is cut.
 
     Each mask of the base set costs one budget unit, kept or not: a kept
     mask is charged up to its position in the base set before the search
-    goes on from it, the rest when the node ends. The units are passed to
-    ``budget.spend`` only when they reach the number it last returned, and
-    before every yield and when the search ends. So the budget runs out,
-    and reads the clock, before the same yield as with one call per mask,
-    and ``nodes_left`` is exact whenever the search is suspended or done.
+    goes on from it, the rest when the node ends. A cut child is charged
+    its column's whole base set, which is what visiting it would cost at
+    least. The units are passed to ``budget.spend`` only when they reach
+    the number it last returned, and before every yield and when the
+    search ends. So the budget runs out, and reads the clock, before the
+    same yield as with one call per charge, and ``nodes_left`` is exact
+    whenever the search is suspended or done.
     """
     n, m = src.n, tgt.n
     full = (1 << n) - 1
@@ -215,6 +216,11 @@ def _search_columns(
                 memo[vertices] = met
         return met
 
+    # A mask's neighbourhood is the union of two table rows, one per half of
+    # its bits: 2^(n // 2) + 2^(n - n // 2) rows instead of 2^n.
+    half = n // 2
+    low_half = (1 << half) - 1
+    low_nbr, high_nbr = _unions(sadj[:half]), _unions(sadj[half:])
     # A strong column is loopless iff its mask is independent: no x in it meets N(x).
     indep = None if weak else reduce(and_, [~(has[x] & meeting(sadj[x])) for x in range(n)])
     bases = []
@@ -230,16 +236,18 @@ def _search_columns(
         if not base:
             return
         bases.append(base)
+    # A node's units: its base set. A cut child costs the same.
+    size = [base.bit_count() for base in bases]
+    # For each position, whether each later column is adjacent to its own.
+    ahead = [[bool(tadj[order[i]] >> c & 1) for c in order[i + 1:]] for i in range(m)]
 
     # Full-domain pruning rests on one rule: a vertex next to column j's
-    # contents may only sit in columns adjacent to j, at the positions set in
-    # ``tpos_adj[j]``. ``avail[p]`` holds the source vertices that may still
-    # join the column at position p; in strong mode a looped vertex never
-    # joins a loopless column. ``spare[v]``: the masks that hold v or avoid N(v).
+    # contents may only sit in columns adjacent to j. ``avail[p]`` holds the
+    # source vertices that may still join the column at position p; in
+    # strong mode a looped vertex never joins a loopless column.
+    # ``spare[v]``: the masks that hold v or avoid N(v).
     avail = []
     if full_domain:
-        pos_of = {b: i for i, b in enumerate(order)}
-        tpos_adj = [sum(1 << pos_of[c] for c in range(m) if tadj[b] >> c & 1) for b in range(m)]
         looped = 0 if weak else sum(1 << x for x in src.loop_vertices())
         for b in order:
             uni = universe[b] if universe is not None else full
@@ -247,7 +255,6 @@ def _search_columns(
         spare = [has[v] | ~meeting(sadj[v]) for v in range(n)]
 
     chosen = [0] * m
-    mets = [0] * m
     last = m - 1
     limited = not budget.unlimited
     spend = budget.spend
@@ -255,25 +262,19 @@ def _search_columns(
     held = 0
     limit = spend(0) if limited else None
 
-    def dfs(i: int, covered: int):
+    def dfs(i: int, covered: int, sets: list[int]):
         nonlocal held, limit
-        base = keep = bases[i]
-        tb = tadj[order[i]]
-        avoid = 0
-        for j in range(i):
-            if tb >> order[j] & 1:
-                keep &= mets[j]
-            else:
-                avoid |= mets[j]
-        keep &= ~avoid
+        base = bases[i]
+        keep = sets[0]
+        later = sets[1:]
+        flags = ahead[i]
         if full_domain:
             # What the later columns may take: those adjacent to this one
             # (``near``) keep it, the rest (``far``) lose a mask's neighbours.
-            tp = tpos_adj[order[i]]
             near = far = 0
             far_pos = []
-            for p in range(i + 1, m):
-                if tp >> p & 1:
+            for p, adjacent in enumerate(flags, i + 1):
+                if adjacent:
                     near |= avail[p]
                 else:
                     far |= avail[p]
@@ -300,22 +301,37 @@ def _search_columns(
             if i == last:
                 yield tuple(map(chosen.__getitem__, slot))
                 continue
-            mets[i] = memo.get(nbr[mask]) or meeting(nbr[mask])
-            if full_domain:
-                saved = avail[i + 1:]
-                for p in far_pos:
-                    avail[p] &= ~nbr[mask]
-                yield from dfs(i + 1, covered | mask)
-                avail[i + 1:] = saved
+            nb = low_nbr[mask & low_half] | high_nbr[mask >> half]
+            met = memo.get(nb) or meeting(nb)
+            # Forward check: narrow every later set, and stop at an empty one.
+            narrowed = []
+            for s, adjacent in zip(later, flags):
+                s = s & met if adjacent else s & ~met
+                if not s:
+                    break
+                narrowed.append(s)
             else:
-                yield from dfs(i + 1, covered | mask)
+                if full_domain:
+                    saved = avail[i + 1:]
+                    for p in far_pos:
+                        avail[p] &= ~nb
+                    yield from dfs(i + 1, covered | mask, narrowed)
+                    avail[i + 1:] = saved
+                else:
+                    yield from dfs(i + 1, covered | mask, narrowed)
+                continue
+            if limited:
+                held += size[i + 1]
+                if held >= limit:
+                    limit = spend(held)
+                    held = 0
         if limited:
-            held += base.bit_count() - charged
+            held += size[i] - charged
             if held >= limit:
                 limit = spend(held)
                 held = 0
 
-    yield from dfs(0, 0)
+    yield from dfs(0, 0, bases)
     if held:
         spend(held)
 
@@ -640,7 +656,7 @@ def _check_solutions(
     """Re-check column-mask solutions against ``h``'s adjacency rows.
 
     Column b's neighbourhood is the OR of its members' adjacency rows in
-    ``g``, a route independent of the search's subset table and pruning;
+    ``g``, a route independent of the search's neighbourhood tables and pruning;
     it must meet column c exactly when ``h`` has the edge (b, c). One
     solution is composed with ``g`` by ``core._generated_rows``, as
     ``apply_strong`` does, and its rows compared with ``h``'s, loops
@@ -754,9 +770,8 @@ def _solutions(
     mode = "weak" if weak else "strong"
     if certified and certify(g, h, mode, "full" if fulldom else "any") is not None:
         return
-    nbr = _subset_neighbors(g)
     for cols in _search_columns(
-        g, h, nbr, weak=weak, full_domain=fulldom,
+        g, h, weak=weak, full_domain=fulldom,
         required=required, universe=universe, budget=budget,
     ):
         _check_solutions(g, h, [cols], weak, fulldom)
@@ -860,14 +875,12 @@ def _search(
     exists: bool,
     use_fast_paths: bool,
     budget: _Budget,
-    nbr: list[int] | None = None,
 ) -> tuple[list[tuple[int, ...]], bool, Certificate | None]:
     """Certify, the fast paths, then the column search of ``g * R = h``.
 
     Returns the solutions as unchecked column masks, only the first when
     ``exists``, whether the search completed within ``budget``, and the
-    certificate of a no-instance. ``nbr``, ``_subset_neighbors(g)``, is
-    built here when not given. A weak exists-query that no certificate or
+    certificate of a no-instance. A weak exists-query that no certificate or
     complete-source witness decides tries ``_strong_first`` before its own
     column search.
     """
@@ -887,16 +900,14 @@ def _search(
             if witness is not None:
                 return [witness.columns], True, None
 
-    if nbr is None:
-        nbr = _subset_neighbors(g)
     found: list[tuple[int, ...]] = []
     complete = True
     try:
         if use_fast_paths and weak and exists:
-            found = _strong_first(g, h, domain, budget, nbr)
+            found = _strong_first(g, h, domain, budget)
         if not found:
             for colmasks in _search_columns(
-                g, h, nbr, weak=weak, full_domain=domain == "full", budget=budget
+                g, h, weak=weak, full_domain=domain == "full", budget=budget
             ):
                 found.append(colmasks)
                 if exists:
@@ -917,7 +928,7 @@ def _search(
 
 
 def _strong_first(
-    g: Graph, h: Graph, domain: str, budget: _Budget, nbr: list[int]
+    g: Graph, h: Graph, domain: str, budget: _Budget
 ) -> list[tuple[int, ...]]:
     """A solution of the strong equation ``g * R = h`` under ``domain``,
     searched on the R-core of the simple ``h`` and lifted to ``h``, as
@@ -933,7 +944,7 @@ def _strong_first(
     total = budget.nodes_left
     if total is not None:
         budget.nodes_left = total // 10
-    found, complete, _ = _search(g, hc, False, domain, True, True, budget, nbr)
+    found, complete, _ = _search(g, hc, False, domain, True, True, budget)
     timed_out = not complete and (total is None or budget.nodes_left >= 0)
     if total is not None:
         budget.nodes_left = total - total // 10 + max(budget.nodes_left, 0)

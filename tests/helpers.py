@@ -286,7 +286,6 @@ def all_labelled_rows(n: int, loops: bool):
 def reference_search_columns(
     src: rg.Graph,
     tgt: rg.Graph,
-    nbr: list[int],
     *,
     weak: bool = False,
     full_domain: bool = False,
@@ -296,11 +295,12 @@ def reference_search_columns(
 ):
     """The column search with its candidates as lists, as a reference.
 
-    Yields what ``solver._search_columns`` yields, in the same order, and
-    charges ``budget`` the same units before each yield: one per
-    candidate mask of the column's list, walked one mask at a time. Each
-    list keeps a memo from a ``forbidden`` mask to the positions of its
-    masks disjoint from it, up to 2^16 stored positions in all.
+    Yields what ``solver._search_columns`` yields, in the same order. It
+    visits every child it accepts, walking each candidate list one mask at
+    a time, and charges ``budget`` one unit per mask of a visited node's
+    list. Each list keeps a memo from a ``forbidden`` mask to the
+    positions of its masks disjoint from it, up to 2^16 stored positions
+    in all. Every mask's neighbourhood comes from one table of 2^n rows.
     """
     n, m = src.n, tgt.n
     full = (1 << n) - 1
@@ -312,6 +312,9 @@ def reference_search_columns(
         return
     tadj = tgt.adjacency
     order = sorted(range(m), key=lambda b: (-tgt.degree(b), b))
+    nbr = [0]
+    for row in src.adjacency:
+        nbr += [t | row for t in nbr]
 
     # Columns with the same pins (and, in strong mode, the same loop
     # requirement) share one read-only candidate list, ascending, and one

@@ -9,7 +9,7 @@ import time
 
 import relgraph as rg
 from relgraph.retract import is_automorphism_relation
-from relgraph.solver import _Budget, _search_columns, _subset_neighbors
+from relgraph.solver import _Budget, _search_columns
 from helpers import (
     naive_solution_masks,
     random_graph,
@@ -108,7 +108,7 @@ def test_criterion_2_equivalence_characterizations():
         budget = _Budget(None, None)
         hadj = h.adjacency
         for cols in _search_columns(
-            g, h, _subset_neighbors(g), weak=False, full_domain=True, budget=budget
+            g, h, weak=False, full_domain=True, budget=budget
         ):
             reach = [0] * h.n
             for b in range(h.n):

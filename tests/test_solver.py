@@ -235,21 +235,23 @@ _GRAPHS = {
     "source, target, mode, domain, enumeration, threshold",
     [
         ("C6", "2P3", "strong", "any", "exists", 16),
-        ("C6", "2P3", "strong", "any", "all", 14_977),
+        ("C6", "2P3", "strong", "any", "all", 5_389),
         ("P7", "P4", "strong", "full", "exists", 1_043),
         ("P7", "P4", "strong", "any", "all", 227_898),
         ("C8", "P4", "weak", "any", "exists", 4_080),
-        ("C6", "P4", "weak", "any", "all", 845_586),
-        ("C10", "C5", "strong", "full", "exists", 85_873),
+        ("C6", "P4", "weak", "any", "all", 465_570),
+        ("C10", "C5", "strong", "full", "exists", 60_985),
         ("E4", "E4", "strong", "any", "all", 54_240),
-        ("P5", "C5", "weak", "full", "exists", 50_965),
+        ("P5", "C5", "weak", "full", "exists", 17_074),
         ("C8", "P4", "strong", "full", "all", 35_650),
-        ("C6", "P4", "weak", "full", "all", 188_055),
+        ("C6", "P4", "weak", "full", "all", 95_130),
     ],
 )
 def test_pinned_node_budget_thresholds(source, target, mode, domain, enumeration, threshold):
-    """A node-budget unit is one candidate mask considered, rejected or not;
-    the smallest completing budget of each query is pinned exactly."""
+    """A node-budget unit is one candidate mask considered, rejected or not,
+    and a child cut by the forward check costs its column's whole candidate
+    set; the smallest completing budget of each query is pinned exactly.
+    Regenerate the thresholds with ``helpers.min_completing_budget``."""
     g, h = _GRAPHS[source], _GRAPHS[target]
     query = rg.SolveQuery(g, h, mode=mode, domain=domain, enumeration=enumeration)
     assert min_completing_budget(query, guess=threshold) == threshold
@@ -258,7 +260,7 @@ def test_pinned_node_budget_thresholds(source, target, mode, domain, enumeration
 
 
 def test_time_budget_exhaustion_reports_incomplete():
-    # The search needs 845,586 units, so the deadline is checked many times.
+    # The search needs 465,570 units, so the deadline is checked many times.
     ss, cert = rg.solve(
         rg.SolveQuery(rg.cycle_graph(6), rg.path_graph(4), mode="weak", time_budget=1e-9)
     )
@@ -284,7 +286,7 @@ def _column_run(search, g, h, weak, full_domain, required, universe, node_budget
     out = []
     try:
         for cols in search(
-            g, h, solver._subset_neighbors(g), weak=weak, full_domain=full_domain,
+            g, h, weak=weak, full_domain=full_domain,
             required=required, universe=universe, budget=budget,
         ):
             out.append((cols, budget.nodes_left))
@@ -317,25 +319,43 @@ def _random_column_search(rng, trial):
 
 
 def test_column_search_matches_the_list_reference():
-    """The bit-parallel search against ``reference_search_columns``, which
-    walks candidate lists a mask at a time: the same yields in the same
-    order, the same ``nodes_left`` at each yield, the same exhaustion and
-    the same final ``_ticks``, on 2,400 random searches with n <= 8 and
-    m <= 5. A search drawn without a budget runs without one when it needs
-    at most 50,000 units, and under 50,000 units otherwise."""
+    """The forward-checked bit-parallel search against
+    ``reference_search_columns``, which walks candidate lists a mask at a
+    time and visits every child it accepts, on 2,400 random searches with
+    n <= 8 and m <= 5. Without a budget both yield the same solutions in
+    the same order. Under a node budget the reference's yields before it
+    runs out are a prefix of the search's, the search has spent no more
+    units than the reference at each of them, and it completes, with no
+    more units, wherever the reference does. A search drawn without a
+    budget runs without one when the reference needs at most 50,000
+    units, and under 50,000 units otherwise."""
     rng = random.Random(29)
-    unlimited = 0
+    unlimited = fewer = 0
     for trial in range(2_400):
         args = _random_column_search(rng, trial)
         node_budget = rng.choice([None, rng.randint(1, 20_000), int(20_000 ** rng.random())])
         if node_budget is None:
-            if "exhausted" in _column_run(solver._search_columns, *args, 50_000)[0]:
+            if "exhausted" in _column_run(reference_search_columns, *args, 50_000)[0]:
                 node_budget = 50_000
             else:
                 unlimited += 1
-        got = _column_run(solver._search_columns, *args, node_budget)
-        assert got == _column_run(reference_search_columns, *args, node_budget), args
+        got, ticks = _column_run(solver._search_columns, *args, node_budget)
+        want, want_ticks = _column_run(reference_search_columns, *args, node_budget)
+        if node_budget is None:
+            assert got == want and ticks == want_ticks == 0, args
+            continue
+        yields = [y for y in want if y != "exhausted"]
+        assert len(got) >= len(yields), args
+        for (cols, left), (want_cols, want_left) in zip(got, yields):
+            assert cols == want_cols and left >= want_left, args
+        if yields == want:
+            assert [cols for cols, _ in got] == [cols for cols, _ in want], args
+            assert ticks <= want_ticks, args
+            fewer += ticks < want_ticks
     assert unlimited >= 400
+    # The forward check cut children, and so saved units, on 70 of the
+    # budgeted searches that complete.
+    assert fewer >= 50
 
 
 def test_budget_units_are_exact_on_random_searches(monkeypatch):
@@ -352,7 +372,6 @@ def test_budget_units_are_exact_on_random_searches(monkeypatch):
     for trial in range(400):
         g, h, weak, full_domain, required, universe = _random_column_search(rng, trial)
         args = (g, h, weak, full_domain, required, universe)
-        nbr = solver._subset_neighbors(g)
 
         def run(budget, stop=None):
             """The yields up to ``stop``, the units spent at each, and
@@ -360,7 +379,7 @@ def test_budget_units_are_exact_on_random_searches(monkeypatch):
             got, spent = [], []
             start = budget.nodes_left
             search = solver._search_columns(
-                g, h, nbr, weak=weak, full_domain=full_domain,
+                g, h, weak=weak, full_domain=full_domain,
                 required=required, universe=universe, budget=budget,
             )
             try:
@@ -407,9 +426,7 @@ def _first_or_frame(search, g, h, weak, node_budget):
     with the budget's counters, and the search's frame if it ran out."""
     budget = solver._Budget(node_budget, None)
     try:
-        cols = next(search(
-            g, h, solver._subset_neighbors(g), weak=weak, full_domain=True, budget=budget
-        ))
+        cols = next(search(g, h, weak=weak, full_domain=True, budget=budget))
     except rg.BudgetExhaustedError as exc:
         tb = exc.__traceback__
         while tb.tb_frame.f_code is not search.__code__:
@@ -440,7 +457,7 @@ def test_near_cap_searches_match_the_reference_within_the_memo_bound():
 
 
 def test_side_doors_enforce_the_vertex_cap():
-    # Both would otherwise build a 2^17-entry subset table.
+    # Both would otherwise build candidate sets of 2^17 bits each.
     big, edge = rg.path_graph(17), rg.complete_graph(2)
     with pytest.raises(rg.CapExceededError):
         rg.relation_exists(big, edge)
