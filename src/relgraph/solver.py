@@ -144,6 +144,17 @@ def _containing(n: int) -> tuple[int, ...]:
     return tuple(has | has << half for has in _containing(n - 1)) + ((1 << half) - 1 << half,)
 
 
+def _column_order(tgt: Graph) -> list[int]:
+    """The target vertices in the order ``_search_columns`` fills their
+    columns: first those whose adjacency row no other vertex shares, then
+    the false twins, then the isolated vertices; within each group, fewest
+    neighbours first."""
+    rows = tgt.adjacency
+    return sorted(
+        range(tgt.n), key=lambda b: (not rows[b], rows.count(rows[b]) > 1, rows[b].bit_count(), b)
+    )
+
+
 def _search_columns(
     src: Graph,
     tgt: Graph,
@@ -175,6 +186,20 @@ def _search_columns(
     is adjacent to this one, and those that avoid it otherwise. A child
     with an empty later set has no solution below it and is cut.
 
+    The columns are filled in ``_column_order``, fewest target neighbours
+    first: the forward check's "avoid" filter removes far more masks than
+    its "meet" filter, so a column with many non-neighbours prunes the
+    most later sets. Target vertices that share an adjacency row (false
+    twins) go last: they are interchangeable, and filled first they
+    multiply every later column's work by their choices (the leaves of
+    K1,4 first made K1,4 -> K1,4 in full domain 2.5 times slower).
+    Isolated target vertices go after them: their columns only have to
+    avoid the others' neighbourhoods, which the forward check of each
+    other column's choice applies to them too (the isolated vertices of
+    K2 + 3K1 first made E5 -> K2 + 3K1 in full domain take 0.8 s in place
+    of 0.1 ms). The order decides only the order of the solutions, never
+    their set.
+
     Each mask of the base set costs one budget unit, kept or not: a kept
     mask is charged up to its position in the base set before the search
     goes on from it, the rest when the node ends. A cut child is charged
@@ -194,7 +219,7 @@ def _search_columns(
     if n == 0:
         return
     tadj, sadj = tgt.adjacency, src.adjacency
-    order = sorted(range(m), key=lambda b: (-tgt.degree(b), b))
+    order = _column_order(tgt)
     slot = sorted(range(m), key=order.__getitem__)
     has = _containing(n)
 

@@ -14,7 +14,7 @@ from itertools import permutations
 import numpy as np
 
 import relgraph as rg
-from relgraph.solver import _NO_BUDGET
+from relgraph.solver import _NO_BUDGET, _column_order
 
 
 def naive_neighbor_table(g: rg.Graph) -> np.ndarray:
@@ -311,7 +311,7 @@ def reference_search_columns(
     if n == 0:
         return
     tadj = tgt.adjacency
-    order = sorted(range(m), key=lambda b: (-tgt.degree(b), b))
+    order = _column_order(tgt)
     nbr = [0]
     for row in src.adjacency:
         nbr += [t | row for t in nbr]

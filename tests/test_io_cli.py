@@ -459,7 +459,7 @@ def test_cli_solve_streams_the_reference_bytes(tmp_path, capsys):
     # The budget case lists partial solutions, the empty target one empty pair list.
     budget = _reference_solve_output(["--json", "--all", "--node-budget", "800"],
                                      rg.cycle_graph(6), rg.path_graph(4))
-    assert len(json.loads(budget)["solutions"]) == 12
+    assert len(json.loads(budget)["solutions"]) == 84
     assert '"pairs": []' in _reference_solve_output(["--json", "--all"], p3, rg.empty_graph(0))
 
 
