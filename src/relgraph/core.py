@@ -210,8 +210,7 @@ class Graph(Record):
 
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood N(v); contains v itself exactly when v has a loop."""
-        mask = self.adjacency[v]
-        return frozenset(u for u in range(self.n) if mask >> u & 1)
+        return frozenset(_bits_for(self.n)(self.adjacency[v]))
 
     def closed_neighbors(self, v: int) -> frozenset[int]:
         """Closed neighborhood N[v] = N(v) plus v."""
@@ -281,52 +280,66 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     return _reduced_graph(g, kept)
 
 
+def _layers(adjacency, start: int):
+    """The frontier sweep from the vertex mask ``start``: the disjoint masks
+    of the vertices at distance 0, 1, 2, ... from it, each the OR of the
+    rows of the layer before, less every vertex already reached."""
+    seen = frontier = start
+    while frontier:
+        yield frontier
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adjacency[low.bit_length() - 1]
+            frontier ^= low
+        frontier = (reach | seen) ^ seen
+        seen |= frontier
+
+
 def components(g: Graph) -> list[frozenset[int]]:
-    """Connected components as vertex sets, ordered by smallest member."""
-    seen = [False] * g.n
+    """Connected components as vertex sets, ordered by smallest member.
+
+    Each is the union of one frontier sweep from the lowest vertex that no
+    earlier sweep reached.
+    """
+    # The invariants walk masks past `_bits`' cache: certify runs them on
+    # the exists route past the cap, which leaves that cache empty.
     out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            mask = g.adjacency[v]
-            for u in range(g.n):
-                if mask >> u & 1 and not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        out.append(frozenset(comp))
+    left = (1 << g.n) - 1
+    while left:
+        comp = sum(_layers(g.adjacency, left & -left))
+        left ^= comp
+        out.append(frozenset(_bits.__wrapped__(comp)))
     return out
 
 
 def distance_matrix(g: Graph) -> list[list[float]]:
-    """All-pairs shortest path lengths; ``math.inf`` for disconnected pairs."""
-    dist = [[math.inf] * g.n for _ in range(g.n)]
+    """All-pairs shortest path lengths, ``math.inf`` for disconnected pairs:
+    row s numbers the layers of the frontier sweep from s."""
+    dist = []
     for s in range(g.n):
-        row = dist[s]
-        row[s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                mask = g.adjacency[v]
-                for u in range(g.n):
-                    if mask >> u & 1 and row[u] == math.inf:
-                        row[u] = d
-                        nxt.append(u)
-            frontier = nxt
+        row = [math.inf] * g.n
+        for d, layer in enumerate(_layers(g.adjacency, 1 << s)):
+            for v in _bits.__wrapped__(layer):
+                row[v] = d
+        dist.append(row)
     return dist
 
 
 def eccentricities(g: Graph) -> list[float]:
-    dist = distance_matrix(g)
-    return [max(row) if row else 0 for row in dist]
+    """Each vertex's greatest distance to another, with no distance matrix.
+
+    It is the number of layers of the vertex's frontier sweep, less one. A
+    sweep that misses a vertex shows the graph disconnected, and then every
+    eccentricity is ``math.inf``.
+    """
+    out = []
+    for s in range(g.n):
+        layers = list(_layers(g.adjacency, 1 << s))
+        if sum(layers) != (1 << g.n) - 1:
+            return [math.inf] * g.n
+        out.append(len(layers) - 1)
+    return out
 
 
 def radius(g: Graph) -> float:
@@ -373,21 +386,22 @@ def is_complete(g: Graph) -> bool:
 
 
 def _degeneracy_order(g: Graph) -> list[int]:
-    remaining = set(range(g.n))
-    deg = {v: g.degree(v) for v in remaining}
+    adj = g.adjacency
+    deg = [row.bit_count() for row in adj]
+    left = (1 << g.n) - 1
     order = []
-    while remaining:
-        v = min(remaining, key=lambda x: (deg[x], x))
+    while left:
+        v = min(_bits.__wrapped__(left), key=deg.__getitem__)
         order.append(v)
-        remaining.remove(v)
-        for u in remaining:
-            if g.has_edge(u, v):
-                deg[u] -= 1
+        left ^= 1 << v
+        for u in _bits.__wrapped__(adj[v] & left):
+            deg[u] -= 1
     return order
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number by branch and bound over a degeneracy order."""
+    """Exact chromatic number by branch and bound over a degeneracy order,
+    each colour class a vertex mask that a vertex's row must miss to join."""
     if not g.is_simple:
         raise LoopsNotAllowedError("chromatic number is defined for simple graphs")
     if g.n == 0:
@@ -397,13 +411,8 @@ def chromatic_number(g: Graph) -> int:
     # Color in reverse degeneracy order: most constrained vertices first.
     order = _degeneracy_order(g)[::-1]
     adj = g.adjacency
-    pos_mask = [0] * g.n
-    for i, v in enumerate(order):
-        for j in range(i):
-            if adj[v] >> order[j] & 1:
-                pos_mask[i] |= 1 << j
     n = g.n
-    colors = [0] * n
+    classes = [0] * n
     best = n  # trivial upper bound
 
     def extend(i: int, used: int) -> None:
@@ -413,21 +422,17 @@ def chromatic_number(g: Graph) -> int:
         if i == n:
             best = used
             return
-        taken = 0
-        m = pos_mask[i]
-        j = 0
-        while m:
-            if m & 1:
-                taken |= 1 << colors[j]
-            m >>= 1
-            j += 1
+        v = order[i]
+        row = adj[v]
         for c in range(used):
-            if not taken >> c & 1:
-                colors[i] = c
+            if not classes[c] & row:
+                classes[c] ^= 1 << v
                 extend(i + 1, used)
+                classes[c] ^= 1 << v
         if used + 1 < best:
-            colors[i] = used
+            classes[used] = 1 << v
             extend(i + 1, used + 1)
+            classes[used] = 0
 
     extend(0, 0)
     return best

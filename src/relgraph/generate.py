@@ -61,7 +61,7 @@ def _leaves(rows: Rows, keep=lambda depth, colour: True):
     """
     n = len(rows)
     nbrs = [[u for u in range(n) if row >> u & 1] for row in rows]
-    stack = [(_ranks([(row >> v & 1, bin(row).count("1")) for v, row in enumerate(rows)]), 0)]
+    stack = [(_ranks([(row >> v & 1, row.bit_count()) for v, row in enumerate(rows)]), 0)]
     while stack:
         colour, depth = stack.pop()
         while max(colour, default=n) < n - 1:  # a discrete colouring is stable

@@ -18,6 +18,7 @@ from .core import (
     Graph,
     Record,
     Relation,
+    _compose_columns,
     _deletions,
     _sweep,
     check_witness,
@@ -109,25 +110,25 @@ class RetractionWitness(Record):
 
 
 def _functional_retraction(g: Graph, sub: tuple[int, ...]) -> dict[int, int] | None:
-    """Identity-on-sub homomorphism g -> g[sub], by backtracking."""
-    inside = set(sub)
-    outside = [v for v in range(g.n) if v not in inside]
-    image: dict[int, int] = {v: v for v in sub}
+    """Identity-on-sub homomorphism g -> g[sub], by backtracking.
 
-    def consistent(v: int, c: int) -> bool:
-        if g.has_edge(v, v) and not g.has_edge(c, c):
-            return False
-        for u, w in image.items():
-            if g.has_edge(v, u) and not g.has_edge(c, w):
-                return False
-        return True
+    ``g`` is loop-free: ``graph_core_with_witness`` settles a looped graph
+    before it searches.
+    """
+    adj = g.adjacency
+    image: dict[int, int] = {v: v for v in sub}
+    outside = [v for v in range(g.n) if v not in image]
 
     def place(i: int) -> bool:
         if i == len(outside):
             return True
         v = outside[i]
+        # The images of v's placed neighbours; v may go to a common neighbour.
+        need = 0
+        for u, w in image.items():
+            need |= (adj[v] >> u & 1) << w
         for c in sub:
-            if consistent(v, c):
+            if adj[c] & need == need:
                 image[v] = c
                 if place(i + 1):
                     return True
@@ -259,12 +260,10 @@ def is_automorphism_relation(g: Graph, rel: Relation) -> bool:
         and rel.has_full_image
     ):
         return False
-    image = dict(rel.pairs)
-    return all(
-        g.has_edge(u, v) == g.has_edge(image[u], image[v])
-        for u in range(g.n)
-        for v in range(u, g.n)
-    )
+    # A bijection preserves adjacency exactly when it commutes with it:
+    # the neighbours of each pre-image are the pre-images of the neighbours.
+    adj, cols = g.adjacency, rel.columns
+    return _compose_columns(adj, cols) == _compose_columns(cols, adj)
 
 
 def all_self_relations_are_automorphisms(

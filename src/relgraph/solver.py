@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache, reduce
-from itertools import combinations, count, repeat
+from itertools import count, repeat
 from operator import and_, lshift, or_
 
 from .core import (
@@ -47,12 +47,6 @@ from .core import (
     radius,
 )
 
-# certify() is called once per candidate inside the oracle scans, so the
-# underlying invariants are memoized on the (hashable) graph values.
-_chromatic = lru_cache(maxsize=65536)(chromatic_number)
-_component_count = lru_cache(maxsize=65536)(lambda g: len(components(g)))
-_diameter = lru_cache(maxsize=65536)(diameter)
-_radius = lru_cache(maxsize=65536)(radius)
 # Shared by certify's complete rule and the exists fast path.
 _complete_source = lru_cache(maxsize=65536)(
     lambda k, h, weak: complete_source_solution(k, h, weak=weak)
@@ -419,9 +413,9 @@ def _complement_clique_parts(h: Graph) -> list[frozenset[int]] | None:
     comp = complement(h)
     parts = components(comp)
     for part in parts:
-        for u, v in combinations(sorted(part), 2):
-            if not comp.has_edge(u, v):
-                return None
+        mask = sum(1 << v for v in part)
+        if any(comp.adjacency[v] | 1 << v != mask for v in part):
+            return None
     return parts
 
 
@@ -471,7 +465,7 @@ def complete_source_solution(
 def _components_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
     if domain != "full" or g.isolated_vertices() or h.isolated_vertices():
         return None
-    b0g, b0h = _component_count(g), _component_count(h)
+    b0g, b0h = len(components(g)), len(components(h))
     if b0g >= b0h:
         return None
     return Certificate(
@@ -485,7 +479,7 @@ def _components_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate
 def _chromatic_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
     if weak or domain != "full" or not (g.is_simple and h.is_simple):
         return None
-    cg, ch = _chromatic(g), _chromatic(h)
+    cg, ch = chromatic_number(g), chromatic_number(h)
     if cg <= ch:
         return None
     return Certificate(
@@ -497,12 +491,13 @@ def _chromatic_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate 
 
 
 def _distance_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
-    if domain != "full" or _component_count(g) != 1:
+    # A disconnected source has diameter inf, which no target exceeds.
+    if domain != "full":
         return None
-    dg = _diameter(g)
+    dg = diameter(g)
     if dg < 2:
         return None
-    dh = _diameter(h)
+    dh = diameter(h)
     if dh <= dg:
         return None
     return Certificate(
@@ -513,10 +508,11 @@ def _distance_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate |
 
 
 def _radius_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
-    if domain != "full" or g.n < 2 or _component_count(g) != 1:
+    # A disconnected source has radius inf, which no target exceeds.
+    if domain != "full" or g.n < 2:
         return None
-    bound = max(_radius(g), 2)
-    rh = _radius(h)
+    bound = max(radius(g), 2)
+    rh = radius(h)
     if rh <= bound:
         return None
     return Certificate(

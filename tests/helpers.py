@@ -9,7 +9,7 @@ they can stand as the second route in every dual-route check.
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -448,3 +448,61 @@ def reference_search_columns(
     yield from dfs(0, 0)
     if held:
         spend(held)
+
+
+def union_find_components(g: rg.Graph) -> list[frozenset[int]]:
+    """Connected components by union-find over the edge pairs, ordered by
+    smallest member."""
+    parent = list(range(g.n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        parent[find(u)] = find(v)
+    classes: dict[int, set[int]] = {}
+    for v in range(g.n):
+        classes.setdefault(find(v), set()).add(v)
+    return sorted(map(frozenset, classes.values()), key=min)
+
+
+def floyd_warshall(g: rg.Graph) -> list[list[float]]:
+    """All-pairs distances by Floyd-Warshall over the adjacency rows."""
+    inf = float("inf")
+    dist = [
+        [0 if u == v else 1 if g.adjacency[u] >> v & 1 else inf for v in range(g.n)]
+        for u in range(g.n)
+    ]
+    for k in range(g.n):
+        for u in range(g.n):
+            for v in range(g.n):
+                if dist[u][k] + dist[k][v] < dist[u][v]:
+                    dist[u][v] = dist[u][k] + dist[k][v]
+    return dist
+
+
+def brute_chromatic(g: rg.Graph) -> int:
+    """Least k for which some map of the vertices into k colours gives the
+    ends of every edge different colours, trying every map."""
+    for k in range(g.n + 1):
+        if any(all(c[u] != c[v] for u, v in g.edges) for c in product(range(k), repeat=g.n)):
+            return k
+
+
+def frozen_degeneracy_order(g: rg.Graph) -> list[int]:
+    """The vertex order ``chromatic_number`` colours in reverse, as the
+    library computed it one vertex pair at a time: its search tree must not
+    change when the bookkeeping does."""
+    remaining = set(range(g.n))
+    deg = {v: g.degree(v) for v in remaining}
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda x: (deg[x], x))
+        order.append(v)
+        remaining.remove(v)
+        for u in remaining:
+            if g.has_edge(u, v):
+                deg[u] -= 1
+    return order

@@ -11,11 +11,16 @@ from relgraph import core
 from helpers import (
     all_labelled_rows,
     blow_up,
+    brute_chromatic,
     brute_isomorphic,
+    floyd_warshall,
+    frozen_degeneracy_order,
     random_graph,
     random_image_full_relation,
     reference_sweep,
+    relabel,
     relation_to_mask,
+    union_find_components,
 )
 
 
@@ -240,6 +245,40 @@ def test_distances_triangle_inequality_randomized():
             for y in range(g.n):
                 for z in range(g.n):
                     assert d[x][z] <= d[x][y] + d[y][z]
+
+
+def _invariant_suite():
+    """Every graph up to 5 vertices with loops, relabelled, then 200 seeded
+    random graphs up to 40 vertices, some of them looped."""
+    for i, g in enumerate(rg.all_graphs_up_to(5, loops=True)):
+        yield relabel(g, seed=i)
+    rng = random.Random(26)
+    for _ in range(200):
+        yield random_graph(rng, rng.randint(1, 40), p=rng.choice((0.03, 0.08, 0.3)),
+                           loops=rng.random() < 0.3)
+
+
+def test_sweep_invariants_match_union_find_and_floyd_warshall():
+    for g in _invariant_suite():
+        comps = union_find_components(g)
+        assert rg.components(g) == comps
+        assert rg.is_connected(g) == (len(comps) <= 1)
+        dist = floyd_warshall(g)
+        assert rg.distance_matrix(g) == dist
+        ecc = [max(row) for row in dist]
+        assert core.eccentricities(g) == ecc
+        assert (rg.radius(g), rg.diameter(g)) == (min(ecc), max(ecc))
+
+
+def test_chromatic_number_matches_brute_force_colouring():
+    for g in rg.all_graphs_up_to(6):
+        assert rg.chromatic_number(g) == brute_chromatic(g)
+
+
+def test_degeneracy_order_is_unchanged():
+    # The order fixes the colouring search's tree, and so its running time.
+    for g in _invariant_suite():
+        assert core._degeneracy_order(g) == frozen_degeneracy_order(g)
 
 
 def test_components_and_connectivity():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import random
@@ -187,6 +188,24 @@ def test_certificates_never_fire_on_solvable_instances():
             mode = "weak" if weak else "strong"
             assert rg.certify(g, h, mode, "full") is None
             assert rg.certify(g, h, mode, "any") is None
+
+
+def test_certify_rule_counts_are_pinned():
+    # Which rule fires, over every pair of graphs up to 4 vertices with
+    # loops: a rewrite of an invariant must not move an instance between
+    # rules, nor out of them.
+    suite = rg.all_graphs_up_to(4, loops=True)
+    kinds = collections.Counter()
+    for g in suite:
+        for h in suite:
+            for mode in ("strong", "weak") if g.is_simple else ("strong",):
+                for domain in ("any", "full"):
+                    cert = rg.certify(g, h, mode, domain)
+                    kinds[cert.kind if cert is not None else None] += 1
+    assert kinds == {
+        "components": 1934, "distance": 2030, "radius": 404, "chromatic": 101,
+        "completeChar": 94, "pathChar": 1, None: 27532,
+    }
 
 
 def test_solver_matches_naive_enumeration_spot():
