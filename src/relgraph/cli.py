@@ -10,10 +10,11 @@ RELGRAPH_TIME_BUDGET when set.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import io as rio
 from .core import CapExceededError, Graph, Relation
@@ -311,6 +312,8 @@ def _cmd_check(args) -> int:
     from .retract import is_coretraction, is_retraction, property_n, property_n_star
 
     kind = args.predicate
+    if args.sub is not None and kind not in ("retraction", "coretraction"):
+        raise _CliError(f"--sub applies only to retraction and coretraction checks, not {kind}")
     needed = 1 if kind in ("hall", "prop-n", "prop-nstar") else 2
     if len(args.inputs) != needed:
         raise _CliError(f"check {kind} takes {needed} input file(s), got {len(args.inputs)}")
@@ -338,7 +341,7 @@ def _cmd_check(args) -> int:
             answer = property_n(g)
         elif kind == "prop-nstar":
             answer = property_n_star(g)
-        else:  # retraction or coretraction; argparse restricts the choices
+        else:  # retraction or coretraction; the parser restricts the choices
             rel = _load(rio.parse_relation, args.inputs[1])
             if args.sub is None:
                 raise _CliError(f"{kind} check needs --sub with the subgraph vertices")
@@ -388,77 +391,232 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="relgraph",
-        description="Algebra of relations between graphs: composition, "
-        "equivalences, cores, cocores, and an exhaustive equation solver.",
-    )
-    parser.add_argument("--json", action="store_true", help="emit one JSON document")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Command:
+    """One row of the command table: what parsing, help and dispatch need.
 
-    for name, inputs, func, help_text in (
-        ("apply", ("graph", "relation"), _cmd_apply, "compose a graph with a relation"),
-        ("apply-weak", ("graph", "relation"), _cmd_apply, "loop-free composition"),
-        ("thin", ("graph",), _cmd_thin, "quotient by equal neighborhoods"),
-        ("rcore", ("graph",), _cmd_rcore, "minimum weak-equivalence representative"),
-        ("cocore", ("graph",), _cmd_core, "minimal generating subgraph"),
-        ("core", ("graph",), _cmd_core, "smallest retract (graph core)"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        for arg in inputs:
-            p.add_argument(arg)
-        p.set_defaults(func=func)
+    ``positionals`` are names, filled in order; ``choices`` maps a name to
+    its allowed values, and ``many`` names the last positional when it
+    takes one or more values. ``options`` are ``(flag, convert, help)``
+    tuples, the last two optional: without ``convert`` the option is an
+    on/off flag, with it ``convert`` turns the option's value into what
+    the handler reads. ``exclusive`` is a pair of flags that cannot both
+    be given, and ``required`` means one of them must be.
+    """
 
-    p = sub.add_parser("equiv", help="decide relational equivalence")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--strong", action="store_true")
-    mode.add_argument("--weak", action="store_true")
-    p.add_argument("graph")
-    p.add_argument("other")
-    p.set_defaults(func=_cmd_equiv)
+    def __init__(self, name, help, handler, positionals, options=(), *, choices=None,
+                 many=None, exclusive=(), required=False):
+        self.name, self.help, self.handler = name, help, handler
+        self.positionals, self.choices, self.many = positionals, choices or {}, many
+        padded = ((*option, None, None)[:3] for option in options)
+        self.options = {flag: (flag[2:].replace("-", "_"), convert, text)
+                        for flag, convert, text in padded}
+        self.exclusive, self.required = exclusive, required
 
-    p = sub.add_parser("solve", help="solve graph * R = target for R")
-    p.add_argument("--weak", action="store_true")
-    p.add_argument("--full-domain", action="store_true")
-    what = p.add_mutually_exclusive_group()
-    what.add_argument("--all", action="store_true")
-    what.add_argument("--exists", action="store_true")
-    p.add_argument("--minimal", action="store_true")
-    p.add_argument("--maximal", action="store_true")
-    p.add_argument("--node-budget", type=int, default=None)
-    p.add_argument("--time-budget", type=float, default=None)
-    p.add_argument("graph")
-    p.add_argument("other")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("check", help="boolean predicates with witnesses")
-    p.add_argument(
-        "predicate",
-        choices=["hall", "reversible", "prop-n", "prop-nstar", "retraction", "coretraction"],
-    )
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("--sub", default=None, help="subgraph vertices, e.g. '0,2,3'")
-    p.set_defaults(func=_cmd_check)
+# Each option maps to (namespace attribute, conversion, help line). Every
+# parser takes the help options ahead of its own.
+_HELP_OPTIONS = {"-h": (None, None, "show this help message and exit")}
+_HELP_OPTIONS["--help"] = _HELP_OPTIONS["-h"]
+_TOP_OPTIONS = {"--json": ("json", None, "emit one JSON document")}
+_DESCRIPTION = ("Algebra of relations between graphs: composition, equivalences, cores, "
+                "cocores, and an exhaustive equation solver.")
+_COMMANDS = {c.name: c for c in (
+    _Command("apply", "compose a graph with a relation", _cmd_apply, ("graph", "relation")),
+    _Command("apply-weak", "loop-free composition", _cmd_apply, ("graph", "relation")),
+    _Command("thin", "quotient by equal neighborhoods", _cmd_thin, ("graph",)),
+    _Command("rcore", "minimum weak-equivalence representative", _cmd_rcore, ("graph",)),
+    _Command("cocore", "minimal generating subgraph", _cmd_core, ("graph",)),
+    _Command("core", "smallest retract (graph core)", _cmd_core, ("graph",)),
+    _Command("equiv", "decide relational equivalence", _cmd_equiv, ("graph", "other"),
+             (("--strong",), ("--weak",)), exclusive=("--strong", "--weak"), required=True),
+    _Command("solve", "solve graph * R = target for R", _cmd_solve, ("graph", "other"),
+             (("--weak",), ("--full-domain",), ("--all",), ("--exists",), ("--minimal",),
+              ("--maximal",), ("--node-budget", int), ("--time-budget", float)),
+             exclusive=("--all", "--exists")),
+    _Command("check", "boolean predicates with witnesses", _cmd_check, ("predicate", "inputs"),
+             (("--sub", str, "subgraph vertices, e.g. '0,2,3'"),),
+             choices={"predicate": ("hall", "reversible", "prop-n", "prop-nstar",
+                                    "retraction", "coretraction")},
+             many="inputs"),
+    _Command("decompose", "duplicate-then-contract split", _cmd_decompose, ("relation",)),
+    _Command("reduce", "problem reductions", _cmd_reduce, ("construction", "graph", "other"),
+             choices={"construction": ("hom-to-fulrel", "fulrel-to-shom")}),
+)}
 
-    p = sub.add_parser("decompose", help="duplicate-then-contract split")
-    p.add_argument("relation")
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("reduce", help="problem reductions")
-    p.add_argument("construction", choices=["hom-to-fulrel", "fulrel-to-shom"])
-    p.add_argument("graph")
-    p.add_argument("other")
-    p.set_defaults(func=_cmd_reduce)
-    return parser
+# Parsing follows argparse's rules for the kinds of argument in the table.
+# An argument that starts with "-" names an option: whole, by a unique
+# prefix (``--full``), or with its value after "=" (``--node-budget=5``).
+# It is positional if it names none and looks like a negative number or
+# holds a space. An option that takes a value takes the next argument
+# unless that names an option. After the first "--" every argument is
+# positional. Each run of positional arguments fills the positionals not
+# yet filled, in order; the one that takes many values takes the rest of
+# its run, and what is left over is unrecognized. Help prints where its
+# option is met, unless an error came first; missing and unrecognized
+# arguments are errors only at the end.
+
+
+class _Exit(Exception):
+    """Ends a parse: help when ``message`` is None, else a usage error.
+
+    ``cmd`` is the command whose help or usage applies, None for
+    ``relgraph`` itself.
+    """
+
+    def __init__(self, cmd: _Command | None, message: str | None = None):
+        super().__init__(message)
+        self.cmd, self.message = cmd, message
+
+
+def _kinds(args, options, cmd) -> list:
+    """How each of ``args`` reads: None when positional, "--" for the first
+    "--", and ``(flag, value)`` for an option, ``flag`` None when it names
+    none of ``options`` and ``value`` the text after "=" (or after ``-h``)."""
+    kinds = []
+    for i, arg in enumerate(args):
+        if arg == "--":
+            return kinds + ["--"] + [None] * (len(args) - i - 1)
+        name, eq, value = arg.partition("=")
+        if arg[:1] != "-" or arg == "-":
+            kind = None
+        elif arg in options:
+            kind = arg, None
+        elif eq and name in options:
+            kind = name, value
+        elif arg[1] == "-" and (hits := [flag for flag in options if flag.startswith(name)]):
+            if len(hits) > 1:
+                raise _Exit(cmd, f"ambiguous option: {arg} could match {', '.join(hits)}")
+            kind = hits[0], value if eq else None
+        elif arg[:2] == "-h":
+            kind = "-h", arg[2:]
+        elif re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+            kind = None
+        else:
+            kind = None, None
+        kinds.append(kind)
+    return kinds
+
+
+def _flag(cmd: _Command | None, flag: str, value):
+    """True for an on/off flag given without a value; help raises its ``_Exit``."""
+    if value is None and flag not in _HELP_OPTIONS:
+        return True
+    # "-hh" is -h twice.
+    if value is None or (flag == "-h" and value and not value.strip("h")):
+        raise _Exit(cmd)
+    raise _Exit(cmd, f"argument {flag}: ignored explicit argument {value!r}")
+
+
+def _choose(cmd: _Command | None, name: str, value: str, choices) -> None:
+    if value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise _Exit(cmd, f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+
+
+def _fill_positionals(cmd: _Command, run, pending: list[str], values: dict) -> list[str]:
+    """Fill ``pending`` from one run of positional arguments; return what is left.
+
+    A "--" in the run is the first one: dropped when it adjoins an argument
+    that fills a positional, else left over.
+    """
+    words = list(run)
+    marker = words.index("--") if "--" in words else None
+    if marker is not None:
+        del words[marker]
+    used = 0
+    while pending and used < len(words):
+        name = pending.pop(0)
+        value = words[used:] if name == cmd.many else words[used]
+        used = len(words) if name == cmd.many else used + 1
+        if name in cmd.choices:
+            _choose(cmd, name, value, cmd.choices[name])
+        values[name] = value
+    if marker is not None and (used == 0 or marker > used):
+        words.insert(marker, "--")
+    return words[used:]
+
+
+def _parse_command(cmd: _Command, args) -> tuple[dict, list[str]]:
+    """``cmd``'s values from the arguments after its name, and those left unrecognized."""
+    options = {**_HELP_OPTIONS, **cmd.options}
+    kinds = _kinds(args, options, cmd)
+    values = {dest: None if convert else False for dest, convert, _ in cmd.options.values()}
+    pending, given, left = list(cmd.positionals), set(), []
+    i = 0
+    while i < len(args):
+        if not isinstance(kinds[i], tuple):
+            end = i + 1
+            while end < len(args) and not isinstance(kinds[end], tuple):
+                end += 1
+            left += _fill_positionals(cmd, args[i:end], pending, values)
+            i = end
+            continue
+        flag, value = kinds[i]
+        i += 1
+        if flag is None:
+            left.append(args[i - 1])
+            continue
+        dest, convert, _ = options[flag]
+        if convert is None:
+            value = _flag(cmd, flag, value)
+        else:
+            if value is None:
+                if i == len(args) or kinds[i] is not None:
+                    raise _Exit(cmd, f"argument {flag}: expected one argument")
+                value, i = args[i], i + 1
+            try:
+                value = convert(value)
+            except ValueError:
+                raise _Exit(
+                    cmd, f"argument {flag}: invalid {convert.__name__} value: {value!r}"
+                ) from None
+        if flag in cmd.exclusive:
+            other = cmd.exclusive[cmd.exclusive[0] == flag]
+            if other in given:
+                raise _Exit(cmd, f"argument {flag}: not allowed with argument {other}")
+        given.add(flag)
+        values[dest] = value
+    if pending:
+        raise _Exit(cmd, f"the following arguments are required: {', '.join(pending)}")
+    if cmd.required and not given & set(cmd.exclusive):
+        raise _Exit(cmd, f"one of the arguments {' '.join(cmd.exclusive)} is required")
+    return values, left
+
+
+def _parse(argv) -> SimpleNamespace:
+    """The namespace the handlers read, from the arguments after the program name."""
+    kinds = _kinds(argv, {**_HELP_OPTIONS, **_TOP_OPTIONS}, None)
+    as_json, left = False, []
+    for i, kind in enumerate(kinds):
+        if not isinstance(kind, tuple):
+            break  # the command, or "--" in its place
+        if kind[0] is None:
+            left.append(argv[i])
+        else:
+            as_json = _flag(None, *kind)
+    else:
+        raise _Exit(None, "the following arguments are required: command")
+    _choose(None, "command", argv[i], _COMMANDS)
+    cmd = _COMMANDS[argv[i]]
+    values, rest = _parse_command(cmd, argv[i + 1:])
+    if left or rest:
+        raise _Exit(None, f"unrecognized arguments: {' '.join(left + rest)}")
+    return SimpleNamespace(json=as_json, command=cmd.name, func=cmd.handler, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _Exit as exc:
+        # Only a process that prints help or a usage error compiles its renderer.
+        from .clihelp import help_text, usage_error
+
+        if exc.message is None:
+            sys.stdout.write(help_text(exc.cmd))
+            return EXIT_OK
+        sys.stderr.write(usage_error(exc.cmd, exc.message))
+        return EXIT_USAGE
     try:
         return args.func(args)
     except _CliError as exc:

@@ -8,12 +8,14 @@ they can stand as the second route in every dual-route check.
 
 from __future__ import annotations
 
+import argparse
 import random
 from itertools import permutations, product
 
 import numpy as np
 
 import relgraph as rg
+from relgraph import cli
 from relgraph.solver import _NO_BUDGET, _column_order
 
 
@@ -506,3 +508,71 @@ def frozen_degeneracy_order(g: rg.Graph) -> list[int]:
             if g.has_edge(u, v):
                 deg[u] -= 1
     return order
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser ``relgraph`` was built on, kept as the oracle for
+    ``cli._parse``: the same namespace for every argv it accepts, and exit 2
+    with nothing on stdout for every argv it rejects."""
+    parser = argparse.ArgumentParser(
+        prog="relgraph",
+        description="Algebra of relations between graphs: composition, "
+        "equivalences, cores, cocores, and an exhaustive equation solver.",
+    )
+    parser.add_argument("--json", action="store_true", help="emit one JSON document")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for name, inputs, func, help_text in (
+        ("apply", ("graph", "relation"), cli._cmd_apply, "compose a graph with a relation"),
+        ("apply-weak", ("graph", "relation"), cli._cmd_apply, "loop-free composition"),
+        ("thin", ("graph",), cli._cmd_thin, "quotient by equal neighborhoods"),
+        ("rcore", ("graph",), cli._cmd_rcore, "minimum weak-equivalence representative"),
+        ("cocore", ("graph",), cli._cmd_core, "minimal generating subgraph"),
+        ("core", ("graph",), cli._cmd_core, "smallest retract (graph core)"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for arg in inputs:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
+
+    p = sub.add_parser("equiv", help="decide relational equivalence")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--strong", action="store_true")
+    mode.add_argument("--weak", action="store_true")
+    p.add_argument("graph")
+    p.add_argument("other")
+    p.set_defaults(func=cli._cmd_equiv)
+
+    p = sub.add_parser("solve", help="solve graph * R = target for R")
+    p.add_argument("--weak", action="store_true")
+    p.add_argument("--full-domain", action="store_true")
+    what = p.add_mutually_exclusive_group()
+    what.add_argument("--all", action="store_true")
+    what.add_argument("--exists", action="store_true")
+    p.add_argument("--minimal", action="store_true")
+    p.add_argument("--maximal", action="store_true")
+    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--time-budget", type=float, default=None)
+    p.add_argument("graph")
+    p.add_argument("other")
+    p.set_defaults(func=cli._cmd_solve)
+
+    p = sub.add_parser("check", help="boolean predicates with witnesses")
+    p.add_argument(
+        "predicate",
+        choices=["hall", "reversible", "prop-n", "prop-nstar", "retraction", "coretraction"],
+    )
+    p.add_argument("inputs", nargs="+")
+    p.add_argument("--sub", default=None, help="subgraph vertices, e.g. '0,2,3'")
+    p.set_defaults(func=cli._cmd_check)
+
+    p = sub.add_parser("decompose", help="duplicate-then-contract split")
+    p.add_argument("relation")
+    p.set_defaults(func=cli._cmd_decompose)
+
+    p = sub.add_parser("reduce", help="problem reductions")
+    p.add_argument("construction", choices=["hom-to-fulrel", "fulrel-to-shom"])
+    p.add_argument("graph")
+    p.add_argument("other")
+    p.set_defaults(func=cli._cmd_reduce)
+    return parser

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import random
@@ -7,9 +10,11 @@ import sys
 import pytest
 
 import relgraph as rg
-from relgraph import io as rio
+from relgraph import cli, io as rio
 from relgraph.cli import main
-from helpers import blow_up, matrix_composition, random_graph, random_image_full_relation
+from helpers import (
+    blow_up, matrix_composition, random_graph, random_image_full_relation, reference_parser,
+)
 
 
 def test_graph_round_trip_randomized():
@@ -162,6 +167,22 @@ def test_cli_check_commands(files, capsys, tmp_path):
         ),
     )
     assert main(["check", "retraction", files["c4"], ret_rel, "--sub", "2,3"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_check_sub_is_only_for_retraction_checks(files, capsys, tmp_path):
+    # --sub names the subgraph of a retraction or coretraction check; any
+    # other predicate would answer without it, so it is a usage error.
+    hall_rel = _write(tmp_path, "hall.rel", rio.format_relation(rg.identity_relation(2)))
+    for argv in (["check", "hall", hall_rel, "--sub", "1"],
+                 ["check", "prop-n", files["c4"], "--sub", "0,1"],
+                 ["--json", "check", "reversible", files["c4"], files["r1"], "--sub", "0"]):
+        assert main(argv) == 2, argv
+        kind = argv[argv.index("check") + 1]
+        assert capsys.readouterr() == (
+            "", f"error: --sub applies only to retraction and coretraction checks, not {kind}\n"
+        )
+    assert main(["check", "hall", hall_rel]) == 0
     capsys.readouterr()
 
 
@@ -334,13 +355,16 @@ def test_each_command_loads_only_the_modules_it_runs(files):
         ["equiv", "--weak", g, h], ["--json", "equiv", "--strong", g, h],
     ]
     # Without ``site``, which may import some of these itself, none of the
-    # standard library's slow-to-import modules loads either.
-    heavy = {"dataclasses", "inspect", "pathlib", "typing"}
+    # standard library's slow-to-import modules loads either: the parser
+    # is relgraph's own, so not argparse and the gettext and locale it needs.
+    heavy = {"dataclasses", "inspect", "pathlib", "typing", "argparse", "gettext", "locale"}
     for args in without_solver:
         loaded = _modules_loaded(*args)
         assert "relgraph.cli" in loaded, args
         assert "relgraph.solver" not in loaded, args
         assert "fractions" not in loaded, args
+        # Only help and usage errors render help text.
+        assert ("relgraph.clihelp" in loaded) == (args == ["--help"]), args
         bare = _modules_loaded(*args, flags=("-S",))
         assert "relgraph.cli" in bare and not bare & heavy, (args, bare & heavy)
         if args[0] in ("rcore", "thin"):
@@ -361,6 +385,8 @@ def test_each_command_loads_only_the_modules_it_runs(files):
               ["reduce", "hom-to-fulrel", h, g]]
     for args in others:
         assert "fractions" not in _modules_loaded(*args), args
+        bare = _modules_loaded(*args, flags=("-S",))
+        assert "relgraph.cli" in bare and not bare & heavy, (args, bare & heavy)
 
 
 def test_cli_decides_exists_past_the_cap_on_rcores(tmp_path, capsys):
@@ -711,6 +737,127 @@ def test_cli_commands_print_the_reference_bytes(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert main(["--help"]) == 0
     assert capsys.readouterr() == (_HELP, "")
+
+
+# Each command's positionals and options as argv words: an option is a
+# list of words, its value included.
+_PARSER_POSITIONALS = {
+    "apply": ["G", "R"], "apply-weak": ["G", "R"], "thin": ["G"], "rcore": ["G"],
+    "cocore": ["G"], "core": ["G"], "equiv": ["G", "H"], "solve": ["G", "H"],
+    "check": ["hall", "G", "R"], "decompose": ["R"], "reduce": ["hom-to-fulrel", "G", "H"],
+}
+_PARSER_OPTIONS = {
+    "equiv": [["--strong"], ["--weak"]],
+    "solve": [["--weak"], ["--full-domain"], ["--all"], ["--exists"], ["--minimal"],
+              ["--maximal"], ["--node-budget", "5"], ["--time-budget", "2.5"]],
+    "check": [["--sub", "0,1"]],
+}
+
+
+def _spellings(option: list[str]) -> list[list[str]]:
+    """``option`` whole, by its shortest unique prefix, and with "=value"."""
+    flag, *value = option
+    prefix = {"--full-domain": "--full", "--node-budget": "--node", "--time-budget": "--t",
+              "--minimal": "--mi", "--maximal": "--ma", "--strong": "--st", "--sub": "--su",
+              "--weak": "--w", "--all": "--a", "--exists": "--e"}[flag]
+    spelled = [option, [prefix, *value]]
+    if value:
+        spelled += [[f"{flag}={value[0]}"], [f"{prefix}={value[0]}"]]
+    return spelled
+
+
+def _parser_corpus() -> list[list[str]]:
+    """Argument lists for every command: each flag order with the options
+    between the positionals, every spelling, "--" at each place, missing,
+    extra and unknown arguments, clashing flags, bad values and help."""
+    corpus = [[], ["--json"], ["-h"], ["--help"], ["--he"], ["--json", "-h"], ["bogus"],
+              ["--", "rcore", "G"], ["--bogus", "rcore", "G"], ["--json=1", "rcore", "G"],
+              ["--j", "rcore", "G"], ["-hh"], ["-hx"], ["-h="], ["--=1", "rcore", "G"]]
+    for name, positionals in _PARSER_POSITIONALS.items():
+        options = _PARSER_OPTIONS.get(name, [])
+        for size in range(3):
+            for chosen in itertools.combinations(options, size):
+                for order in itertools.permutations([[p] for p in positionals] + list(chosen)):
+                    corpus.append([name, *itertools.chain(*order)])
+        for option in options:
+            for spelled in _spellings(option):
+                corpus.append([name, *positionals[:1], *spelled, *positionals[1:]])
+        base = [name, *positionals]
+        for i in range(1, len(base) + 1):
+            corpus.append(base[:i] + ["--"] + base[i:])
+            corpus.append(base[:i] + ["-h"] + base[i:])
+            corpus.append(base[:i] + ["--bogus"] + base[i:])
+            corpus.append(base[:i] + ["-x"] + base[i:])
+            corpus.append(base[:i] + ["-5"] + base[i:])
+            corpus.append(base[:i] + base[i + 1:])  # one missing
+            corpus.append(base[:i] + ["extra"] + base[i:])
+        corpus += [["--json", *base], [*base, "--json"], [name], [name, "-h"],
+                   [*base, "--help=x"], [*base, "--h"], [*base, "--"], ["--", *base]]
+    corpus += [
+        ["equiv", "G", "H"], ["equiv", "--strong", "--weak", "G", "H"],
+        ["equiv", "--weak", "G", "--strong", "H"], ["equiv", "--s", "G", "H"],
+        ["solve", "--all", "--exists", "G", "H"], ["solve", "--exists", "G", "H", "--all"],
+        ["solve", "--all", "--all", "G", "H"], ["solve", "--m", "G", "H"],
+        ["solve", "--weak=1", "G", "H"], ["solve", "--all=", "G", "H"],
+        ["solve", "--node-budget", "x", "G", "H"], ["solve", "--node-budget=1.5", "G", "H"],
+        ["solve", "--time-budget", "soon", "G", "H"], ["solve", "--time-budget", "nan", "G", "H"],
+        ["solve", "--node-budget", "-5", "G", "H"], ["solve", "--time-budget", "-1.5", "G", "H"],
+        ["solve", "--time-budget", "-1e5", "G", "H"], ["solve", "--node-budget", "G", "H"],
+        ["solve", "G", "H", "--node-budget"], ["solve", "--node-budget", "--", "5", "G", "H"],
+        ["solve", "--node-budget=", "G", "H"], ["solve", "--node-budget", " 7 ", "G", "H"],
+        ["solve", "G", "H", "--all", "--"], ["solve", "G", "--", "--all", "H"],
+        ["solve", "-G", "H"], ["solve", "-", "H"], ["solve", "", "H"], ["solve", "-a b", "H"],
+        ["check", "bogus", "G"], ["check", "hall"], ["check", "hall", "R", "--sub"],
+        ["check", "--sub", "1", "retraction", "G", "R"],
+        ["check", "retraction", "G", "--sub", "1", "R"],
+        ["check", "hall", "G", "R", "S", "T"], ["check", "retraction", "--", "G", "R"],
+        ["check", "retraction", "G", "--sub", "-1", "R"], ["check", "hall", "--sub=", "R"],
+        ["reduce", "bogus", "G", "H"], ["reduce", "G", "H"], ["reduce", "HOM-TO-FULREL", "G", "H"],
+        ["rcore", "--json", "G"], ["rcore", "G", "H"], ["rcore", "-hh"], ["rcore", "-h=h"],
+        ["rcore", "-hx"], ["rcore", "G", "-h"], ["apply", "G"], ["apply", "-h", "--bogus"],
+        ["apply", "--bogus", "-h"],
+    ]
+    # A second "--" is a positional to this parser; argparse on Python 3.11
+    # drops one "--" from each positional's words, so the lists above and
+    # below hold at most one.
+    rng = random.Random(23)
+    words = ["G", "H", "-5", "-x", "--", "", "-", "hall", "--all", "--weak", "--strong", "--sub",
+             "--node", "--node=3", "--time-budget", "--m", "--e", "-h", "--json", "--bogus",
+             "1,2", "x", "2.5", "hom-to-fulrel", "a b"]
+    while len(corpus) < 4000:
+        argv = [rng.choice(list(_PARSER_POSITIONALS))]
+        argv += [rng.choice(words) for _ in range(rng.randint(0, 6))]
+        if argv.count("--") < 2:
+            corpus.append(argv)
+    return corpus
+
+
+def test_parser_agrees_with_the_reference_parser(capsys, monkeypatch):
+    """``cli._parse`` gives argparse's namespace for every argument list the
+    reference parser accepts; where that prints help, ``main`` prints the
+    same bytes, and where it rejects the list, ``main`` exits 2 and prints
+    nothing on stdout."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse's help layout follows the terminal
+    reference = reference_parser()
+
+    def fields(namespace):  # by repr, so that a "nan" budget equals itself
+        return {key: repr(value) for key, value in vars(namespace).items()}
+
+    outcomes = set()
+    for argv in _parser_corpus():
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                expected = "namespace", fields(reference.parse_args(argv))
+            except SystemExit as exc:
+                expected = exc.code, out.getvalue()
+        try:
+            got = "namespace", fields(cli._parse(argv))
+        except cli._Exit:
+            got = main(argv), capsys.readouterr().out
+        assert got == expected, argv
+        outcomes.add(expected[0])
+    assert outcomes == {"namespace", 0, 2}
 
 
 def test_cli_solve_builds_no_relations(files, monkeypatch, capsys):
