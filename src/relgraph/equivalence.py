@@ -123,16 +123,12 @@ def strongly_equivalent(g: Graph, h: Graph) -> EquivalenceWitness | None:
     return EquivalenceWitness("strong", forward, backward)
 
 
-def rcore(g: Graph, mode: str = "fixpoint") -> Graph:
+def rcore(g: Graph) -> Graph:
     """Minimum-order representative of the weak equivalence class.
 
     Isolated vertices are split off first and re-attached as a single
-    isolated vertex. ``mode`` is ``"fixpoint"`` or ``"literal"``; both
-    compute the same graph, that of :func:`rcore_with_witness`, since one
-    pass of the deletion sweep already is its fixpoint.
+    isolated vertex. The graph is that of :func:`rcore_with_witness`.
     """
-    if mode not in ("fixpoint", "literal"):
-        raise ValueError(f"unknown mode {mode!r}")
     core, _, _ = rcore_with_witness(g)
     return core
 

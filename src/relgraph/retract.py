@@ -183,15 +183,9 @@ def graph_core_with_witness(
     return induced_subgraph(g, sub), RetractionWitness("retraction", frozenset(sub), rel)
 
 
-def cocore(g: Graph, mode: str = "literal") -> Graph:
-    """Minimal generating subgraph (R-cocore).
-
-    ``mode`` is ``"literal"`` or ``"fixpoint"``; both compute the same
-    graph, that of :func:`cocore_with_witness`, since one pass of the
-    deletion sweep already is its fixpoint.
-    """
-    if mode not in ("literal", "fixpoint"):
-        raise ValueError(f"unknown mode {mode!r}")
+def cocore(g: Graph) -> Graph:
+    """Minimal generating subgraph (R-cocore), the graph of
+    :func:`cocore_with_witness`."""
     core, _ = cocore_with_witness(g)
     return core
 

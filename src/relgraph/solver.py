@@ -47,12 +47,6 @@ from .core import (
     radius,
 )
 
-# Shared by certify's complete rule and the exists fast path.
-_complete_source = lru_cache(maxsize=65536)(
-    lambda k, h, weak: complete_source_solution(k, h, weak=weak)
-)
-
-
 class BudgetExhaustedError(RuntimeError):
     """Raised when a search exceeds its node or time budget.
 
@@ -69,8 +63,7 @@ class _Budget:
     """Node/time budget of one query, counted in candidate masks considered.
 
     A child that the column search's forward check cuts costs its column's
-    whole base set, which is what visiting it would cost at least. A weak
-    exists-query's strong attempt and weak search draw on one budget.
+    whole base set, which is what visiting it would cost at least.
 
     ``spend(count)`` charges ``count`` units at once: the node budget runs
     out as soon as fewer than zero units are left, and the deadline is
@@ -539,7 +532,7 @@ def _complete_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate |
     if g.n < 1 or not is_complete(g) or not h.is_simple:
         return None
     if domain == "any":
-        if _complete_source(g.n, h, weak) is not None:
+        if complete_source_solution(g.n, h, weak=weak) is not None:
             return None
     elif weak:
         return None
@@ -804,9 +797,9 @@ def solve(
 ) -> tuple[SolutionSet, Certificate | None]:
     """Enumerate or decide the query; attach a certificate to no-instances.
 
-    The search is skipped only when a (sound) certificate or complete-graph
-    characterization already decides the instance. A search that exhausts
-    its budget reports ``complete=False`` and no certificate.
+    The search is skipped only when a (sound) certificate already decides
+    the instance. A search that exhausts its budget reports
+    ``complete=False`` and no certificate.
 
     With the fast paths, an exists-query is decided on R-cores: the
     source's, and the target's in strong mode. ``G * R = H`` is solvable
@@ -818,15 +811,8 @@ def solve(
     vertices instead of the inputs, a node budget counts the search on
     the cores, and a certificate found there comes back as kind ``rcore``
     when a core is smaller than its input. Every exists-query takes this
-    one route: a graph that is its own R-core is searched as it is.
-
-    A weak exists-query that no certificate decides first tries the strong
-    equation from the source's R-core onto the target's: weak composition
-    only drops loops and the target has none, so a strong solution, lifted
-    and re-checked as a weak one, answers it. That attempt may spend at
-    most a tenth of the node budget; the weak search gets what it left,
-    and one deadline covers both. A negative answer, and its certificate,
-    come only from the weak search.
+    one route, certify and then one column search with the whole budget:
+    a graph that is its own R-core is searched as it is.
     """
     if query.enumeration == "exists":
         # At most one solution: nothing to sort, so no key is computed.
@@ -897,42 +883,27 @@ def _search(
     use_fast_paths: bool,
     budget: _Budget,
 ) -> tuple[list[tuple[int, ...]], bool, Certificate | None]:
-    """Certify, the fast paths, then the column search of ``g * R = h``.
+    """Certify (with the fast paths), then the column search of ``g * R = h``.
 
     Returns the solutions as unchecked column masks, only the first when
     ``exists``, whether the search completed within ``budget``, and the
-    certificate of a no-instance. A weak exists-query that no certificate or
-    complete-source witness decides tries ``_strong_first`` before its own
-    column search.
+    certificate of a no-instance.
     """
     mode = "weak" if weak else "strong"
     if use_fast_paths:
         cert = certify(g, h, mode, domain)
         if cert is not None:
             return [], True, cert
-        if (
-            exists
-            and domain == "any"
-            and g.n >= 1
-            and is_complete(g)
-            and h.is_simple
-        ):
-            witness = _complete_source(g.n, h, weak)
-            if witness is not None:
-                return [witness.columns], True, None
 
     found: list[tuple[int, ...]] = []
     complete = True
     try:
-        if use_fast_paths and weak and exists:
-            found = _strong_first(g, h, domain, budget)
-        if not found:
-            for colmasks in _search_columns(
-                g, h, weak=weak, full_domain=domain == "full", budget=budget
-            ):
-                found.append(colmasks)
-                if exists:
-                    break
+        for colmasks in _search_columns(
+            g, h, weak=weak, full_domain=domain == "full", budget=budget
+        ):
+            found.append(colmasks)
+            if exists:
+                break
     except BudgetExhaustedError:
         complete = False
 
@@ -946,34 +917,6 @@ def _search(
                 "invariant explains the failure",
             )
     return found, complete, cert
-
-
-def _strong_first(
-    g: Graph, h: Graph, domain: str, budget: _Budget
-) -> list[tuple[int, ...]]:
-    """A solution of the strong equation ``g * R = h`` under ``domain``,
-    searched on the R-core of the simple ``h`` and lifted to ``h``, as
-    unchecked columns; an empty list when the attempt finds none.
-
-    Weak composition is strong composition minus its loops, and ``h`` has
-    none, so the strong solution is a weak one. The attempt may spend at
-    most a tenth of the node units ``budget`` has left; what it does not
-    spend stays there for the weak search. It runs under ``budget``'s
-    deadline and raises ``BudgetExhaustedError`` when that passes.
-    """
-    hc, maps = _reduce(h)
-    total = budget.nodes_left
-    if total is not None:
-        budget.nodes_left = total // 10
-    found, complete, _ = _search(g, hc, False, domain, True, True, budget)
-    timed_out = not complete and (total is None or budget.nodes_left >= 0)
-    if total is not None:
-        budget.nodes_left = total - total // 10 + max(budget.nodes_left, 0)
-    if timed_out:
-        raise BudgetExhaustedError("time budget exhausted")
-    if found and maps is not None:
-        return [_compose_columns(found[0], maps[2])]
-    return found
 
 
 def _reduce(g: Graph):

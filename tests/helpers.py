@@ -199,9 +199,7 @@ def min_completing_budget(query: rg.SolveQuery, guess: int = 1) -> int:
     """Smallest ``node_budget`` under which ``rg.solve(query)`` completes.
 
     A query completes under budget B exactly when its search needs at most
-    B units, so completion is monotone in B. A weak exists-query's strong
-    attempt gets B // 10 units and its weak search what the attempt left;
-    both grow with B, so completion stays monotone. Starting from
+    B units, so completion is monotone in B. Starting from
     ``guess``, the step doubles until it brackets the threshold, then the
     bracket is bisected; a correct guess costs two solves. To regenerate
     the pinned thresholds of ``tests/test_solver.py`` on another commit,

@@ -155,10 +155,6 @@ def test_rcore_oracle_agreement_small():
     for g in rg.all_graphs_up_to(4):
         oracle = rg.rcore_oracle(g)
         assert rg.find_isomorphism(rg.rcore(g), oracle) is not None
-        assert rg.find_isomorphism(rg.rcore(g, mode="literal"), oracle) is not None
-        assert rg.rcore(g, mode="literal") == rg.rcore(g, mode="fixpoint")
-    with pytest.raises(ValueError, match="unknown mode"):
-        rg.rcore(rg.cycle_graph(4), mode="stale")
 
 
 def test_rcore_oracle_instances():

@@ -106,10 +106,6 @@ def test_cocore_oracle_agreement_small():
     for g in rg.all_graphs_up_to(4):
         oracle = rg.cocore_oracle(g)
         assert rg.find_isomorphism(rg.cocore(g), oracle) is not None
-        assert rg.find_isomorphism(rg.cocore(g, mode="fixpoint"), oracle) is not None
-        assert rg.cocore(g, mode="fixpoint") == rg.cocore(g, mode="literal")
-    with pytest.raises(ValueError, match="unknown mode"):
-        rg.cocore(rg.cycle_graph(4), mode="stale")
 
 
 def test_cocore_oracle_instances():

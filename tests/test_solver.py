@@ -263,18 +263,18 @@ _GRAPHS = {
         ("C6", "2P3", "strong", "any", "all", 5_389),
         ("P7", "P4", "strong", "full", "exists", 119),
         ("P7", "P4", "strong", "any", "all", 37_785),
-        ("C8", "P4", "weak", "any", "exists", 441),
+        ("C8", "P4", "weak", "any", "exists", 397),
         ("C6", "P4", "weak", "any", "all", 40_257),
         ("C10", "C5", "strong", "full", "exists", 60_985),
         ("E4", "E4", "strong", "any", "all", 54_240),
-        ("P5", "C5", "weak", "full", "exists", 17_074),
+        ("P5", "C5", "weak", "full", "exists", 15_934),
         ("C8", "P4", "strong", "full", "all", 9_890),
         ("C6", "P4", "weak", "full", "all", 5_922),
         # The cases that chose `solver._column_order`.
         ("E5", "K2+3K1", "strong", "full", "all", 992),
         ("K1,4", "K1,4", "strong", "full", "all", 58_160),
         ("P16", "P6", "strong", "any", "exists", 18_132),
-        ("C14", "P4", "weak", "any", "exists", 14_620),
+        ("C14", "P4", "weak", "any", "exists", 24_589),
     ],
 )
 def test_pinned_node_budget_thresholds(source, target, mode, domain, enumeration, threshold):
@@ -647,16 +647,26 @@ def test_complete_source_decisions_match_search_spot():
                     )[0].solutions
                 )
                 assert rg.complete_source_decision(k, h, weak=weak) == want
+    # Large complete sources through the default route, which certify's
+    # complete rule and the column search answer. The unreduced search is
+    # left out: it takes seconds on one K16 negative.
+    for k in (8, 16):
+        src = rg.complete_graph(k)
+        for h in rg.all_graphs_up_to(5):
+            for mode in ("strong", "weak"):
+                ss, cert = rg.solve(rg.SolveQuery(src, h, mode=mode, enumeration="exists"))
+                want = rg.complete_source_decision(k, h, weak=mode == "weak")
+                assert ss.complete and bool(ss.solutions) == want, (k, h, mode)
+                assert want or rg.certificate_holds(cert, src, h, mode)
 
 
 def test_exists_query_computes_the_complete_source_rule_once(monkeypatch):
-    # certify's complete rule and the exists fast path share one computation.
+    # certify's complete rule is the only place that splits the complement.
     calls = []
     real = solver._complement_clique_parts
     monkeypatch.setattr(
         solver, "_complement_clique_parts", lambda h: calls.append(h) or real(h)
     )
-    solver._complete_source.cache_clear()
     k3 = rg.complete_graph(3)
     ss, cert = rg.solve(rg.SolveQuery(k3, rg.path_graph(3), enumeration="exists"))
     assert cert is None and len(ss.solutions) == 1 and len(calls) == 1
@@ -844,20 +854,10 @@ def test_exists_on_rcores_matches_the_unreduced_search():
     assert lifted and rcore_certs
 
 
-def test_weak_exists_strong_first_matches_the_unreduced_search(monkeypatch):
+def test_weak_exists_matches_the_unreduced_search():
     """All 324 pairs of loopless graphs up to 4 vertices, both domains: weak
-    exists-queries give the answers of the plain weak search, and every
-    witness, many of them strong solutions, solves the inputs weakly."""
-    strong_found = 0
-    strong_first = solver._strong_first
-
-    def counted(*args):
-        nonlocal strong_found
-        found = strong_first(*args)
-        strong_found += bool(found)
-        return found
-
-    monkeypatch.setattr(solver, "_strong_first", counted)
+    exists-queries give the answers of the plain weak search, every witness
+    solves the inputs weakly, and every certificate re-checks."""
     graphs = rg.all_graphs_up_to(4)
     assert len(graphs) ** 2 == 324
     for g in graphs:
@@ -874,30 +874,22 @@ def test_weak_exists_strong_first_matches_the_unreduced_search(monkeypatch):
                     assert domain == "any" or r.has_full_domain
                 else:
                     assert rg.certificate_holds(cert, g, h, "weak", domain)
-    assert strong_found
 
 
 @pytest.mark.parametrize("source", [rg.cycle_graph(8), blow_up(rg.cycle_graph(8), 2, seed=3)])
 def test_weak_exists_rechecks_the_strong_solution(monkeypatch, source):
-    # Every column {0} gives an edgeless image, which is not P4; the strong
-    # attempt's solution is re-checked on the inputs whether or not the
-    # source was reduced.
-    search = solver._search
-
-    def bad_strong(g, h, weak, *args):
-        if not weak:
-            return [(1,) * h.n], True, None
-        return search(g, h, weak, *args)
-
-    monkeypatch.setattr(solver, "_search", bad_strong)
+    # Every column {0} gives an edgeless image, which is not P4; the weak
+    # search's solution is re-checked on the inputs whether or not the
+    # source was reduced (C8 is its own R-core).
+    monkeypatch.setattr(solver, "_search", lambda g, h, weak, *args: ([(1,) * h.n], True, None))
     query = rg.SolveQuery(source, rg.path_graph(4), mode="weak", enumeration="exists")
     with pytest.raises(rg.WitnessCheckError):
         rg.solve(query)
 
 
-def test_weak_exists_time_budget_covers_the_strong_attempt():
-    # The strong attempt alone needs more than 256 units, so the deadline
-    # is checked before either search can finish.
+def test_weak_full_domain_exists_reports_an_exhausted_time_budget():
+    # The search needs more than 256 units, so the deadline is checked
+    # before it can finish.
     query = rg.SolveQuery(
         rg.path_graph(5), rg.cycle_graph(5), mode="weak", domain="full",
         enumeration="exists", time_budget=1e-9,
@@ -979,20 +971,12 @@ solver._compose_columns = lambda first, second: tuple((1 << 4) - 1 for _ in seco
 expect_check_error(found)
 solver._compose_columns = lift
 
-# A strong attempt of a weak query that puts every column at vertex 0.
+# A weak search that puts every column at vertex 0, on a source that is
+# its own R-core (C8) and on one that reduces to it.
 search = solver._search
-
-
-def bad_strong(g, h, weak, *args):
-    if not weak:
-        return [(1,) * h.n], True, None
-    return search(g, h, weak, *args)
-
-
-solver._search = bad_strong
-expect_check_error(
-    rg.SolveQuery(rg.cycle_graph(8), rg.path_graph(4), mode="weak", enumeration="exists")
-)
+solver._search = lambda g, h, weak, *args: ([(1,) * h.n], True, None)
+for source in (rg.cycle_graph(8), rg.reduce_fulrel_to_shom(rg.cycle_graph(8), rg.empty_graph(2))):
+    expect_check_error(rg.SolveQuery(source, rg.path_graph(4), mode="weak", enumeration="exists"))
 solver._search = search
 
 # A complete enumeration with one non-solution among the solutions, built
