@@ -16,7 +16,7 @@ from .core import (
     Record,
     Relation,
     UniverseMismatchError,
-    _bits_for,
+    _bits,
     _generated_rows,
     _loopless,
     check_witness,
@@ -171,10 +171,9 @@ def hall_check(rel: Relation) -> HallReport:
     reached_src = set(unmatched)
     reached_tgt: set[int] = set()
     frontier = list(unmatched)
-    bits = _bits_for(m)
     while frontier:
         x = frontier.pop()
-        for b in bits(rows[x]):
+        for b in _bits(rows[x]):
             if b not in reached_tgt:
                 reached_tgt.add(b)
                 back = match_of_target[b]

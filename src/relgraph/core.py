@@ -17,7 +17,7 @@ process more start-up than a ``reduce`` command spends computing.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 
 class UniverseMismatchError(ValueError):
@@ -203,14 +203,13 @@ class Graph(Record):
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The ``(u, v)`` pairs with ``u <= v``, from the rows."""
-        bits = _bits_for(self.n)
         return frozenset(
-            (u, v) for u, row in enumerate(self.adjacency) for v in bits(row >> u << u)
+            (u, v) for u, row in enumerate(self.adjacency) for v in _bits(row >> u << u)
         )
 
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood N(v); contains v itself exactly when v has a loop."""
-        return frozenset(_bits_for(self.n)(self.adjacency[v]))
+        return frozenset(_bits(self.adjacency[v]))
 
     def closed_neighbors(self, v: int) -> frozenset[int]:
         """Closed neighborhood N[v] = N(v) plus v."""
@@ -302,14 +301,12 @@ def components(g: Graph) -> list[frozenset[int]]:
     Each is the union of one frontier sweep from the lowest vertex that no
     earlier sweep reached.
     """
-    # The invariants walk masks past `_bits`' cache: certify runs them on
-    # the exists route past the cap, which leaves that cache empty.
     out = []
     left = (1 << g.n) - 1
     while left:
         comp = sum(_layers(g.adjacency, left & -left))
         left ^= comp
-        out.append(frozenset(_bits.__wrapped__(comp)))
+        out.append(frozenset(_bits(comp)))
     return out
 
 
@@ -320,7 +317,7 @@ def distance_matrix(g: Graph) -> list[list[float]]:
     for s in range(g.n):
         row = [math.inf] * g.n
         for d, layer in enumerate(_layers(g.adjacency, 1 << s)):
-            for v in _bits.__wrapped__(layer):
+            for v in _bits(layer):
                 row[v] = d
         dist.append(row)
     return dist
@@ -391,10 +388,10 @@ def _degeneracy_order(g: Graph) -> list[int]:
     left = (1 << g.n) - 1
     order = []
     while left:
-        v = min(_bits.__wrapped__(left), key=deg.__getitem__)
+        v = min(_bits(left), key=deg.__getitem__)
         order.append(v)
         left ^= 1 << v
-        for u in _bits.__wrapped__(adj[v] & left):
+        for u in _bits(adj[v] & left):
             deg[u] -= 1
     return order
 
@@ -438,12 +435,12 @@ def chromatic_number(g: Graph) -> int:
     return best
 
 
-# The exhaustive solver's cap on vertices per side. Masks over at most this
-# many vertices have their set bits cached.
+# The exhaustive solver's cap on vertices per side.
 SOLVER_VERTEX_CAP = 16
+# The cap of the exhaustive oracles ``rcore_oracle`` and ``cocore_oracle``.
+ORACLE_VERTEX_CAP = 7
 
 
-@lru_cache(maxsize=1 << SOLVER_VERTEX_CAP)
 def _bits(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of ``mask``, ascending."""
     out = []
@@ -452,16 +449,6 @@ def _bits(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def _bits_for(n: int):
-    """``_bits`` for masks over ``n`` vertices.
-
-    The cache is sized for masks under the vertex cap. Wider masks, such as
-    a solution lifted from R-cores, are walked without it, so the cache
-    never holds their long tuples.
-    """
-    return _bits if n <= SOLVER_VERTEX_CAP else _bits.__wrapped__
 
 
 def _compose_columns(first, second) -> tuple[int, ...]:
@@ -482,9 +469,8 @@ def _transpose_columns(n: int, columns) -> list[int]:
     """Rows of the relation with ``columns`` over an ``n``-vertex domain:
     row x is the mask of the columns holding x."""
     rows = [0] * n
-    bits = _bits_for(n)
     for b, col in enumerate(columns):
-        for x in bits(col):
+        for x in _bits(col):
             rows[x] |= 1 << b
     return rows
 
@@ -560,8 +546,7 @@ class Relation(Record):
     @cached_property
     def pairs(self) -> frozenset[tuple[int, int]]:
         """The ``(x, b)`` pairs, from the columns."""
-        bits = _bits_for(self.domain_size)
-        return frozenset((x, b) for b, col in enumerate(self.columns) for x in bits(col))
+        return frozenset((x, b) for b, col in enumerate(self.columns) for x in _bits(col))
 
     def image_of(self, x: int) -> frozenset[int]:
         if x < 0:
@@ -571,14 +556,14 @@ class Relation(Record):
     def preimage_of(self, b: int) -> frozenset[int]:
         if not 0 <= b < self.image_size:
             return frozenset()
-        return frozenset(_bits_for(self.domain_size)(self.columns[b]))
+        return frozenset(_bits(self.columns[b]))
 
     @cached_property
     def domain_set(self) -> frozenset[int]:
         mask = 0
         for col in self.columns:
             mask |= col
-        return frozenset(_bits_for(self.domain_size)(mask))
+        return frozenset(_bits(mask))
 
     @cached_property
     def image_set(self) -> frozenset[int]:
@@ -802,6 +787,5 @@ def _reduced_graph(g: Graph, keep: list[int]) -> Graph:
     one isolated vertex standing for all of them.
     """
     bit = {v: 1 << i for i, v in enumerate(keep)}
-    bits = _bits_for(g.n)
-    rows = [sum(bit.get(u, 0) for u in bits(g.adjacency[v])) for v in keep]
+    rows = [sum(bit.get(u, 0) for u in _bits(g.adjacency[v])) for v in keep]
     return Graph._of_rows(rows, tuple(map(g.label_of, keep)))

@@ -15,6 +15,7 @@ from .algebra import apply_strong
 from .core import (
     CapExceededError,
     Graph,
+    ORACLE_VERTEX_CAP,
     Partition,
     Record,
     Relation,
@@ -153,7 +154,7 @@ def rcore_with_witness(g: Graph) -> tuple[Graph, Relation, Relation]:
     return core, forward, backward
 
 
-def rcore_oracle(g: Graph, cap: int = 7) -> Graph:
+def rcore_oracle(g: Graph) -> Graph:
     """Exhaustive minimum-order weak-equivalence representative.
 
     Scans candidate graphs by increasing order (canonical generation order
@@ -165,8 +166,8 @@ def rcore_oracle(g: Graph, cap: int = 7) -> Graph:
     from .generate import all_graphs, canonical_key
     from .solver import relation_exists
 
-    if g.n > cap:
-        raise CapExceededError(f"oracle capped at {cap} vertices, got {g.n}")
+    if g.n > ORACLE_VERTEX_CAP:
+        raise CapExceededError(f"oracle capped at {ORACLE_VERTEX_CAP} vertices, got {g.n}")
     if g.n == 0:
         return g
     loops = not g.is_simple

@@ -16,6 +16,7 @@ from .algebra import apply_strong
 from .core import (
     CapExceededError,
     Graph,
+    ORACLE_VERTEX_CAP,
     Record,
     Relation,
     _compose_columns,
@@ -138,14 +139,18 @@ def _functional_retraction(g: Graph, sub: tuple[int, ...]) -> dict[int, int] | N
     return dict(image) if place(0) else None
 
 
-def graph_core(g: Graph, cap: int = 10) -> Graph:
-    core, _ = graph_core_with_witness(g, cap=cap)
+# The caps of the exhaustive searches of ``graph_core_with_witness`` and of
+# ``all_self_relations_are_automorphisms(..., verify=True)``.
+CORE_SEARCH_CAP = 10
+SELF_RELATION_CAP = 6
+
+
+def graph_core(g: Graph) -> Graph:
+    core, _ = graph_core_with_witness(g)
     return core
 
 
-def graph_core_with_witness(
-    g: Graph, cap: int = 10
-) -> tuple[Graph, RetractionWitness]:
+def graph_core_with_witness(g: Graph) -> tuple[Graph, RetractionWitness]:
     """Smallest induced subgraph reachable by a retraction, with witness.
 
     Tries target vertex sets by increasing size then lexicographic order;
@@ -153,8 +158,8 @@ def graph_core_with_witness(
     identity-fixing homomorphisms. A loop vertex shortcuts the search:
     everything retracts onto it.
     """
-    if g.n > cap:
-        raise CapExceededError(f"core search capped at {cap} vertices, got {g.n}")
+    if g.n > CORE_SEARCH_CAP:
+        raise CapExceededError(f"core search capped at {CORE_SEARCH_CAP} vertices, got {g.n}")
     loops = g.loop_vertices()
     if loops:
         o = loops[0]
@@ -219,13 +224,13 @@ def cocore_with_witness(g: Graph) -> tuple[Graph, RetractionWitness]:
     return core, RetractionWitness("coretraction", frozenset(keep), rel)
 
 
-def cocore_oracle(g: Graph, cap: int = 7) -> Graph:
+def cocore_oracle(g: Graph) -> Graph:
     """Exhaustive minimal coretract: scan induced subgraphs by size and
     lexicographic vertex set, deciding each by pinned-column search."""
     from .solver import search_with_pinned_columns
 
-    if g.n > cap:
-        raise CapExceededError(f"oracle capped at {cap} vertices, got {g.n}")
+    if g.n > ORACLE_VERTEX_CAP:
+        raise CapExceededError(f"oracle capped at {ORACLE_VERTEX_CAP} vertices, got {g.n}")
     if g.n == 0:
         return g
     for size in range(1, g.n):
@@ -260,9 +265,7 @@ def is_automorphism_relation(g: Graph, rel: Relation) -> bool:
     return _compose_columns(adj, cols) == _compose_columns(cols, adj)
 
 
-def all_self_relations_are_automorphisms(
-    g: Graph, verify: bool = False, enumeration_cap: int = 6
-) -> bool:
+def all_self_relations_are_automorphisms(g: Graph, verify: bool = False) -> bool:
     """Whether every self-solution of the graph's own equation is an
     automorphism; equivalent to containment-free neighborhoods.
 
@@ -274,9 +277,9 @@ def all_self_relations_are_automorphisms(
     answer = property_n(g)
     if not verify:
         return answer
-    if g.n > enumeration_cap:
+    if g.n > SELF_RELATION_CAP:
         raise CapExceededError(
-            f"verification capped at {enumeration_cap} vertices, got {g.n}"
+            f"verification capped at {SELF_RELATION_CAP} vertices, got {g.n}"
         )
     if answer:
         from .solver import SolveQuery, solve

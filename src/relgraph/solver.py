@@ -29,7 +29,7 @@ from .core import (
     Relation,
     SOLVER_VERTEX_CAP,
     WitnessCheckError,
-    _bits_for,
+    _bits,
     _compose_columns,
     _generated_rows,
     _loopless,
@@ -359,7 +359,6 @@ def _canonical_keys(n: int, m: int, found: list[tuple[int, ...]]) -> list:
     solution lifted from R-cores can have ``n*m > 256``; its key is the
     list. Each column's numbers are listed once per distinct mask.
     """
-    bits = _bits_for(n)
     wide = n * m > 256
     memos: list[dict[int, list[int]]] = [{} for _ in range(m)]
     keys = []
@@ -369,7 +368,7 @@ def _canonical_keys(n: int, m: int, found: list[tuple[int, ...]]) -> list:
             memo = memos[b]
             numbered = memo.get(mask)
             if numbered is None:
-                numbered = memo[mask] = [x * m + b for x in bits(mask)]
+                numbered = memo[mask] = [x * m + b for x in _bits(mask)]
             nums += numbered
         nums.sort()
         keys.append(nums if wide else bytes(nums))
@@ -451,12 +450,13 @@ def complete_source_solution(
     return Relation(k, h.n, pairs)
 
 
-# Each no-instance rule takes (g, h, weak, domain) and returns its Certificate
-# when its hypotheses hold and the invariant it cites fails, else None.
+# Each no-instance rule takes (g, h, weak, full), ``full`` for a full-domain
+# query, and returns its Certificate when its hypotheses hold and the
+# invariant it cites fails, else None.
 
 
-def _components_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
-    if domain != "full" or g.isolated_vertices() or h.isolated_vertices():
+def _components_rule(g: Graph, h: Graph, weak: bool, full: bool) -> Certificate | None:
+    if not full or g.isolated_vertices() or h.isolated_vertices():
         return None
     b0g, b0h = len(components(g)), len(components(h))
     if b0g >= b0h:
@@ -469,8 +469,8 @@ def _components_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate
     )
 
 
-def _chromatic_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
-    if weak or domain != "full" or not (g.is_simple and h.is_simple):
+def _chromatic_rule(g: Graph, h: Graph, weak: bool, full: bool) -> Certificate | None:
+    if weak or not full or not (g.is_simple and h.is_simple):
         return None
     cg, ch = chromatic_number(g), chromatic_number(h)
     if cg <= ch:
@@ -483,9 +483,9 @@ def _chromatic_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate 
     )
 
 
-def _distance_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
+def _distance_rule(g: Graph, h: Graph, weak: bool, full: bool) -> Certificate | None:
     # A disconnected source has diameter inf, which no target exceeds.
-    if domain != "full":
+    if not full:
         return None
     dg = diameter(g)
     if dg < 2:
@@ -500,9 +500,9 @@ def _distance_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate |
     )
 
 
-def _radius_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
+def _radius_rule(g: Graph, h: Graph, weak: bool, full: bool) -> Certificate | None:
     # A disconnected source has radius inf, which no target exceeds.
-    if domain != "full" or g.n < 2:
+    if not full or g.n < 2:
         return None
     bound = max(radius(g), 2)
     rh = radius(h)
@@ -515,8 +515,8 @@ def _radius_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | N
     )
 
 
-def _path_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
-    if weak or domain != "full":
+def _path_rule(g: Graph, h: Graph, weak: bool, full: bool) -> Certificate | None:
+    if weak or not full:
         return None
     k, l = path_length_of(g), path_length_of(h)
     if k is None or l is None or min(k, l) < 1 or k >= l or (k == 1 and l == 2):
@@ -528,10 +528,10 @@ def _path_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | Non
     )
 
 
-def _complete_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate | None:
+def _complete_rule(g: Graph, h: Graph, weak: bool, full: bool) -> Certificate | None:
     if g.n < 1 or not is_complete(g) or not h.is_simple:
         return None
-    if domain == "any":
+    if not full:
         if complete_source_solution(g.n, h, weak=weak) is not None:
             return None
     elif weak:
@@ -543,7 +543,7 @@ def _complete_rule(g: Graph, h: Graph, weak: bool, domain: str) -> Certificate |
     return Certificate(
         "completeChar",
         f"the target's complement does not split into "
-        f"{'at most' if domain == 'any' else 'exactly'} {g.n} "
+        f"{'exactly' if full else 'at most'} {g.n} "
         "disjoint complete graphs"
         + (" (counting only components with two or more vertices)" if weak else ""),
         (("source_order", g.n),),
@@ -569,10 +569,19 @@ def certify(
     Each rule is applied only under hypotheses making it sound, so a
     certificate is never returned for a solvable instance. Returns None
     when no rule applies (which does not mean a solution exists).
+
+    Unlike the solver, ``certify`` applies no vertex cap. Its chromatic
+    rule computes both graphs' exact chromatic numbers by branch and
+    bound, which is exponential in the worst case: on seeded random
+    G(n, 0.5) sources onto K3, full domain, it took 1.6 s at n = 50 and
+    7 s at n = 60 (one CPU of a 2-core Xeon VM, Python 3.11).
     """
-    weak = mode == "weak"
+    return _certify(g, h, mode == "weak", domain == "full")
+
+
+def _certify(g: Graph, h: Graph, weak: bool, full: bool) -> Certificate | None:
     for rule in _RULES.values():
-        cert = rule(g, h, weak, domain)
+        cert = rule(g, h, weak, full)
         if cert is not None:
             return cert
     return None
@@ -596,7 +605,7 @@ def certificate_holds(
             h = _reduce(h)[0]
     else:
         rule = _RULES.get(cert.kind)
-    return rule is not None and rule(g, h, weak, domain) is not None
+    return rule is not None and rule(g, h, weak, domain == "full") is not None
 
 
 class SolveQuery(Record):
@@ -664,7 +673,7 @@ def _check_solutions(
     h: Graph,
     found: list[tuple[int, ...]],
     weak: bool,
-    fulldom: bool,
+    full: bool,
     what: str = "solve",
 ) -> None:
     """Re-check column-mask solutions against ``h``'s adjacency rows.
@@ -692,13 +701,12 @@ def _check_solutions(
         if (_loopless(rows) if weak else rows) != tadj:
             raise WitnessCheckError(f"{what}: not a solution")
     elif found:
-        bits = _bits_for(g.n)
         columns = list(zip(*found))
         nbrs: dict[int, int] = {}
         for column in columns:
             for mask in set(column).difference(nbrs):
                 nb = 0
-                for x in bits(mask):
+                for x in _bits(mask):
                     nb |= sadj[x]
                 nbrs[mask] = nb
         for b, column in enumerate(columns):
@@ -707,8 +715,8 @@ def _check_solutions(
                 meets = map(and_, reach, columns[c])
                 if not (all(meets) if tadj[b] >> c & 1 else not any(meets)):
                     raise WitnessCheckError(f"{what}: not a solution")
-    full = (1 << g.n) - 1
-    if fulldom and any(reduce(or_, cols, 0) != full for cols in found):
+    every = (1 << g.n) - 1
+    if full and any(reduce(or_, cols, 0) != every for cols in found):
         raise WitnessCheckError(f"{what}: full-domain solution misses a source vertex")
 
 
@@ -759,36 +767,51 @@ def iter_solutions(query: SolveQuery, *, use_fast_paths: bool = True):
         yield Relation._of_columns(g.n, h.n, cols)
 
 
+def _settled(
+    g: Graph, h: Graph, weak: bool, full: bool, certified: bool
+) -> Certificate | None:
+    """The certificate that settles ``g * R = h`` without a search, else None.
+
+    The one gate in front of every column search. A weak-mode target with
+    loops has no solution at any size, since weak composition never yields
+    a loop: its certificate is kind ``exhausted``. Any other pair is capped
+    at SOLVER_VERTEX_CAP vertices a side, and then, when ``certified``,
+    the no-instance rules run on it.
+    """
+    if weak and not h.is_simple:
+        return Certificate(
+            "exhausted",
+            "weak composition always yields a loop-free graph; the target has loops",
+        )
+    _check_cap(g, h)
+    return _certify(g, h, weak, full) if certified else None
+
+
 def _solutions(
     g: Graph,
     h: Graph,
     weak: bool,
-    fulldom: bool,
+    full: bool,
     *,
     certified: bool,
     required: list[int] | None = None,
     universe: list[int] | None = None,
     budget: _Budget = _NO_BUDGET,
 ):
-    """The checked search route of ``iter_solutions``, ``relation_exists``
-    and ``search_with_pinned_columns``: column masks in search order.
+    """The lazy route of ``iter_solutions``, ``relation_exists`` and
+    ``search_with_pinned_columns``: column masks in search order.
 
-    Caps the inputs before any certificate runs, yields nothing for a
-    weak-mode target with loops or, when ``certified``, for a certified
-    no-instance, and re-checks every solution before it is yielded.
-    ``required``/``universe`` pin the columns as in ``_search_columns``.
+    Yields nothing for a query that ``_settled`` settles, and re-checks
+    every solution before it is yielded. ``required``/``universe`` pin the
+    columns as in ``_search_columns``.
     """
-    _check_cap(g, h)
-    if weak and not h.is_simple:
-        return
-    mode = "weak" if weak else "strong"
-    if certified and certify(g, h, mode, "full" if fulldom else "any") is not None:
+    if _settled(g, h, weak, full, certified) is not None:
         return
     for cols in _search_columns(
-        g, h, weak=weak, full_domain=fulldom,
+        g, h, weak=weak, full_domain=full,
         required=required, universe=universe, budget=budget,
     ):
-        _check_solutions(g, h, [cols], weak, fulldom)
+        _check_solutions(g, h, [cols], weak, full)
         yield cols
 
 
@@ -814,13 +837,8 @@ def solve(
     one route, certify and then one column search with the whole budget:
     a graph that is its own R-core is searched as it is.
     """
-    if query.enumeration == "exists":
-        # At most one solution: nothing to sort, so no key is computed.
-        found, complete, cert = _checked_masks(query, use_fast_paths)
-        minimal = maximal = ()
-    else:
-        found, keys, minimal, maximal, complete, cert = _solve_masks(query, use_fast_paths)
-        del keys  # not part of the result: freed before the Relations are built
+    found, keys, minimal, maximal, complete, cert = _solve_masks(query, use_fast_paths)
+    del keys  # not part of the result: freed before the Relations are built
     n, m = query.source.n, query.target.n
     rels = tuple(Relation._of_columns(n, m, cols) for cols in found)
     return SolutionSet(rels, minimal, maximal, complete), cert
@@ -837,70 +855,46 @@ def _solve_masks(query: SolveQuery, use_fast_paths: bool = True) -> _Masks:
     by its key, and packed once for the antichains, which read its pairs
     off the key.
     """
-    found, complete, cert = _checked_masks(query, use_fast_paths)
-    n, m = query.source.n, query.target.n
-    found, keys = _canonical_order(n, m, found)
-    minimal: tuple[int, ...] = ()
-    maximal: tuple[int, ...] = ()
-    if complete and found and query.enumeration != "exists":
-        minimal, maximal = _antichains(n, m, found, keys)
-    return found, keys, minimal, maximal, complete, cert
-
-
-def _checked_masks(
-    query: SolveQuery, use_fast_paths: bool
-) -> tuple[list[tuple[int, ...]], bool, Certificate | None]:
-    """The query's re-checked solutions as column masks, in search order,
-    whether the search completed, and the certificate of a no-instance."""
     g, h = query.source, query.target
-    weak = query.mode == "weak"
-    fulldom = query.domain == "full"
-
-    if weak and not h.is_simple:
-        cert = Certificate(
-            "exhausted",
-            "weak composition always yields a loop-free graph; the target has loops",
-        )
-        return [], True, cert
-
+    weak, full = query.mode == "weak", query.domain == "full"
     budget = _Budget(query.node_budget, query.time_budget)
     exists = query.enumeration == "exists"
     if use_fast_paths and exists:
-        found, complete, cert = _solve_on_cores(g, h, weak, query.domain, budget)
+        found, complete, cert = _solve_on_cores(g, h, weak, full, budget)
     else:
-        _check_cap(g, h)
-        found, complete, cert = _search(g, h, weak, query.domain, exists, use_fast_paths, budget)
-    _check_solutions(g, h, found, weak, fulldom)
-    return found, complete, cert
+        found, complete, cert = _search(g, h, weak, full, exists, use_fast_paths, budget)
+    _check_solutions(g, h, found, weak, full)
+    found, keys = _canonical_order(g.n, h.n, found)
+    minimal: tuple[int, ...] = ()
+    maximal: tuple[int, ...] = ()
+    if complete and found and not exists:
+        minimal, maximal = _antichains(g.n, h.n, found, keys)
+    return found, keys, minimal, maximal, complete, cert
 
 
 def _search(
     g: Graph,
     h: Graph,
     weak: bool,
-    domain: str,
+    full: bool,
     exists: bool,
-    use_fast_paths: bool,
+    certified: bool,
     budget: _Budget,
 ) -> tuple[list[tuple[int, ...]], bool, Certificate | None]:
-    """Certify (with the fast paths), then the column search of ``g * R = h``.
+    """``_settled``, then the column search of ``g * R = h``.
 
     Returns the solutions as unchecked column masks, only the first when
     ``exists``, whether the search completed within ``budget``, and the
     certificate of a no-instance.
     """
-    mode = "weak" if weak else "strong"
-    if use_fast_paths:
-        cert = certify(g, h, mode, domain)
-        if cert is not None:
-            return [], True, cert
+    cert = _settled(g, h, weak, full, certified)
+    if cert is not None:
+        return [], True, cert
 
     found: list[tuple[int, ...]] = []
     complete = True
     try:
-        for colmasks in _search_columns(
-            g, h, weak=weak, full_domain=domain == "full", budget=budget
-        ):
+        for colmasks in _search_columns(g, h, weak=weak, full_domain=full, budget=budget):
             found.append(colmasks)
             if exists:
                 break
@@ -909,13 +903,12 @@ def _search(
 
     cert = None
     if complete and not found:
-        cert = certify(g, h, mode, domain) if not use_fast_paths else None
-        if cert is None:
-            cert = Certificate(
-                "exhausted",
-                "exhaustive search found no solution and no structural "
-                "invariant explains the failure",
-            )
+        # Where the rules did not run first, they name what the search proved.
+        cert = _settled(g, h, weak, full, not certified) or Certificate(
+            "exhausted",
+            "exhaustive search found no solution and no structural "
+            "invariant explains the failure",
+        )
     return found, complete, cert
 
 
@@ -934,7 +927,7 @@ def _reduce(g: Graph):
 
 
 def _solve_on_cores(
-    g: Graph, h: Graph, weak: bool, domain: str, budget: _Budget
+    g: Graph, h: Graph, weak: bool, full: bool, budget: _Budget
 ) -> tuple[list[tuple[int, ...]], bool, Certificate | None]:
     """Decide the exists-query ``g * R = h`` on R-cores and lift the answer.
 
@@ -942,7 +935,7 @@ def _solve_on_cores(
     reduced by ``_reduce``, and so is the target in strong mode; a side
     whose R-core is itself has None for maps and is searched as it is.
     Returns what ``_search`` returns, for the inputs. A core solution R'
-    lifts to forward ; R' ; backward, which ``_checked_masks`` re-checks on
+    lifts to forward ; R' ; backward, which ``_solve_masks`` re-checks on
     the inputs. A negative answer rests on the reductions: a solution R of
     the inputs gives the solution backward ; R ; forward of the cores. So
     the source's backward map and the target's forward map are re-checked
@@ -951,8 +944,7 @@ def _solve_on_cores(
     """
     gc, src_maps = _reduce(g)
     hc, tgt_maps = (h, None) if weak else _reduce(h)
-    _check_cap(gc, hc)
-    found, complete, cert = _search(gc, hc, weak, domain, True, True, budget)
+    found, complete, cert = _search(gc, hc, weak, full, True, True, budget)
     if found:
         # Lift R' to forward ; R' ; backward, a side at a time.
         cols = found[0]
@@ -988,10 +980,12 @@ def relation_exists(
 ) -> bool:
     """Decision form used by the oracle searches: certify, then search, no budget.
 
-    Capped at SOLVER_VERTEX_CAP vertices per side, on the inputs, and a
-    True answer rests on a re-checked solution. Unlike ``solve`` it
-    deliberately does not reduce to R-cores: ``rcore_oracle`` and the
-    tests use it as an oracle independent of the deletion algorithm.
+    Settled first as every query is (``_settled``): False for a weak-mode
+    target with loops, else capped at SOLVER_VERTEX_CAP vertices per side,
+    on the inputs. A True answer rests on a re-checked solution. Unlike
+    ``solve`` it deliberately does not reduce to R-cores: ``rcore_oracle``
+    and the tests use it as an oracle independent of the deletion
+    algorithm.
     """
     return next(_solutions(g, h, weak, full_domain, certified=True), None) is not None
 
@@ -1008,7 +1002,8 @@ def search_with_pinned_columns(
     """The first solution whose column b contains the mask ``required[b]``
     and stays inside ``universe[b]``, as a re-checked Relation, or None.
 
-    Exposed for the coretraction oracle; it runs no certificate.
+    Exposed for the coretraction oracle; it runs no certificate, but is
+    settled and capped as ``relation_exists`` is.
     """
     cols = next(
         _solutions(
@@ -1089,5 +1084,5 @@ def reduce_fulrel_to_shom(g: Graph, h: Graph) -> Graph:
     """
     copies = h.n
     block = (1 << copies) - 1
-    rows = [sum(block << v * copies for v in _bits_for(g.n)(row)) for row in g.adjacency]
+    rows = [sum(block << v * copies for v in _bits(row)) for row in g.adjacency]
     return Graph._of_rows([row for row in rows for _ in range(copies)])

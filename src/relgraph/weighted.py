@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .core import Graph, Record, Relation, UniverseMismatchError, _bits_for
+from .core import Graph, Record, Relation, UniverseMismatchError, _bits
 
 
 class WeightedGraph(Record):
@@ -75,8 +75,7 @@ def apply_weighted(wg: WeightedGraph, rel: Relation) -> WeightedGraph:
             f"relation domain {rel.domain_size} != weighted graph order {wg.n}"
         )
     m = rel.image_size
-    bits = _bits_for(wg.n)
-    pre = [bits(col) for col in rel.columns]
+    pre = [_bits(col) for col in rel.columns]
     out: dict[tuple[int, int], Fraction] = {}
     for b in range(m):
         for c in range(b, m):

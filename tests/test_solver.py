@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import relgraph as rg
-from relgraph import core, solver
+from relgraph import solver
 from helpers import (
     blow_up,
     brute_hom_exists,
@@ -83,7 +83,7 @@ def test_complete_enumeration_rechecks_every_solution(monkeypatch):
     # anything seen earlier cannot vouch for it.
     g, h = rg.cycle_graph(6), rg.path_graph(3)
     query = rg.SolveQuery(g, h)
-    good, complete, _ = solver._search(g, h, False, "any", False, True, solver._NO_BUDGET)
+    good, complete, _ = solver._search(g, h, False, False, False, True, solver._NO_BUDGET)
     assert complete and len(good) > 2
     key = dict(zip(good, solver._canonical_keys(g.n, h.n, good)))
     per_column = [sorted({cols[b] for cols in good}) for b in range(h.n)]
@@ -902,14 +902,10 @@ def test_exists_past_the_cap_searches_the_cores():
     # Twin blow-ups of 360 and 40 vertices, whose R-cores are C6 and P4.
     cycles = blow_up(rg.cycle_graph(6), 60, seed=11)
     paths = blow_up(rg.path_graph(4), 10, seed=12)
-    core._bits.cache_clear()
     ss, cert = rg.solve(rg.SolveQuery(cycles, paths, domain="full", enumeration="exists"))
     assert ss.complete and cert is None
     r = ss.solutions[0]
     assert r.has_full_domain and matrix_composition(cycles, r) == paths
-    # The lifted masks are 360 bits wide and must bypass the mask cache,
-    # which nothing else on this route uses.
-    assert core._bits.cache_info().currsize == 0
 
     # K3 has chromatic number 3 and P4 has 2: a negative answer found on
     # the cores, whose certificate names them.
@@ -937,6 +933,27 @@ def test_exists_past_the_cap_searches_the_cores():
     big = rg.SolveQuery(rg.cycle_graph(20), rg.cycle_graph(17), enumeration="exists")
     with pytest.raises(rg.CapExceededError):
         rg.solve(big)
+
+
+def test_weak_query_onto_a_looped_target_has_no_solution_at_any_size():
+    # Weak composition never yields a loop, so every entry point answers a
+    # looped target with no solution before it applies the vertex cap.
+    looped = rg.graph_from_edges(2, [(0, 1), (1, 1)])
+    for n in (4, solver.SOLVER_VERTEX_CAP + 1):
+        g = rg.cycle_graph(n)
+        for domain in ("any", "full"):
+            full = domain == "full"
+            query = rg.SolveQuery(g, looped, mode="weak", domain=domain, enumeration="exists")
+            for fast in (True, False):
+                ss, cert = rg.solve(query, use_fast_paths=fast)
+                assert ss.complete and not ss.solutions and cert.kind == "exhausted"
+                assert list(rg.iter_solutions(query, use_fast_paths=fast)) == []
+            assert not rg.relation_exists(g, looped, weak=True, full_domain=full)
+            pinned = solver.search_with_pinned_columns(g, looped, [0, 0], weak=True, full_domain=full)
+            assert pinned is None
+    # A loop-free target past the cap is still refused.
+    with pytest.raises(rg.CapExceededError):
+        rg.relation_exists(g, rg.path_graph(2), weak=True)
 
 
 CORE_ROUTE_CHECKS_UNDER_O = """
@@ -983,7 +1000,7 @@ solver._search = search
 # from their own column masks.
 c6, p3 = rg.cycle_graph(6), rg.path_graph(3)
 all_of = rg.SolveQuery(c6, p3)
-good = search(c6, p3, False, "any", False, True, solver._NO_BUDGET)[0]
+good = search(c6, p3, False, False, False, True, solver._NO_BUDGET)[0]
 key = dict(zip(good, solver._canonical_keys(6, 3, good)))
 per_column = [sorted({cols[b] for cols in good}) for b in range(3)]
 bad = next(
