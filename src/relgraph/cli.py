@@ -190,7 +190,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .solver import SolveQuery, _solve_masks
+    from .solver import SolveQuery, _canonical_keys, _solve_masks
 
     if args.exists and (args.minimal or args.maximal):
         # An exists-query computes no antichains to pick from.
@@ -215,6 +215,8 @@ def _cmd_solve(args) -> int:
         found, keys, minimal, maximal, complete, cert = _solve_masks(query)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
+    if keys is None:  # at most one solution, which no sort has keyed
+        keys = _canonical_keys(g.n, h.n, found)
 
     if not complete:
         doc = {"command": "solve", "status": "budget-exhausted",
@@ -263,9 +265,8 @@ _SPLICED = '\n  "solutions": ' + json.dumps(_SPLICE)
 def _write_solve(as_json: bool, doc: dict, text: str, keys, picked, n: int, m: int) -> None:
     """Write ``solve`` output with the solutions ``keys[i]`` for i in ``picked``.
 
-    ``keys`` are the solutions' ``_canonical_keys`` from ``_solve_masks``:
-    each lists a solution's pair numbers ``x*m + b`` in canonical order.
-    Under ``--json`` the bytes are those ``_emit`` prints for ``doc`` with
+    ``keys`` are the solutions' ``_canonical_keys``: each lists a
+    solution's pair numbers ``x*m + b`` in canonical order. Under ``--json`` the bytes are those ``_emit`` prints for ``doc`` with
     ``"solutions"`` set to the list of the solutions' ``relation_to_json``
     documents: one ``json.dumps(..., indent=2, sort_keys=True)`` line. In
     text mode they are ``text`` followed by each solution's

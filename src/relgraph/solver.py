@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache, reduce
-from itertools import count, repeat
-from operator import and_, lshift, or_
+from itertools import chain, compress
+from operator import and_, or_
 
 from .core import (
     CapExceededError,
@@ -664,8 +664,55 @@ class SolutionSet(Record):
 
 # (columns, keys, minimal, maximal, complete, certificate); see _solve_masks.
 _Masks = tuple[
-    list[tuple[int, ...]], list, tuple[int, ...], tuple[int, ...], bool, Certificate | None
+    list[tuple[int, ...]], list | None, tuple[int, ...], tuple[int, ...], bool, Certificate | None
 ]
+# (count, ones, z, nz); see _solution_planes.
+_Planes = tuple[int, int, list[list[int]], list[list[int]]]
+
+
+def _solution_planes(g: Graph, m: int, found: list[tuple[int, ...]]) -> _Planes:
+    """Bit-sliced planes of ``found``, solutions of ``g * R = h`` with m columns.
+
+    ``z[b][x]`` has byte i equal to 1 when solution i's column b holds
+    source vertex x, and 0 otherwise; ``nz[b][x]`` has it when x has a
+    ``g``-neighbour in that column. ``ones`` has every byte below
+    ``count = len(found)`` equal to 1. AND, OR and ``ones & ~p`` keep
+    every byte 0 or 1, so one operation on planes tests all solutions at
+    once. All masks are packed in one ``struct.pack`` as little-endian
+    16-bit words, which hold the masks of the solver's vertex cap; each
+    plane is then one ``bytes.translate`` of the bytes that hold its bit.
+    The planes cost 2*n*m bytes per solution.
+    """
+    from struct import pack
+
+    n, count = g.n, len(found)
+    raw = pack(f"<{count * m}H", *chain.from_iterable(found))
+    # Table x maps a byte to its bit x.
+    tables = [(b"\0" * (1 << x) + b"\1" * (1 << x)) * (128 >> x) for x in range(min(n, 8))]
+    z = []
+    for b in range(m):
+        halves = (raw[2 * b :: 2 * m], raw[2 * b + 1 :: 2 * m] if n > 8 else b"")
+        z.append([
+            int.from_bytes(halves[x >> 3].translate(tables[x & 7]), "little") for x in range(n)
+        ])
+    nz = [
+        [reduce(or_, map(zb.__getitem__, _bits(row)), 0) for row in g.adjacency] for zb in z
+    ]
+    return count, int.from_bytes(b"\1" * count, "little"), z, nz
+
+
+def _others(planes: list[int]) -> list[int]:
+    """For each i, the OR of every plane but ``planes[i]``, from prefix and
+    suffix ORs."""
+    out, acc = [], 0
+    for p in planes:
+        out.append(acc)
+        acc |= p
+    acc = 0
+    for i in range(len(planes) - 1, -1, -1):
+        out[i] |= acc
+        acc |= planes[i]
+    return out
 
 
 def _check_solutions(
@@ -675,80 +722,111 @@ def _check_solutions(
     weak: bool,
     full: bool,
     what: str = "solve",
+    planes: _Planes | None = None,
 ) -> None:
     """Re-check column-mask solutions against ``h``'s adjacency rows.
 
-    Column b's neighbourhood is the OR of its members' adjacency rows in
-    ``g``, a route independent of the search's neighbourhood tables and pruning;
-    it must meet column c exactly when ``h`` has the edge (b, c). One
-    solution is composed with ``g`` by ``core._generated_rows``, as
-    ``apply_strong`` does, and its rows compared with ``h``'s, loops
-    dropped in weak mode. A batch takes each distinct mask's OR once, from
-    a memo kept for the call, and is tested a pair (b, c), c >= b (c > b in
-    weak mode), at a time across all its solutions, each pass in C: in a
-    batch of 200 about a fifth of the time per solution of one
-    composition, but its m*(m+1)/2 passes cost more than composing one
-    solution outright. ``what`` names
-    the relations in the ``WitnessCheckError``, which is raised, not
-    asserted, so the check also runs under ``python -O``; its message is
-    built only on failure.
+    Column b's neighbourhood in ``g`` must meet column c exactly when ``h``
+    has the edge (b, c), loops aside in weak mode; every column must be
+    non-empty, and under ``full`` every source vertex in some column. The
+    route reads only the adjacency rows of ``g`` and ``h``, nothing of the
+    search's tables or pruning. One solution is composed with ``g`` by
+    ``core._generated_rows``, as ``apply_strong`` does, and its rows
+    compared with ``h``'s, loops dropped in weak mode. A batch is tested on
+    its ``_solution_planes`` (built here unless ``planes`` are given), all
+    solutions at once: column pair (b, c), c >= b (c > b in weak mode),
+    meets in the solutions ``OR_y z[b][y] & nz[c][y]``, which must be all
+    of them or none. ``what`` names the relations in the
+    ``WitnessCheckError``, which is raised, not asserted, so the check also
+    runs under ``python -O``; its message is built only on failure.
     """
-    if not all(map(all, found)):
-        raise WitnessCheckError(f"{what}: a target vertex has no pre-image")
-    sadj, tadj = g.adjacency, h.adjacency
     if len(found) == 1:
-        rows = _generated_rows(sadj, found[0])
-        if (_loopless(rows) if weak else rows) != tadj:
+        cols = found[0]
+        if not all(cols):
+            raise WitnessCheckError(f"{what}: a target vertex has no pre-image")
+        rows = _generated_rows(g.adjacency, cols)
+        if (_loopless(rows) if weak else rows) != h.adjacency:
             raise WitnessCheckError(f"{what}: not a solution")
-    elif found:
-        columns = list(zip(*found))
-        nbrs: dict[int, int] = {}
-        for column in columns:
-            for mask in set(column).difference(nbrs):
-                nb = 0
-                for x in _bits(mask):
-                    nb |= sadj[x]
-                nbrs[mask] = nb
-        for b, column in enumerate(columns):
-            reach = list(map(nbrs.__getitem__, column))
-            for c in range(b + weak, len(columns)):
-                meets = map(and_, reach, columns[c])
-                if not (all(meets) if tadj[b] >> c & 1 else not any(meets)):
-                    raise WitnessCheckError(f"{what}: not a solution")
-    every = (1 << g.n) - 1
-    if full and any(reduce(or_, cols, 0) != every for cols in found):
+        if full and reduce(or_, cols, 0) != (1 << g.n) - 1:
+            raise WitnessCheckError(f"{what}: full-domain solution misses a source vertex")
+        return
+    if not found:
+        return
+    _, ones, z, nz = planes or _solution_planes(g, h.n, found)
+    tadj = h.adjacency
+    for b, zb in enumerate(z):
+        if reduce(or_, zb) != ones:
+            raise WitnessCheckError(f"{what}: a target vertex has no pre-image")
+        for c in range(b + weak, h.n):
+            meet = reduce(or_, map(and_, zb, nz[c]))
+            if meet != (ones if tadj[b] >> c & 1 else 0):
+                raise WitnessCheckError(f"{what}: not a solution")
+    if full and any(reduce(or_, zx) != ones for zx in zip(*z)):
         raise WitnessCheckError(f"{what}: full-domain solution misses a source vertex")
 
 
 def _antichains(
-    n: int, m: int, found: list[tuple[int, ...]], keys: list[bytes]
+    g: Graph, h: Graph, planes: _Planes, weak: bool, full: bool
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Minimal/maximal solution indices of a complete enumeration.
+    """Minimal/maximal indices among the solutions of ``planes``.
 
-    ``keys`` are the solutions' ``_canonical_keys``. Sandwich closure makes
-    the one-pair perturbation exact: a solution strictly contains another
-    iff it minus some single pair is a solution too, and dually for
-    maximality. Each solution is packed into one int, pair (x, b) at bit
-    b*n + x, a column per pass over all solutions. One pass looks up each
-    solution minus each of its own pairs, read off its key: a hit has a
-    solution below it, and that solution has one above it.
+    Sandwich closure makes the one-pair perturbation exact: a solution S
+    strictly contains another iff S - (x, b) is a solution for some pair
+    (x, b) of S, and dually S + (x, b) for maximality. Both tests are read
+    off the equation, on the ``_solution_planes`` of all solutions at once:
+
+    - S - (x, b) solves when column b keeps another member, every column
+      c != b adjacent to b in ``h`` still meets its neighbourhood, a looped
+      column b still meets its own (strong mode), and x stays in another
+      column (full domain). "Another" is an OR over all but x (or all but
+      b), from prefix and suffix ORs.
+    - S + (x, b) solves when x has no neighbour in any column c != b that
+      is not adjacent to b; in strong mode, when b has no loop, x also has
+      none and no neighbour in column b.
+
+    The answer equals "no solution strictly below/above" only when the
+    planes hold every solution: ``_solve_masks`` calls this on complete
+    enumerations alone.
     """
-    packed = [0] * len(found)
-    for b, column in enumerate(zip(*found)):
-        packed = list(map(or_, packed, map(lshift, column, repeat(b * n))))
-    # The packed bit of pair number k = x*m + b.
-    flip = [1 << (k % m * n + k // m) for k in range(n * m)]
-    get = dict(zip(packed, count())).get
-    has_below = [False] * len(found)
-    has_above = [False] * len(found)
-    for idx, word, numbers in zip(count(), packed, keys):
-        for k in numbers:
-            lower = get(word ^ flip[k])
-            if lower is not None:
-                has_below[idx] = True
-                has_above[lower] = True
-    minimal = tuple(i for i, hit in enumerate(has_below) if not hit)
-    maximal = tuple(i for i, hit in enumerate(has_above) if not hit)
+    count, ones, z, nz = planes
+    n, m = g.n, h.n
+    sadj, tadj = g.adjacency, h.adjacency
+    elsewhere = [_others(zx) for zx in zip(*z)] if full else None
+    below = above = 0
+    for b, zb in enumerate(z):
+        keep = _others(zb)
+        for c in _bits(tadj[b] & ~(1 << b)):
+            keep = list(map(and_, keep, _others(list(map(and_, zb, nz[c])))))
+        looped = tadj[b] >> b & 1
+        if looped and not weak:
+            # y in column b with a neighbour there; with two of them.
+            met = list(map(and_, zb, nz[b]))
+            twice = []
+            for y, row in enumerate(sadj):
+                once = more = 0
+                for p in map(zb.__getitem__, _bits(row)):
+                    more |= once & p
+                    once |= p
+                twice.append(zb[y] & more)
+            # A neighbour y of x must keep a neighbour other than x.
+            keep = [
+                k & reduce(or_, [(twice if sadj[x] >> y & 1 else met)[y]
+                                 for y in range(n) if y != x], 0)
+                for x, k in enumerate(keep)
+            ]
+        if full:
+            keep = [k & other[b] for k, other in zip(keep, elsewhere)]
+        below |= reduce(or_, map(and_, zb, keep), 0)
+
+        strict = not (looped or weak)  # column b must stay loop-free
+        apart = [nz[c] for c in _bits(~tadj[b] & ((1 << m) - 1) & ~(1 << b))]
+        if strict:
+            apart.append(nz[b])
+        for x in range(n):
+            if not (strict and sadj[x] >> x & 1):
+                above |= ones & ~reduce(or_, [col[x] for col in apart], zb[x])
+    minimal = tuple(compress(range(count), (ones & ~below).to_bytes(count, "little")))
+    maximal = tuple(compress(range(count), (ones & ~above).to_bytes(count, "little")))
     return minimal, maximal
 
 
@@ -850,10 +928,11 @@ def _solve_masks(query: SolveQuery, use_fast_paths: bool = True) -> _Masks:
     Returns ``(columns, keys, minimal, maximal, complete, certificate)``:
     the re-checked solutions in canonical order, each a tuple of pre-image
     masks indexed by target vertex; each one's ``_canonical_keys`` entry,
-    its sorted pair numbers ``x*m + b``; and the rest as in ``solve``.
-    After the search, each solution is re-checked once, keyed once, sorted
-    by its key, and packed once for the antichains, which read its pairs
-    off the key.
+    its sorted pair numbers ``x*m + b``, when there are at least two
+    solutions to sort, else None; and the rest as in ``solve``. Two or
+    more solutions are keyed once, sorted by their keys, and laid out once
+    as ``_solution_planes``, which both the re-check and, on a complete
+    enumeration, the antichains read; one solution is re-checked alone.
     """
     g, h = query.source, query.target
     weak, full = query.mode == "weak", query.domain == "full"
@@ -863,12 +942,15 @@ def _solve_masks(query: SolveQuery, use_fast_paths: bool = True) -> _Masks:
         found, complete, cert = _solve_on_cores(g, h, weak, full, budget)
     else:
         found, complete, cert = _search(g, h, weak, full, exists, use_fast_paths, budget)
-    _check_solutions(g, h, found, weak, full)
-    found, keys = _canonical_order(g.n, h.n, found)
+    keys = planes = None
+    if len(found) > 1:
+        found, keys = _canonical_order(g.n, h.n, found)
+        planes = _solution_planes(g, h.n, found)
+    _check_solutions(g, h, found, weak, full, planes=planes)
     minimal: tuple[int, ...] = ()
     maximal: tuple[int, ...] = ()
     if complete and found and not exists:
-        minimal, maximal = _antichains(g.n, h.n, found, keys)
+        minimal, maximal = _antichains(g, h, planes, weak, full) if planes else ((0,), (0,))
     return found, keys, minimal, maximal, complete, cert
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import argparse
 import random
-from itertools import permutations, product
+from itertools import count, permutations, product, repeat
+from operator import lshift, or_
 
 import numpy as np
 
@@ -448,6 +449,38 @@ def reference_search_columns(
     yield from dfs(0, 0)
     if held:
         spend(held)
+
+
+def reference_antichains(
+    n: int, m: int, found: list[tuple[int, ...]], keys: list[bytes]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Minimal/maximal solution indices of a complete enumeration.
+
+    ``keys`` are the solutions' ``_canonical_keys``. Sandwich closure makes
+    the one-pair perturbation exact: a solution strictly contains another
+    iff it minus some single pair is a solution too, and dually for
+    maximality. Each solution is packed into one int, pair (x, b) at bit
+    b*n + x, a column per pass over all solutions. One pass looks up each
+    solution minus each of its own pairs, read off its key: a hit has a
+    solution below it, and that solution has one above it.
+    """
+    packed = [0] * len(found)
+    for b, column in enumerate(zip(*found)):
+        packed = list(map(or_, packed, map(lshift, column, repeat(b * n))))
+    # The packed bit of pair number k = x*m + b.
+    flip = [1 << (k % m * n + k // m) for k in range(n * m)]
+    get = dict(zip(packed, count())).get
+    has_below = [False] * len(found)
+    has_above = [False] * len(found)
+    for idx, word, numbers in zip(count(), packed, keys):
+        for k in numbers:
+            lower = get(word ^ flip[k])
+            if lower is not None:
+                has_below[idx] = True
+                has_above[lower] = True
+    minimal = tuple(i for i, hit in enumerate(has_below) if not hit)
+    maximal = tuple(i for i, hit in enumerate(has_above) if not hit)
+    return minimal, maximal
 
 
 def union_find_components(g: rg.Graph) -> list[frozenset[int]]:

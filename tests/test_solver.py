@@ -18,6 +18,8 @@ from helpers import (
     min_completing_budget,
     naive_solution_masks,
     random_graph,
+    random_image_full_relation,
+    reference_antichains,
     reference_search_columns,
     relation_to_mask,
 )
@@ -76,18 +78,28 @@ def test_canonical_keys_order_as_sorted_pair_lists():
     # test_cli_decides_exists_past_the_cap_on_rcores.
 
 
-def test_complete_enumeration_rechecks_every_solution(monkeypatch):
-    # C6 -> P3's solutions plus a non-solution assembled from their own
-    # column masks: each of its columns also occurs, in the same place, in
-    # a solution that comes before it in the canonical order, so a memo of
-    # anything seen earlier cannot vouch for it.
-    g, h = rg.cycle_graph(6), rg.path_graph(3)
-    query = rg.SolveQuery(g, h)
-    good, complete, _ = solver._search(g, h, False, False, False, True, solver._NO_BUDGET)
-    assert complete and len(good) > 2
+def _defects(g, h, cols, full) -> set[str]:
+    """What is wrong with column masks ``cols`` as a solution of ``g * R = h``,
+    by the matrix product."""
+    found = set()
+    if not all(cols):
+        found.add("empty column")
+    if full and len({x for mask in cols for x in range(g.n) if mask >> x & 1}) < g.n:
+        found.add("domain missed")
+    got = matrix_composition(g, rg.Relation._of_columns(g.n, h.n, cols))
+    for b, c in got.edges ^ h.edges:
+        found.add(("loop " if b == c else "edge ") + ("lost" if (b, c) in h.edges else "gained"))
+    return found
+
+
+def _reassembled_non_solution(g, h, good):
+    """A non-solution of C6 -> P3 assembled from the solutions' own column
+    masks: each of its columns also occurs, in the same place, in a
+    solution that comes before it in the canonical order, so a memo of
+    anything seen earlier cannot vouch for it."""
     key = dict(zip(good, solver._canonical_keys(g.n, h.n, good)))
     per_column = [sorted({cols[b] for cols in good}) for b in range(h.n)]
-    bad = next(
+    return next(
         cand for cand in itertools.product(*per_column)
         if cand not in key and all(
             any(cols[b] == mask and key[cols] < solver._canonical_keys(g.n, h.n, [cand])[0]
@@ -95,11 +107,46 @@ def test_complete_enumeration_rechecks_every_solution(monkeypatch):
             for b, mask in enumerate(cand)
         )
     )
-    assert matrix_composition(g, rg.Relation._of_columns(g.n, h.n, bad)) != h
-    mid = len(good) // 2
-    monkeypatch.setattr(
-        solver, "_search", lambda *args: (good[:mid] + [bad] + good[mid:], True, None)
-    )
+
+
+@pytest.mark.parametrize("position", ("first", "middle", "last"))
+@pytest.mark.parametrize(
+    "kind",
+    ("empty column", "edge lost", "edge gained", "loop lost", "loop gained", "domain missed",
+     "reassembled"),
+)
+def test_complete_enumeration_rechecks_every_solution(monkeypatch, kind, position):
+    """A batch of solutions with one bad member at ``position`` fails its
+    re-check, both called directly and inside ``solve``. Each bad member has
+    the one defect ``kind``, a single pair away from a full-domain solution
+    of P5 + K1 onto P3 with a loop on its middle vertex plus an isolated
+    vertex; "reassembled" is a C6 -> P3 non-solution made of the
+    solutions' own column masks."""
+    if kind == "reassembled":
+        g, h, full = rg.cycle_graph(6), rg.path_graph(3), False
+    else:
+        g = rg.disjoint_union(rg.path_graph(5), rg.empty_graph(1))
+        h, full = rg.graph_from_edges(4, [(0, 1), (1, 1), (1, 2)]), True
+    good, complete, _ = solver._search(g, h, False, full, False, True, solver._NO_BUDGET)
+    assert complete and len(good) > 2
+    if kind == "reassembled":
+        bad = _reassembled_non_solution(g, h, good)
+        assert _defects(g, h, bad, full)
+    else:
+        solutions = set(good)
+        bad = next(
+            cand
+            for cols in good
+            for b, x in itertools.product(range(h.n), range(g.n))
+            for cand in [tuple(mask ^ (1 << x if c == b else 0) for c, mask in enumerate(cols))]
+            if cand not in solutions and _defects(g, h, cand, full) == {kind}
+        )
+    at = {"first": 0, "middle": len(good) // 2, "last": len(good)}[position]
+    batch = good[:at] + [bad] + good[at:]
+    with pytest.raises(rg.WitnessCheckError):
+        solver._check_solutions(g, h, batch, False, full)
+    monkeypatch.setattr(solver, "_search", lambda *args: (batch, True, None))
+    query = rg.SolveQuery(g, h, domain="full" if full else "any")
     for enumeration in ("all", "minimal", "maximal"):
         with pytest.raises(rg.WitnessCheckError):
             rg.solve(query.__replace__(enumeration=enumeration))
@@ -118,6 +165,61 @@ def test_c8_onto_p4_enumeration_is_pinned():
     assert ss.minimal_elements[:5] == (755, 786, 839, 843, 851)
     assert ss.maximal_elements[:5] == (1, 5, 16, 21, 22)
     assert (ss.minimal_elements[-1], ss.maximal_elements[-1]) == (12446, 11068)
+
+
+def _antichains_match_reference(g, h, mode, domain, node_budget=None) -> bool:
+    """Whether a complete enumeration's antichains are the reference's:
+    False when there was nothing to compare."""
+    query = rg.SolveQuery(g, h, mode=mode, domain=domain, node_budget=node_budget)
+    found, keys, minimal, maximal, complete, _ = solver._solve_masks(query)
+    if not (complete and found):
+        return False
+    if keys is None:
+        keys = solver._canonical_keys(g.n, h.n, found)
+    assert (minimal, maximal) == reference_antichains(g.n, h.n, found, keys), (g, h, mode, domain)
+    return True
+
+
+def test_antichains_match_the_reference_on_small_graphs():
+    """The plane antichains against the dict-lookup reference on every pair
+    of graphs up to 4 vertices, and of looped graphs up to 3, under every
+    mode and domain. The few enumerations past 20,000 search units (up to
+    50,625 solutions) are skipped: they would take most of the time."""
+    graphs = rg.all_graphs_up_to(4) + [g for g in rg.all_graphs_up_to(3, loops=True) if not g.is_simple]
+    compared = 0
+    for g, h in itertools.product(graphs, repeat=2):
+        for mode, domain in itertools.product(("strong", "weak"), ("any", "full")):
+            if mode == "strong" or g.is_simple:
+                compared += _antichains_match_reference(g, h, mode, domain, 20_000)
+    assert compared == 1212
+
+
+def test_antichains_match_the_reference_randomized():
+    """The same comparison on the benchmark's five complete enumerations,
+    and on seeded random ones with up to 10 source and 6 target vertices:
+    each target is the source composed with a random relation, so that
+    most have solutions, and loops occur in strong mode. Enumerations the
+    node budget cuts short are skipped."""
+    P, C = rg.path_graph, rg.cycle_graph
+    named = [
+        (P(7), P(4), "strong", "any"),
+        (C(6), P(4), "weak", "any"),
+        (C(10), C(5), "strong", "full"),
+        (C(8), P(4), "strong", "any"),
+        (C(6), rg.disjoint_union(P(3), P(3)), "strong", "any"),
+    ]
+    assert all(_antichains_match_reference(*case) for case in named)
+    rng = random.Random(67)
+    compared = 0
+    for trial in range(800):
+        strong = trial % 2 == 0
+        g = random_graph(rng, rng.randint(1, 10), p=rng.uniform(0.2, 0.7), loops=strong and trial % 4 == 0)
+        rel = random_image_full_relation(rng, g.n, rng.randint(1, min(6, g.n)), rng.uniform(0, 0.3))
+        h = rg.apply_strong(g, rel) if strong else rg.apply_weak(g, rel)
+        mode = "strong" if strong else "weak"
+        domain = "full" if trial % 5 < 2 else "any"
+        compared += _antichains_match_reference(g, h, mode, domain, node_budget=3_000)
+    assert compared == 396
 
 
 def test_edge_onto_triangle_is_certified_unsolvable():
@@ -1013,6 +1115,12 @@ bad = next(
 )
 solver._search = lambda *args: (good + [bad], True, None)
 expect_check_error(all_of)
+
+# A full-domain enumeration with one solution that misses a source vertex.
+full = search(c6, p3, False, True, False, True, solver._NO_BUDGET)[0]
+partial = next(cols for cols in good if cols[0] | cols[1] | cols[2] != 63)
+solver._search = lambda *args: (full + [partial], True, None)
+expect_check_error(all_of.__replace__(domain="full"))
 solver._search = search
 
 # A reduction whose backward map sends every core vertex everywhere: the
