@@ -266,7 +266,8 @@ def _write_solve(as_json: bool, doc: dict, text: str, keys, picked, n: int, m: i
     """Write ``solve`` output with the solutions ``keys[i]`` for i in ``picked``.
 
     ``keys`` are the solutions' ``_canonical_keys``: each lists a
-    solution's pair numbers ``x*m + b`` in canonical order. Under ``--json`` the bytes are those ``_emit`` prints for ``doc`` with
+    solution's pair numbers ``x*m + b`` in canonical order. Under
+    ``--json`` the bytes are those ``_emit`` prints for ``doc`` with
     ``"solutions"`` set to the list of the solutions' ``relation_to_json``
     documents: one ``json.dumps(..., indent=2, sort_keys=True)`` line. In
     text mode they are ``text`` followed by each solution's
