@@ -17,8 +17,8 @@ from .core import (
     Relation,
     UniverseMismatchError,
     _bits,
-    _generated_rows,
-    _loopless,
+    _compose_columns,
+    _transpose_columns,
     check_witness,
 )
 
@@ -45,20 +45,23 @@ def apply_strong(g: Graph, rel: Relation) -> Graph:
 
     Requires every target vertex to have a pre-image, so the result's
     vertex set is well defined. Equals the relational product
-    transpose(R) . G . R, built as adjacency rows by
-    ``core._generated_rows`` in O(|R| + sum_b |N_G(C_b)|) mask operations,
-    where N_G(C_b) is the neighbourhood of target b's pre-image.
+    transpose(R) . G . R, built as adjacency rows by the one column
+    kernel, ``core._compose_columns``: row b is the mask of the columns
+    that meet N_G(C_b), the neighbourhood of target b's pre-image, the
+    union of the rows of its members. That is O(|R| + sum_b |N_G(C_b)|)
+    mask operations, at most |R| + n*m.
     """
     _check_universes(g, rel)
     _require_full_image(rel)
-    return Graph._of_rows(_generated_rows(g.adjacency, rel.columns))
+    rows = _transpose_columns(g.n, rel.columns)
+    return Graph._of_rows(_compose_columns(rows, _compose_columns(g.adjacency, rel.columns)))
 
 
 def apply_weak(g: Graph, rel: Relation) -> Graph:
     """Irreflexive part of the strong composition; source must be simple."""
     if not g.is_simple:
         raise LoopsNotAllowedError("weak composition needs a loop-free source")
-    return Graph._of_rows(_loopless(apply_strong(g, rel).adjacency))
+    return Graph._of_rows(row & ~(1 << v) for v, row in enumerate(apply_strong(g, rel).adjacency))
 
 
 class Decomposition(Record):

@@ -207,6 +207,30 @@ class Graph(Record):
             (u, v) for u, row in enumerate(self.adjacency) for v in _bits(row >> u << u)
         )
 
+    # Invariants the no-instance rules read, computed once and cached as ``edges`` is.
+    @cached_property
+    def _components(self) -> tuple[int, ...]:
+        """The components' vertex masks, by smallest member: each the union
+        of one frontier sweep from the lowest vertex no earlier one reached."""
+        out, left = [], (1 << self.n) - 1
+        while left:
+            out.append(sum(_layers(self.adjacency, left & -left)))
+            left ^= out[-1]
+        return tuple(out)
+
+    @cached_property
+    def _eccentricities(self) -> tuple[float, ...]:
+        """Each vertex's number of frontier layers, less one; all ``math.inf``
+        once a sweep misses a vertex, which shows the graph disconnected."""
+        full = (1 << self.n) - 1
+        out = []
+        for s in range(self.n):
+            layers = _layers(self.adjacency, 1 << s)
+            if sum(layers) != full:
+                return (math.inf,) * self.n
+            out.append(len(layers) - 1)
+        return tuple(out)
+
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood N(v); contains v itself exactly when v has a loop."""
         return frozenset(_bits(self.adjacency[v]))
@@ -279,35 +303,29 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     return _reduced_graph(g, kept)
 
 
-def _layers(adjacency, start: int):
+def _layers(adjacency, start: int) -> list[int]:
     """The frontier sweep from the vertex mask ``start``: the disjoint masks
     of the vertices at distance 0, 1, 2, ... from it, each the OR of the
-    rows of the layer before, less every vertex already reached."""
-    seen = frontier = start
+    rows of the layer before less every vertex reached, until none is left."""
+    full = (1 << len(adjacency)) - 1
+    out, seen, frontier = [], start, start
     while frontier:
-        yield frontier
+        out.append(frontier)
+        if seen == full:
+            break
         reach = 0
         while frontier:
             low = frontier & -frontier
             reach |= adjacency[low.bit_length() - 1]
             frontier ^= low
-        frontier = (reach | seen) ^ seen
+        frontier = reach & ~seen
         seen |= frontier
+    return out
 
 
 def components(g: Graph) -> list[frozenset[int]]:
-    """Connected components as vertex sets, ordered by smallest member.
-
-    Each is the union of one frontier sweep from the lowest vertex that no
-    earlier sweep reached.
-    """
-    out = []
-    left = (1 << g.n) - 1
-    while left:
-        comp = sum(_layers(g.adjacency, left & -left))
-        left ^= comp
-        out.append(frozenset(_bits(comp)))
-    return out
+    """Connected components as vertex sets, ordered by smallest member."""
+    return [frozenset(_bits(comp)) for comp in g._components]
 
 
 def distance_matrix(g: Graph) -> list[list[float]]:
@@ -324,33 +342,21 @@ def distance_matrix(g: Graph) -> list[list[float]]:
 
 
 def eccentricities(g: Graph) -> list[float]:
-    """Each vertex's greatest distance to another, with no distance matrix.
-
-    It is the number of layers of the vertex's frontier sweep, less one. A
-    sweep that misses a vertex shows the graph disconnected, and then every
-    eccentricity is ``math.inf``.
-    """
-    out = []
-    for s in range(g.n):
-        layers = list(_layers(g.adjacency, 1 << s))
-        if sum(layers) != (1 << g.n) - 1:
-            return [math.inf] * g.n
-        out.append(len(layers) - 1)
-    return out
+    """Each vertex's greatest distance to another, all ``math.inf`` if ``g`` is disconnected."""
+    return list(g._eccentricities)
 
 
 def radius(g: Graph) -> float:
-    ecc = eccentricities(g)
-    return min(ecc) if ecc else 0
+    return min(g._eccentricities, default=0)
 
 
 def diameter(g: Graph) -> float:
-    ecc = eccentricities(g)
-    return max(ecc) if ecc else 0
+    return max(g._eccentricities, default=0)
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
+    """Whether one frontier sweep reaches every vertex; it caches nothing."""
+    return g.n < 2 or sum(_layers(g.adjacency, 1)) == (1 << g.n) - 1
 
 
 def complement(g: Graph) -> Graph:
@@ -371,8 +377,7 @@ def path_length_of(g: Graph) -> int | None:
         return None
     if g.n == 1:
         return 0
-    degs = sorted(g.degree(v) for v in range(g.n))
-    if degs[:2] != [1, 1] or any(d != 2 for d in degs[2:]):
+    if sorted(map(int.bit_count, g.adjacency)) != [1, 1] + [2] * (g.n - 2):
         return None
     return g.n - 1 if is_connected(g) else None
 
@@ -384,21 +389,22 @@ def is_complete(g: Graph) -> bool:
 
 def _degeneracy_order(g: Graph) -> list[int]:
     adj = g.adjacency
-    deg = [row.bit_count() for row in adj]
+    live = list(range(g.n))
     left = (1 << g.n) - 1
     order = []
-    while left:
-        v = min(_bits(left), key=deg.__getitem__)
+    while live:
+        degs = [(adj[u] & left).bit_count() for u in live]
+        v = live.pop(degs.index(min(degs)))
         order.append(v)
         left ^= 1 << v
-        for u in _bits(adj[v] & left):
-            deg[u] -= 1
     return order
 
 
 def chromatic_number(g: Graph) -> int:
     """Exact chromatic number by branch and bound over a degeneracy order,
-    each colour class a vertex mask that a vertex's row must miss to join."""
+    each colour class a vertex mask that a vertex's row must miss to join.
+    A clique grown greedily along the order bounds the answer from below,
+    and the search ends at the first colouring that meets it."""
     if not g.is_simple:
         raise LoopsNotAllowedError("chromatic number is defined for simple graphs")
     if g.n == 0:
@@ -409,12 +415,17 @@ def chromatic_number(g: Graph) -> int:
     order = _degeneracy_order(g)[::-1]
     adj = g.adjacency
     n = g.n
+    clique = 0
+    for v in order:
+        if adj[v] & clique == clique:
+            clique |= 1 << v
+    low = clique.bit_count()
     classes = [0] * n
     best = n  # trivial upper bound
 
     def extend(i: int, used: int) -> None:
         nonlocal best
-        if used >= best:
+        if used >= best or best == low:
             return
         if i == n:
             best = used
@@ -473,23 +484,6 @@ def _transpose_columns(n: int, columns) -> list[int]:
         for x in _bits(col):
             rows[x] |= 1 << b
     return rows
-
-
-def _generated_rows(adjacency, columns) -> tuple[int, ...]:
-    """Adjacency rows of ``G * R``, from the rows of G and the columns of R.
-
-    ``G * R`` is the relational product transpose(R) . G . R, composed by
-    the one column kernel: row b is the mask of the columns that meet
-    N_G(C_b), the union of the rows of column b's members. A call costs
-    O(|R| + sum_b |N_G(C_b)|) mask operations, at most |R| + n*m.
-    """
-    rows = _transpose_columns(len(adjacency), columns)
-    return _compose_columns(rows, _compose_columns(adjacency, columns))
-
-
-def _loopless(rows) -> tuple[int, ...]:
-    """``rows`` without the diagonal: the rows of the graph minus its loops."""
-    return tuple(row & ~(1 << v) for v, row in enumerate(rows))
 
 
 class Relation(Record):
@@ -786,6 +780,12 @@ def _reduced_graph(g: Graph, keep: list[int]) -> Graph:
     A reduced form keeps the ascending survivors of a sweep, then possibly
     one isolated vertex standing for all of them.
     """
-    bit = {v: 1 << i for i, v in enumerate(keep)}
-    rows = [sum(bit.get(u, 0) for u in _bits(g.adjacency[v])) for v in keep]
-    return Graph._of_rows(rows, tuple(map(g.label_of, keep)))
+    return Graph._of_rows(_reduced_rows(g.adjacency, keep), tuple(map(g.label_of, keep)))
+
+
+def _reduced_rows(adjacency, keep: list[int]) -> tuple[int, ...]:
+    """The rows of ``_reduced_graph``: row i is ``adjacency[keep[i]]`` read on ``keep``."""
+    bit = [0] * len(adjacency)
+    for i, v in enumerate(keep):
+        bit[v] = 1 << i
+    return _compose_columns(bit, [adjacency[v] for v in keep])

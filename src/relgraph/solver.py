@@ -31,10 +31,8 @@ from .core import (
     WitnessCheckError,
     _bits,
     _compose_columns,
-    _generated_rows,
-    _loopless,
     _rcore_maps,
-    _reduced_graph,
+    _reduced_rows,
     _sweep,
     chromatic_number,
     complement,
@@ -133,13 +131,13 @@ def _containing(n: int) -> tuple[int, ...]:
 
 def _column_order(tgt: Graph) -> list[int]:
     """The target vertices in the order ``_search_columns`` fills their
-    columns: first those whose adjacency row no other vertex shares, then
-    the false twins, then the isolated vertices; within each group, fewest
-    neighbours first."""
+    columns: first those whose adjacency row no other vertex shares, fewest
+    neighbours first, then the false twins, most neighbours first, then
+    the isolated vertices."""
     rows = tgt.adjacency
-    return sorted(
-        range(tgt.n), key=lambda b: (not rows[b], rows.count(rows[b]) > 1, rows[b].bit_count(), b)
-    )
+    twins = [rows.count(row) > 1 for row in rows]
+    keys = [(not row, t, -row.bit_count() if t else row.bit_count()) for row, t in zip(rows, twins)]
+    return sorted(range(tgt.n), key=keys.__getitem__)
 
 
 def _search_columns(
@@ -179,7 +177,9 @@ def _search_columns(
     most later sets. Target vertices that share an adjacency row (false
     twins) go last: they are interchangeable, and filled first they
     multiply every later column's work by their choices (the leaves of
-    K1,4 first made K1,4 -> K1,4 in full domain 2.5 times slower).
+    K1,4 first made K1,4 -> K1,4 in full domain 2.5 times slower). Among
+    them the most neighbours go first (ascending, a weak full-domain query
+    onto K2,3, all twins, took 577,092 budget units in place of 65,804).
     Isolated target vertices go after them: their columns only have to
     avoid the others' neighbourhoods, which the forward check of each
     other column's choice applies to them too (the isolated vertices of
@@ -233,25 +233,31 @@ def _search_columns(
     half = n // 2
     low_half = (1 << half) - 1
     low_nbr, high_nbr = _unions(sadj[:half]), _unions(sadj[half:])
-    # A strong column is loopless iff its mask is independent: no x in it meets N(x).
-    indep = None if weak else reduce(and_, [~(has[x] & meeting(sadj[x])) for x in range(n)])
-    bases = []
-    for b in order:
-        base = (2 << full) - 2
+    # A strong column is loopless iff its mask holds no edge (x, y), y >= x,
+    # of src; ``dep`` holds the masks that do.
+    dep = 0
+    for x, row in enumerate(() if weak else sadj):
+        row >>= x
+        while row:
+            low = row & -row
+            dep |= has[x] & has[x + low.bit_length() - 1]
+            row ^= low
+    # The nonempty masks, per loop kind: looped, then loopless.
+    kinds = (2 << full) - 2
+    kinds = (kinds, kinds) if weak else (kinds & dep, kinds & ~dep)
+    bases = [kinds[not tadj[b] >> b & 1] for b in order]
+    for i, b in enumerate(order if required or universe else ()):
         for x in range(n):
-            if required is not None and required[b] >> x & 1:
-                base &= has[x]
-            if universe is not None and not universe[b] >> x & 1:
-                base &= ~has[x]
-        if not weak:
-            base &= ~indep if tadj[b] >> b & 1 else indep
-        if not base:
-            return
-        bases.append(base)
+            if required and required[b] >> x & 1:
+                bases[i] &= has[x]
+            if universe and not universe[b] >> x & 1:
+                bases[i] &= ~has[x]
+    if not all(bases):
+        return
     # A node's units: its base set. A cut child costs the same.
     size = [base.bit_count() for base in bases]
     # For each position, whether each later column is adjacent to its own.
-    ahead = [[bool(tadj[order[i]] >> c & 1) for c in order[i + 1:]] for i in range(m)]
+    ahead = [[tadj[order[i]] >> c & 1 for c in order[i + 1:]] for i in range(m)]
 
     # Full-domain pruning rests on one rule: a vertex next to column j's
     # contents may only sit in columns adjacent to j. ``avail[p]`` holds the
@@ -403,12 +409,10 @@ class Certificate(Record):
 def _complement_clique_parts(h: Graph) -> list[frozenset[int]] | None:
     """Components of the complement if each is a clique there, else None."""
     comp = complement(h)
-    parts = components(comp)
-    for part in parts:
-        mask = sum(1 << v for v in part)
-        if any(comp.adjacency[v] | 1 << v != mask for v in part):
+    for mask in comp._components:
+        if any(comp.adjacency[v] | 1 << v != mask for v in _bits(mask)):
             return None
-    return parts
+    return components(comp)
 
 
 def complete_source_decision(k: int, h: Graph, *, weak: bool = False) -> bool:
@@ -456,9 +460,11 @@ def complete_source_solution(
 
 
 def _components_rule(g: Graph, h: Graph, weak: bool, full: bool) -> Certificate | None:
-    if not full or g.isolated_vertices() or h.isolated_vertices():
+    if not full or 0 in g.adjacency or 0 in h.adjacency:
         return None
-    b0g, b0h = len(components(g)), len(components(h))
+    # A source with a vertex has a component: as many as a connected target.
+    b0h = len(h._components)
+    b0g = len(g._components) if b0h > 1 or not g.n else 1
     if b0g >= b0h:
         return None
     return Certificate(
@@ -484,14 +490,14 @@ def _chromatic_rule(g: Graph, h: Graph, weak: bool, full: bool) -> Certificate |
 
 
 def _distance_rule(g: Graph, h: Graph, weak: bool, full: bool) -> Certificate | None:
-    # A disconnected source has diameter inf, which no target exceeds.
+    # A disconnected source has diameter inf, which no target exceeds. No
+    # target of diameter 2 or less exceeds a source's of 2 or more, so the
+    # source's sweeps run only for a target of diameter over 2.
     if not full:
         return None
-    dg = diameter(g)
-    if dg < 2:
-        return None
     dh = diameter(h)
-    if dh <= dg:
+    dg = diameter(g) if dh > 2 else 2
+    if dg < 2 or dh <= dg:
         return None
     return Certificate(
         "distance",
@@ -501,11 +507,12 @@ def _distance_rule(g: Graph, h: Graph, weak: bool, full: bool) -> Certificate | 
 
 
 def _radius_rule(g: Graph, h: Graph, weak: bool, full: bool) -> Certificate | None:
-    # A disconnected source has radius inf, which no target exceeds.
+    # A disconnected source has radius inf, which no target exceeds; nor
+    # does a target's radius of 2 or less, whatever the source's.
     if not full or g.n < 2:
         return None
-    bound = max(radius(g), 2)
     rh = radius(h)
+    bound = max(radius(g), 2) if rh > 2 else 2
     if rh <= bound:
         return None
     return Certificate(
@@ -518,8 +525,10 @@ def _radius_rule(g: Graph, h: Graph, weak: bool, full: bool) -> Certificate | No
 def _path_rule(g: Graph, h: Graph, weak: bool, full: bool) -> Certificate | None:
     if weak or not full:
         return None
-    k, l = path_length_of(g), path_length_of(h)
-    if k is None or l is None or min(k, l) < 1 or k >= l or (k == 1 and l == 2):
+    # Only a target path of length 3 or more certifies (length 1 takes onto 2).
+    l = path_length_of(h)
+    k = path_length_of(g) if l is not None and l >= 3 else None
+    if k is None or k < 1 or k >= l:
         return None
     return Certificate(
         "pathChar",
@@ -573,8 +582,8 @@ def certify(
     Unlike the solver, ``certify`` applies no vertex cap. Its chromatic
     rule computes both graphs' exact chromatic numbers by branch and
     bound, which is exponential in the worst case: on seeded random
-    G(n, 0.5) sources onto K3, full domain, it took 1.6 s at n = 50 and
-    7 s at n = 60 (one CPU of a 2-core Xeon VM, Python 3.11).
+    G(n, 0.5) sources onto K3, full domain, it took about 1.5 s at n = 50
+    and 6.6 s at n = 60 (one pinned CPU of a 2-core VM, Python 3.11.7).
     """
     return _certify(g, h, mode == "weak", domain == "full")
 
@@ -730,30 +739,30 @@ def _check_solutions(
     has the edge (b, c), loops aside in weak mode; every column must be
     non-empty, and under ``full`` every source vertex in some column. The
     route reads only the adjacency rows of ``g`` and ``h``, nothing of the
-    search's tables or pruning. One solution is composed with ``g`` by
-    ``core._generated_rows``, as ``apply_strong`` does, and its rows
-    compared with ``h``'s, loops dropped in weak mode. A batch is tested on
-    its ``_solution_planes`` (built here unless ``planes`` are given), all
-    solutions at once: column pair (b, c), c >= b (c > b in weak mode),
-    meets in the solutions ``OR_y z[b][y] & nz[c][y]``, which must be all
-    of them or none. ``what`` names the relations in the
+    search's tables or pruning. Both graphs are symmetric, so it tests the
+    column pairs (b, c), c >= b (c > b in weak mode): for one solution, on
+    its columns' neighbourhoods; for a batch, on its ``_solution_planes``
+    (built here unless ``planes`` are given), all solutions at once, where
+    the pair meets in the solutions ``OR_y z[b][y] & nz[c][y]``, which must
+    be all of them or none. ``what`` names the relations in the
     ``WitnessCheckError``, which is raised, not asserted, so the check also
     runs under ``python -O``; its message is built only on failure.
     """
+    tadj = h.adjacency
     if len(found) == 1:
         cols = found[0]
         if not all(cols):
             raise WitnessCheckError(f"{what}: a target vertex has no pre-image")
-        rows = _generated_rows(g.adjacency, cols)
-        if (_loopless(rows) if weak else rows) != h.adjacency:
-            raise WitnessCheckError(f"{what}: not a solution")
+        for b, nb in enumerate(_compose_columns(g.adjacency, cols)):
+            for c in range(b + weak, h.n):
+                if (not nb & cols[c]) == tadj[b] >> c & 1:
+                    raise WitnessCheckError(f"{what}: not a solution")
         if full and reduce(or_, cols, 0) != (1 << g.n) - 1:
             raise WitnessCheckError(f"{what}: full-domain solution misses a source vertex")
         return
     if not found:
         return
     _, ones, z, nz = planes or _solution_planes(g, h.n, found)
-    tadj = h.adjacency
     for b, zb in enumerate(z):
         if reduce(or_, zb) != ones:
             raise WitnessCheckError(f"{what}: a target vertex has no pre-image")
@@ -947,8 +956,7 @@ def _solve_masks(query: SolveQuery, use_fast_paths: bool = True) -> _Masks:
         found, keys = _canonical_order(g.n, h.n, found)
         planes = _solution_planes(g, h.n, found)
     _check_solutions(g, h, found, weak, full, planes=planes)
-    minimal: tuple[int, ...] = ()
-    maximal: tuple[int, ...] = ()
+    minimal = maximal = ()
     if complete and found and not exists:
         minimal, maximal = _antichains(g, h, planes, weak, full) if planes else ((0,), (0,))
     return found, keys, minimal, maximal, complete, cert
@@ -1005,7 +1013,7 @@ def _reduce(g: Graph):
     if not trace and g.n - survivors.bit_count() <= 1:
         return g, None
     maps = _rcore_maps(g, survivors, trace)
-    return _reduced_graph(g, maps[0]), maps
+    return Graph._of_rows(_reduced_rows(g.adjacency, maps[0])), maps
 
 
 def _solve_on_cores(
@@ -1042,18 +1050,10 @@ def _solve_on_cores(
     if tgt_maps is not None:
         _check_solutions(h, hc, [tgt_maps[1]], False, True, "solve: R-core forward map")
     if cert.kind != "exhausted" and (src_maps is not None or tgt_maps is not None):
-        cert = Certificate(
-            "rcore",
-            f"on the R-cores, of {gc.n} and {hc.n} vertices: {cert.detail}",
-            (
-                ("rule", cert.kind),
-                ("source_vertices", g.n),
-                ("target_vertices", h.n),
-                ("source_core_vertices", gc.n),
-                ("target_core_vertices", hc.n),
-            )
-            + cert.values,
-        )
+        sizes = (("source_vertices", g.n), ("target_vertices", h.n),
+                 ("source_core_vertices", gc.n), ("target_core_vertices", hc.n))
+        cert = Certificate("rcore", f"on the R-cores, of {gc.n} and {hc.n} vertices: {cert.detail}",
+                           (("rule", cert.kind),) + sizes + cert.values)
     return [], True, cert
 
 

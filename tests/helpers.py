@@ -483,6 +483,110 @@ def reference_antichains(
     return minimal, maximal
 
 
+def reference_certify(g: rg.Graph, h: rg.Graph, mode: str = "strong", domain: str = "any"):
+    """``solver.certify`` with the no-instance rules as they read before
+    each graph cached its invariants: each rule calls ``components``,
+    ``diameter``, ``radius``, ``path_length_of`` and ``chromatic_number``
+    itself, in the order ``solver._RULES`` tries them."""
+    from relgraph.solver import Certificate, _complement_clique_parts, complete_source_solution
+
+    weak, full = mode == "weak", domain == "full"
+
+    def components_rule():
+        if not full or g.isolated_vertices() or h.isolated_vertices():
+            return None
+        b0g, b0h = len(rg.components(g)), len(rg.components(h))
+        if b0g >= b0h:
+            return None
+        return Certificate(
+            "components",
+            f"source has {b0g} connected components but target has {b0h}; "
+            "a full-domain composition cannot increase the count",
+            (("source_components", b0g), ("target_components", b0h)),
+        )
+
+    def chromatic_rule():
+        if weak or not full or not (g.is_simple and h.is_simple):
+            return None
+        cg, ch = rg.chromatic_number(g), rg.chromatic_number(h)
+        if cg <= ch:
+            return None
+        return Certificate(
+            "chromatic",
+            f"chromatic number {cg} of the source exceeds {ch} of the target; "
+            "a full-domain composition cannot lower it",
+            (("source_chromatic", cg), ("target_chromatic", ch)),
+        )
+
+    def distance_rule():
+        if not full:
+            return None
+        dg = rg.diameter(g)
+        if dg < 2:
+            return None
+        dh = rg.diameter(h)
+        if dh <= dg:
+            return None
+        return Certificate(
+            "distance",
+            f"target diameter {dh} exceeds source diameter {dg}",
+            (("source_diameter", dg), ("target_diameter", str(dh))),
+        )
+
+    def radius_rule():
+        if not full or g.n < 2:
+            return None
+        bound = max(rg.radius(g), 2)
+        rh = rg.radius(h)
+        if rh <= bound:
+            return None
+        return Certificate(
+            "radius",
+            f"target radius {rh} exceeds max(source radius, 2) = {bound}",
+            (("target_radius", str(rh)), ("bound", str(bound))),
+        )
+
+    def path_rule():
+        if weak or not full:
+            return None
+        k, l = rg.path_length_of(g), rg.path_length_of(h)
+        if k is None or l is None or min(k, l) < 1 or k >= l or (k == 1 and l == 2):
+            return None
+        return Certificate(
+            "pathChar",
+            f"no relation takes a path of length {k} onto a path of length {l}",
+            (("source_length", k), ("target_length", l)),
+        )
+
+    def complete_rule():
+        if g.n < 1 or not rg.is_complete(g) or not h.is_simple:
+            return None
+        if not full:
+            if complete_source_solution(g.n, h, weak=weak) is not None:
+                return None
+        elif weak:
+            return None
+        else:
+            parts = _complement_clique_parts(h)
+            if parts is not None and len(parts) == g.n:
+                return None
+        return Certificate(
+            "completeChar",
+            f"the target's complement does not split into "
+            f"{'exactly' if full else 'at most'} {g.n} "
+            "disjoint complete graphs"
+            + (" (counting only components with two or more vertices)" if weak else ""),
+            (("source_order", g.n),),
+        )
+
+    for rule in (components_rule, chromatic_rule, distance_rule, radius_rule, path_rule,
+                 complete_rule):
+        cert = rule()
+        if cert is not None:
+            return cert
+    return None
+
+
 def union_find_components(g: rg.Graph) -> list[frozenset[int]]:
     """Connected components by union-find over the edge pairs, ordered by
     smallest member."""

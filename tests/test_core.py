@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import pickle
 import random
 import subprocess
 import sys
@@ -268,6 +269,25 @@ def test_sweep_invariants_match_union_find_and_floyd_warshall():
         ecc = [max(row) for row in dist]
         assert core.eccentricities(g) == ecc
         assert (rg.radius(g), rg.diameter(g)) == (min(ecc), max(ecc))
+
+
+def test_cached_invariants_leave_the_graph_value_alone():
+    """A graph caches its component masks and eccentricities on first use,
+    as it does ``edges``; with them cached it still compares, hashes,
+    reprs and pickles as a fresh graph. ``is_connected`` is one sweep that
+    caches nothing."""
+    for g in _invariant_suite():
+        fresh = rg.Graph._of_rows(g.adjacency)
+        before = dict(g.__dict__)
+        assert rg.is_connected(g) == (len(union_find_components(fresh)) <= 1)
+        assert g.__dict__ == before
+        ecc, comps = core.eccentricities(g), rg.components(g)
+        assert {"_eccentricities", "_components"} <= g.__dict__.keys()
+        assert (core.eccentricities(g), rg.components(g)) == (ecc, comps)
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone == fresh and hash(clone) == hash(fresh) and repr(clone) == repr(fresh)
+        assert (core.eccentricities(clone), rg.components(clone)) == (ecc, comps)
 
 
 def test_chromatic_number_matches_brute_force_colouring():

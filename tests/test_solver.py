@@ -20,6 +20,7 @@ from helpers import (
     random_graph,
     random_image_full_relation,
     reference_antichains,
+    reference_certify,
     reference_search_columns,
     relation_to_mask,
 )
@@ -308,6 +309,26 @@ def test_certify_rule_counts_are_pinned():
         "components": 1934, "distance": 2030, "radius": 404, "chromatic": 101,
         "completeChar": 94, "pathChar": 1, None: 27532,
     }
+
+
+def test_certify_matches_the_reference_rules():
+    """``certify``, whose rules read each graph's cached invariants and the
+    target's first, returns the certificate of the rules that compute them
+    per call, with the same kind, detail and values: on every pair of graphs
+    up to 4 vertices with loops, and on pairs of the empty graph, paths and
+    cycles up to 8 vertices and seeded random graphs of 5 to 8 vertices
+    (radii and diameters of 3 and more), in both modes and both domains."""
+    small = rg.all_graphs_up_to(4, loops=True)
+    rng = random.Random(31)
+    larger = [rg.empty_graph(0)] + [rg.path_graph(n) for n in range(1, 9)]
+    larger += [rg.cycle_graph(n) for n in range(3, 9)]
+    larger += [random_graph(rng, rng.randint(5, 8), p=rng.uniform(0.2, 0.6)) for _ in range(12)]
+    pairs = [(g, h) for g in small for h in small] + [(g, h) for g in larger for h in larger]
+    for g, h in pairs:
+        for mode in ("strong", "weak"):
+            for domain in ("any", "full"):
+                expected = reference_certify(g, h, mode, domain)
+                assert rg.certify(g, h, mode, domain) == expected, (g, h, mode, domain)
 
 
 def test_solver_matches_naive_enumeration_spot():
@@ -954,6 +975,46 @@ def test_exists_on_rcores_matches_the_unreduced_search():
                         rcore_certs += 1
                         assert rg.certificate_holds(cert, g, h, mode, domain)
     assert lifted and rcore_certs
+
+
+def test_unlabelled_rcores_have_the_reduced_rows():
+    """The core an exists-query searches is built without labels, and it has
+    the rows of the labelled ``_reduced_graph`` on the same vertices, on
+    every graph up to 6 vertices."""
+    for g in rg.all_graphs_up_to(6):
+        core, maps = solver._reduce(g)
+        keep = list(range(g.n)) if maps is None else maps[0]
+        assert core.adjacency == rg.core._reduced_graph(g, keep).adjacency, g
+        assert maps is None or core.labels is None
+
+
+def test_exists_at_decide_sizes_matches_the_unreduced_search():
+    """Seeded exists-queries at the benchmark's sizes, sources of 5 to 8
+    vertices onto targets of up to 5, in both modes and both domains: the
+    R-core route agrees with the search on the inputs, every witness solves
+    the inputs, and every certificate re-checks."""
+    rng = random.Random(31)
+    targets = rg.all_graphs_up_to(5)
+    found = certified = 0
+    for _ in range(100):
+        mode, domain = rng.choice(("strong", "weak")), rng.choice(("any", "full"))
+        g = random_graph(rng, rng.randint(5, 8), p=rng.uniform(0.3, 0.7),
+                         loops=mode == "strong" and rng.random() < 0.5)
+        h = rng.choice(targets)
+        query = rg.SolveQuery(g, h, mode=mode, domain=domain, enumeration="exists")
+        fast, cert = rg.solve(query)
+        slow, _ = rg.solve(query, use_fast_paths=False)
+        assert fast.complete and slow.complete
+        assert bool(fast.solutions) == bool(slow.solutions), (g, h, mode, domain)
+        if fast.solutions:
+            found += 1
+            r = fast.solutions[0]
+            assert matrix_composition(g, r, weak=mode == "weak") == h
+            assert domain == "any" or r.has_full_domain
+        else:
+            certified += cert.kind != "exhausted"
+            assert rg.certificate_holds(cert, g, h, mode, domain)
+    assert found and certified
 
 
 def test_weak_exists_matches_the_unreduced_search():
