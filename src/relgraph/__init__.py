@@ -20,17 +20,17 @@ __version__ = "0.1.0"
 # Each exported name, by the submodule that defines it.
 _EXPORTS = {
     "algebra": (
-        "Decomposition", "HallReport", "HallSatisfiedError", "apply_strong",
-        "apply_weak", "decompose", "hall_check", "is_reversible", "nohall_split",
+        "Decomposition", "HallReport", "HallSatisfiedError", "decompose", "hall_check",
+        "is_reversible", "nohall_split",
     ),
     "core": (
         "CapExceededError", "Graph", "ImageNotFullError", "LoopsNotAllowedError",
-        "Partition", "Relation", "UniverseMismatchError", "WitnessCheckError",
-        "chromatic_number", "complement", "complete_graph", "components", "compose_rel",
-        "cycle_graph", "diameter", "disjoint_union", "distance_matrix", "empty_graph",
-        "graph_from_edges", "identity_relation", "induced_subgraph", "is_complete",
-        "is_connected", "partition_from_classes", "path_graph", "path_length_of",
-        "radius", "relation_from_pairs", "transpose",
+        "Partition", "Relation", "UniverseMismatchError", "WitnessCheckError", "apply_strong",
+        "apply_weak", "chromatic_number", "complement", "complete_graph", "components",
+        "compose_rel", "cycle_graph", "diameter", "disjoint_union", "distance_matrix",
+        "empty_graph", "graph_from_edges", "identity_relation", "induced_subgraph",
+        "is_complete", "is_connected", "partition_from_classes", "path_graph",
+        "path_length_of", "radius", "relation_from_pairs", "transpose",
     ),
     "equivalence": (
         "EquivalenceWitness", "ThinQuotient", "find_isomorphism", "is_thin", "rcore",

@@ -5,63 +5,31 @@ produces a graph on its target universe: two target vertices are adjacent
 when they are related to the endpoints of some source edge. The weak
 variant discards loops. Everything operates on dense indices and returns
 new immutable values.
+
+The composition itself, ``apply_strong`` and ``apply_weak``, lives in
+``core`` beside its column kernels and is re-exported here: the reduced
+forms, cores and equivalences compose graphs but need none of the Hall
+and decomposition code below, so a process that runs only them never
+compiles it.
 """
 
 from __future__ import annotations
 
 from .core import (
     Graph,
-    ImageNotFullError,
-    LoopsNotAllowedError,
     Record,
     Relation,
-    UniverseMismatchError,
     _bits,
-    _compose_columns,
-    _transpose_columns,
+    _check_universes,
+    _require_full_image,
+    apply_strong,
+    apply_weak,
     check_witness,
 )
 
 
 class HallSatisfiedError(ValueError):
     """No shrinking split exists: the relation satisfies the Hall condition."""
-
-
-def _check_universes(g: Graph, rel: Relation) -> None:
-    if rel.domain_size != g.n:
-        raise UniverseMismatchError(
-            f"relation domain {rel.domain_size} != graph order {g.n}"
-        )
-
-
-def _require_full_image(rel: Relation) -> None:
-    if not rel.has_full_image:
-        missing = [b for b, col in enumerate(rel.columns) if not col]
-        raise ImageNotFullError(f"target vertices without pre-image: {missing}")
-
-
-def apply_strong(g: Graph, rel: Relation) -> Graph:
-    """Graph on the relation's target set generated through ``rel``.
-
-    Requires every target vertex to have a pre-image, so the result's
-    vertex set is well defined. Equals the relational product
-    transpose(R) . G . R, built as adjacency rows by the one column
-    kernel, ``core._compose_columns``: row b is the mask of the columns
-    that meet N_G(C_b), the neighbourhood of target b's pre-image, the
-    union of the rows of its members. That is O(|R| + sum_b |N_G(C_b)|)
-    mask operations, at most |R| + n*m.
-    """
-    _check_universes(g, rel)
-    _require_full_image(rel)
-    rows = _transpose_columns(g.n, rel.columns)
-    return Graph._of_rows(_compose_columns(rows, _compose_columns(g.adjacency, rel.columns)))
-
-
-def apply_weak(g: Graph, rel: Relation) -> Graph:
-    """Irreflexive part of the strong composition; source must be simple."""
-    if not g.is_simple:
-        raise LoopsNotAllowedError("weak composition needs a loop-free source")
-    return Graph._of_rows(row & ~(1 << v) for v, row in enumerate(apply_strong(g, rel).adjacency))
 
 
 class Decomposition(Record):

@@ -10,19 +10,18 @@ RELGRAPH_TIME_BUDGET when set.
 
 from __future__ import annotations
 
-import json
 import os
-import re
 import sys
+from importlib import import_module
 from types import SimpleNamespace
 
 from . import io as rio
 from .core import CapExceededError, Graph, Relation
 
 # Each command imports the library modules it runs, so a process loads only
-# those: ``--help`` and ``rcore`` never import the solver. So the
-# ``Certificate`` annotation, ``solver.Certificate``, is not imported either:
-# under ``from __future__ import annotations`` it is never evaluated.
+# those: ``--help`` and ``rcore`` never import the solver. The handlers of the
+# commands that drive ``algebra`` and ``solver`` live in ``clialgebra`` and
+# ``clisolver``, which load only when one of their commands runs.
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -50,12 +49,6 @@ def _load(parse, path: str):
         raise _CliError(f"{path}: {exc}") from exc
 
 
-def _cert_json(cert: Certificate | None):
-    if cert is None:
-        return None
-    return {"kind": cert.kind, "detail": cert.detail, "values": cert.values_dict()}
-
-
 def _emit(as_json: bool, doc: dict, *blocks) -> None:
     """Print a command's output: ``doc`` plus its ``(key, value, text)`` blocks.
 
@@ -75,7 +68,7 @@ def _emit(as_json: bool, doc: dict, *blocks) -> None:
             elif isinstance(value, Relation):
                 value = rio.relation_to_json(value)
             doc[key] = value
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(rio.json_text(doc))
         return
     for _, value, text in blocks:
         if isinstance(value, Graph):
@@ -83,31 +76,6 @@ def _emit(as_json: bool, doc: dict, *blocks) -> None:
         elif isinstance(value, Relation):
             text = rio.format_relation(value, note=text)
         sys.stdout.write(text)
-
-
-def _env(name: str, convert, what: str):
-    """``convert`` of the environment variable ``name``; None when unset or empty."""
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        return convert(raw)
-    except ValueError:
-        raise _CliError(f"{name} must be {what}, got {raw!r}") from None
-
-
-def _cmd_apply(args) -> int:
-    from .algebra import apply_strong, apply_weak
-
-    g = _load(rio.parse_graph, args.graph)
-    rel = _load(rio.parse_relation, args.relation)
-    apply = apply_weak if args.command == "apply-weak" else apply_strong
-    try:
-        result = apply(g, rel)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
-    _emit(args.json, {"command": args.command, "status": "decided"}, ("result", result, None))
-    return EXIT_OK
 
 
 def _cmd_thin(args) -> int:
@@ -189,210 +157,6 @@ def _cmd_equiv(args) -> int:
     return EXIT_OK
 
 
-def _cmd_solve(args) -> int:
-    from .solver import SolveQuery, _canonical_keys, _solve_masks
-
-    if args.exists and (args.minimal or args.maximal):
-        # An exists-query computes no antichains to pick from.
-        raise _CliError("--exists cannot be combined with --minimal or --maximal")
-    g = _load(rio.parse_graph, args.graph)
-    h = _load(rio.parse_graph, args.other)
-    node_budget, time_budget = args.node_budget, args.time_budget
-    if node_budget is None:
-        node_budget = _env("RELGRAPH_NODE_BUDGET", int, "an integer")
-    if time_budget is None:
-        time_budget = _env("RELGRAPH_TIME_BUDGET", float, "a number")
-    try:
-        query = SolveQuery(
-            g,
-            h,
-            mode="weak" if args.weak else "strong",
-            domain="full" if args.full_domain else "any",
-            enumeration="exists" if args.exists else "all",
-            node_budget=node_budget,
-            time_budget=time_budget,
-        )
-        found, keys, minimal, maximal, complete, cert = _solve_masks(query)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
-    if keys is None:  # at most one solution, which no sort has keyed
-        keys = _canonical_keys(g.n, h.n, found)
-
-    if not complete:
-        doc = {"command": "solve", "status": "budget-exhausted",
-               "complete": False, "certificate": None}
-        text = "# budget exhausted before the search completed\n"
-        # The text output lists none of the partial solutions.
-        picked = range(len(found)) if args.json else ()
-        _write_solve(args.json, doc, text, keys, picked, g.n, h.n)
-        return EXIT_BUDGET
-
-    picked = range(len(found))
-    if args.minimal and not args.maximal:
-        picked = minimal
-    elif args.maximal and not args.minimal:
-        picked = maximal
-    if not found:
-        text = "# no solution\n"
-        if cert is not None:
-            text += f"# certificate {cert.kind}: {cert.detail}\n"
-    else:
-        text = f"# solutions {len(found)}\n"
-        if args.minimal or args.maximal:
-            text += f"# minimal indices: {' '.join(map(str, minimal))}\n"
-            text += f"# maximal indices: {' '.join(map(str, maximal))}\n"
-    doc = {
-        "command": "solve",
-        "status": "decided" if found else "negative",
-        "mode": query.mode,
-        "domain": query.domain,
-        "count": len(found),
-        "minimal": list(minimal),
-        "maximal": list(maximal),
-        "complete": complete,
-        "certificate": _cert_json(cert),
-    }
-    _write_solve(args.json, doc, text, keys, picked, g.n, h.n)
-    return EXIT_OK if found else EXIT_NEGATIVE
-
-
-# Stands in for the solutions in the rendered JSON document. A JSON string
-# holds no raw newline, so ``_SPLICED`` occurs once: at the top-level key.
-_SPLICE = "\0"
-_SPLICED = '\n  "solutions": ' + json.dumps(_SPLICE)
-
-
-def _write_solve(as_json: bool, doc: dict, text: str, keys, picked, n: int, m: int) -> None:
-    """Write ``solve`` output with the solutions ``keys[i]`` for i in ``picked``.
-
-    ``keys`` are the solutions' ``_canonical_keys``: each lists a
-    solution's pair numbers ``x*m + b`` in canonical order. Under
-    ``--json`` the bytes are those ``_emit`` prints for ``doc`` with
-    ``"solutions"`` set to the list of the solutions' ``relation_to_json``
-    documents: one ``json.dumps(..., indent=2, sort_keys=True)`` line. In
-    text mode they are ``text`` followed by each solution's
-    ``format_relation`` block headed by the note ``solution i``. They are
-    written a solution at a time, straight from the keys: each of the
-    ``n*m`` pairs is rendered once, and a solution's text is its pairs'
-    renderings looked up by number.
-    """
-    out = sys.stdout
-    if not as_json:
-        pairs = [f"{x} {b}\n" for x in range(n) for b in range(m)]
-        out.write(text)
-        header = f"relation {n} {m}\n"
-        for i in picked:
-            out.write(f"# solution {i}\n{header}" + "".join(map(pairs.__getitem__, keys[i])))
-        return
-    pairs = [f"[\n          {x},\n          {b}\n        ]" for x in range(n) for b in range(m)]
-    rendered = json.dumps({**doc, "solutions": _SPLICE}, indent=2, sort_keys=True)
-    head, tail = rendered.split(_SPLICED)
-    out.write(head + '\n  "solutions": ')
-    sep = "[\n    "
-    for i in picked:
-        numbers = keys[i]
-        listed = "[]"
-        if numbers:
-            listed = "[\n        " + ",\n        ".join(map(pairs.__getitem__, numbers)) + "\n      ]"
-        out.write(
-            f'{sep}{{\n      "domain_size": {n},\n      "image_size": {m},\n'
-            f'      "pairs": {listed}\n    }}'
-        )
-        sep = ",\n    "
-    out.write(("[]" if sep.startswith("[") else "\n  ]") + tail + "\n")
-
-
-def _parse_subset(raw: str) -> list[int]:
-    try:
-        return [int(p) for p in raw.replace(",", " ").split()]
-    except ValueError:
-        raise _CliError(f"bad vertex list {raw!r}") from None
-
-
-def _cmd_check(args) -> int:
-    from .algebra import hall_check, is_reversible
-    from .retract import is_coretraction, is_retraction, property_n, property_n_star
-
-    kind = args.predicate
-    if args.sub is not None and kind not in ("retraction", "coretraction"):
-        raise _CliError(f"--sub applies only to retraction and coretraction checks, not {kind}")
-    needed = 1 if kind in ("hall", "prop-n", "prop-nstar") else 2
-    if len(args.inputs) != needed:
-        raise _CliError(f"check {kind} takes {needed} input file(s), got {len(args.inputs)}")
-    if kind == "hall":
-        rel = _load(rio.parse_relation, args.inputs[0])
-        report = hall_check(rel)
-        answer = report.satisfied
-        if answer:
-            mono = Relation(rel.domain_size, rel.image_size, report.monomorphism)
-            witness = ("monomorphism", mono, "monomorphism")
-        else:
-            violating = sorted(report.violating_set)
-            witness = ("violating_set", violating,
-                       f"# violating set: {' '.join(map(str, violating))}\n")
-        blocks = [("satisfied", answer, "true\n" if answer else "false\n"), witness]
-    else:
-        g = _load(rio.parse_graph, args.inputs[0])
-        if kind == "reversible":
-            rel = _load(rio.parse_relation, args.inputs[1])
-            try:
-                answer = is_reversible(g, rel)
-            except ValueError as exc:
-                raise _CliError(str(exc)) from exc
-        elif kind == "prop-n":
-            answer = property_n(g)
-        elif kind == "prop-nstar":
-            answer = property_n_star(g)
-        else:  # retraction or coretraction; the parser restricts the choices
-            rel = _load(rio.parse_relation, args.inputs[1])
-            if args.sub is None:
-                raise _CliError(f"{kind} check needs --sub with the subgraph vertices")
-            sub = _parse_subset(args.sub)
-            check = is_retraction if kind == "retraction" else is_coretraction
-            try:
-                answer = check(g, sub, rel)
-            except ValueError as exc:
-                raise _CliError(str(exc)) from exc
-        blocks = [("answer", answer, "true\n" if answer else "false\n")]
-    status = "decided" if answer else "negative"
-    _emit(args.json, {"command": "check", "predicate": kind, "status": status}, *blocks)
-    return EXIT_OK if answer else EXIT_NEGATIVE
-
-
-def _cmd_decompose(args) -> int:
-    from .algebra import decompose
-
-    rel = _load(rio.parse_relation, args.relation)
-    dec = decompose(rel)
-    _emit(
-        args.json,
-        {"command": "decompose", "status": "decided",
-         "domain_vertices": sorted(dec.domain_vertices), "mid_size": dec.mid_size},
-        ("duplicator", dec.duplicator, "duplicator (injective)"),
-        ("mid_pairs", [list(p) for p in dec.mid_pairs],
-         "".join(f"# mid vertex {i} = pair {x} {b}\n" for i, (x, b) in enumerate(dec.mid_pairs))),
-        ("contractor", dec.contractor, "contractor (functional)"),
-    )
-    return EXIT_OK
-
-
-def _cmd_reduce(args) -> int:
-    from .solver import reduce_fulrel_to_shom, reduce_hom_to_fulrel
-
-    g = _load(rio.parse_graph, args.graph)
-    h = _load(rio.parse_graph, args.other)
-    if args.construction == "hom-to-fulrel":
-        result = reduce_hom_to_fulrel(g, h)
-    else:
-        result = reduce_fulrel_to_shom(g, h)
-    _emit(
-        args.json,
-        {"command": "reduce", "construction": args.construction, "status": "decided"},
-        ("result", result, None),
-    )
-    return EXIT_OK
-
-
 class _Command:
     """One row of the command table: what parsing, help and dispatch need.
 
@@ -402,7 +166,9 @@ class _Command:
     tuples, the last two optional: without ``convert`` the option is an
     on/off flag, with it ``convert`` turns the option's value into what
     the handler reads. ``exclusive`` is a pair of flags that cannot both
-    be given, and ``required`` means one of them must be.
+    be given, and ``required`` means one of them must be. ``handler``
+    names the function that runs the command, as ``module.function`` in
+    this package: its module is imported only when the command runs.
     """
 
     def __init__(self, name, help, handler, positionals, options=(), *, choices=None,
@@ -423,25 +189,30 @@ _TOP_OPTIONS = {"--json": ("json", None, "emit one JSON document")}
 _DESCRIPTION = ("Algebra of relations between graphs: composition, equivalences, cores, "
                 "cocores, and an exhaustive equation solver.")
 _COMMANDS = {c.name: c for c in (
-    _Command("apply", "compose a graph with a relation", _cmd_apply, ("graph", "relation")),
-    _Command("apply-weak", "loop-free composition", _cmd_apply, ("graph", "relation")),
-    _Command("thin", "quotient by equal neighborhoods", _cmd_thin, ("graph",)),
-    _Command("rcore", "minimum weak-equivalence representative", _cmd_rcore, ("graph",)),
-    _Command("cocore", "minimal generating subgraph", _cmd_core, ("graph",)),
-    _Command("core", "smallest retract (graph core)", _cmd_core, ("graph",)),
-    _Command("equiv", "decide relational equivalence", _cmd_equiv, ("graph", "other"),
+    _Command("apply", "compose a graph with a relation", "clialgebra._cmd_apply",
+             ("graph", "relation")),
+    _Command("apply-weak", "loop-free composition", "clialgebra._cmd_apply", ("graph", "relation")),
+    _Command("thin", "quotient by equal neighborhoods", "cli._cmd_thin", ("graph",)),
+    _Command("rcore", "minimum weak-equivalence representative", "cli._cmd_rcore", ("graph",)),
+    _Command("cocore", "minimal generating subgraph", "cli._cmd_core", ("graph",)),
+    _Command("core", "smallest retract (graph core)", "cli._cmd_core", ("graph",)),
+    _Command("equiv", "decide relational equivalence", "cli._cmd_equiv", ("graph", "other"),
              (("--strong",), ("--weak",)), exclusive=("--strong", "--weak"), required=True),
-    _Command("solve", "solve graph * R = target for R", _cmd_solve, ("graph", "other"),
+    _Command("solve", "solve graph * R = target for R", "clisolver._cmd_solve",
+             ("graph", "other"),
              (("--weak",), ("--full-domain",), ("--all",), ("--exists",), ("--minimal",),
               ("--maximal",), ("--node-budget", int), ("--time-budget", float)),
              exclusive=("--all", "--exists")),
-    _Command("check", "boolean predicates with witnesses", _cmd_check, ("predicate", "inputs"),
+    _Command("check", "boolean predicates with witnesses", "clialgebra._cmd_check",
+             ("predicate", "inputs"),
              (("--sub", str, "subgraph vertices, e.g. '0,2,3'"),),
              choices={"predicate": ("hall", "reversible", "prop-n", "prop-nstar",
                                     "retraction", "coretraction")},
              many="inputs"),
-    _Command("decompose", "duplicate-then-contract split", _cmd_decompose, ("relation",)),
-    _Command("reduce", "problem reductions", _cmd_reduce, ("construction", "graph", "other"),
+    _Command("decompose", "duplicate-then-contract split", "clialgebra._cmd_decompose",
+             ("relation",)),
+    _Command("reduce", "problem reductions", "clisolver._cmd_reduce",
+             ("construction", "graph", "other"),
              choices={"construction": ("hom-to-fulrel", "fulrel-to-shom")}),
 )}
 
@@ -471,6 +242,14 @@ class _Exit(Exception):
         self.cmd, self.message = cmd, message
 
 
+def _negative_number(arg: str) -> bool:
+    """Whether ``arg`` matches argparse's ``^-\\d+$|^-\\d*\\.\\d+$``: ``\\d``
+    is a Unicode decimal digit, and ``$`` also matches before a final newline."""
+    body = arg[1:-1] if arg.endswith("\n") else arg[1:]
+    whole, dot, part = body.partition(".")
+    return body.isdecimal() or bool(dot) and part.isdecimal() and (not whole or whole.isdecimal())
+
+
 def _kinds(args, options, cmd) -> list:
     """How each of ``args`` reads: None when positional, "--" for the first
     "--", and ``(flag, value)`` for an option, ``flag`` None when it names
@@ -492,7 +271,7 @@ def _kinds(args, options, cmd) -> list:
             kind = hits[0], value if eq else None
         elif arg[:2] == "-h":
             kind = "-h", arg[2:]
-        elif re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        elif _negative_number(arg) or " " in arg:
             kind = None
         else:
             kind = None, None
@@ -604,7 +383,9 @@ def _parse(argv) -> SimpleNamespace:
     values, rest = _parse_command(cmd, argv[i + 1:])
     if left or rest:
         raise _Exit(None, f"unrecognized arguments: {' '.join(left + rest)}")
-    return SimpleNamespace(json=as_json, command=cmd.name, func=cmd.handler, **values)
+    module, _, name = cmd.handler.partition(".")
+    func = getattr(import_module(f"{__package__}.{module}"), name)
+    return SimpleNamespace(json=as_json, command=cmd.name, func=func, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -643,4 +424,7 @@ def run() -> int:
 
 
 if __name__ == "__main__":
+    # The handlers' modules import ``relgraph.cli``: run that, not this copy.
+    from relgraph.cli import run
+
     sys.exit(run())

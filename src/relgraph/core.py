@@ -1,4 +1,5 @@
-"""Core value types: graphs, binary relations, partitions.
+"""Core value types: graphs, binary relations, partitions, and the
+composition of a graph with a relation.
 
 Vertices are dense integers ``0..n-1``; external vertex names live only in
 an optional label table used by the I/O layer. Graphs are undirected and
@@ -484,6 +485,43 @@ def _transpose_columns(n: int, columns) -> list[int]:
         for x in _bits(col):
             rows[x] |= 1 << b
     return rows
+
+
+def _check_universes(g: Graph, rel: Relation) -> None:
+    if rel.domain_size != g.n:
+        raise UniverseMismatchError(
+            f"relation domain {rel.domain_size} != graph order {g.n}"
+        )
+
+
+def _require_full_image(rel: Relation) -> None:
+    if not rel.has_full_image:
+        missing = [b for b, col in enumerate(rel.columns) if not col]
+        raise ImageNotFullError(f"target vertices without pre-image: {missing}")
+
+
+def apply_strong(g: Graph, rel: Relation) -> Graph:
+    """Graph on the relation's target set generated through ``rel``.
+
+    Requires every target vertex to have a pre-image, so the result's
+    vertex set is well defined. Equals the relational product
+    transpose(R) . G . R, built as adjacency rows by the one column
+    kernel, ``_compose_columns``: row b is the mask of the columns
+    that meet N_G(C_b), the neighbourhood of target b's pre-image, the
+    union of the rows of its members. That is O(|R| + sum_b |N_G(C_b)|)
+    mask operations, at most |R| + n*m.
+    """
+    _check_universes(g, rel)
+    _require_full_image(rel)
+    rows = _transpose_columns(g.n, rel.columns)
+    return Graph._of_rows(_compose_columns(rows, _compose_columns(g.adjacency, rel.columns)))
+
+
+def apply_weak(g: Graph, rel: Relation) -> Graph:
+    """Irreflexive part of the strong composition; source must be simple."""
+    if not g.is_simple:
+        raise LoopsNotAllowedError("weak composition needs a loop-free source")
+    return Graph._of_rows(row & ~(1 << v) for v, row in enumerate(apply_strong(g, rel).adjacency))
 
 
 class Relation(Record):

@@ -11,7 +11,6 @@ exhaustive search over candidate graphs and relation pairs.
 
 from __future__ import annotations
 
-from .algebra import apply_strong
 from .core import (
     CapExceededError,
     Graph,
@@ -22,6 +21,7 @@ from .core import (
     _rcore_maps,
     _reduced_graph,
     _sweep,
+    apply_strong,
     check_witness,
     compose_rel,
     partition_from_classes,

@@ -124,3 +124,41 @@ def relation_to_json(rel: Relation) -> dict:
         "image_size": rel.image_size,
         "pairs": [list(p) for p in sorted(rel.pairs)],
     }
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, with
+    each line after the first indented as ``indent`` (a newline and the
+    indentation of the line ``value`` starts on).
+
+    Dicts with string keys, lists, tuples, ints, bools, None and strings of
+    printable ASCII other than quote and backslash are rendered here, so
+    that a CLI process imports neither ``json`` nor the ``re`` that its
+    decoder imports. Anything else, such as a float or a string that needs
+    escaping, is rendered by ``json``, whose text holds a newline only
+    between two of its lines.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return '"' + value + '"'
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(json_text(v, inner) for v in value) + indent + "]"
+    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        if not value:
+            return "{}"
+        members = (f"{json_text(key)}: {json_text(v, inner)}" for key, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(members) + indent + "}"
+    import json
+
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)

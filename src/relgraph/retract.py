@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import apply_strong
 from .core import (
     CapExceededError,
     Graph,
@@ -22,6 +21,7 @@ from .core import (
     _compose_columns,
     _deletions,
     _sweep,
+    apply_strong,
     check_witness,
     identity_relation,
     induced_subgraph,

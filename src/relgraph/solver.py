@@ -34,6 +34,7 @@ from .core import (
     _rcore_maps,
     _reduced_rows,
     _sweep,
+    apply_strong,
     chromatic_number,
     complement,
     components,
@@ -349,7 +350,13 @@ def _search_columns(
                 limit = spend(held)
                 held = 0
 
-    yield from dfs(0, 0, bases)
+    try:
+        yield from dfs(0, 0, bases)
+    finally:
+        # ``dfs`` refers to itself through its cell. Unbound, the search's
+        # memo, tables and candidate sets are freed as soon as it finishes,
+        # is closed or runs out of budget, not by the cyclic collector.
+        del dfs
     if held:
         spend(held)
 
@@ -1113,8 +1120,6 @@ def subgraph_reduce(
     original vertex ids in their labels). The target residual must not
     contain isolated vertices.
     """
-    from .algebra import apply_strong
-
     s = sorted(set(source_pins))
     d = sorted(set(target_pins))
     if any(v < 0 or v >= g.n for v in s) or any(v < 0 or v >= h.n for v in d):

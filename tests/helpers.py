@@ -16,7 +16,7 @@ from operator import lshift, or_
 import numpy as np
 
 import relgraph as rg
-from relgraph import cli
+from relgraph import cli, clialgebra, clisolver
 from relgraph.solver import _NO_BUDGET, _column_order
 
 
@@ -658,8 +658,8 @@ def reference_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, inputs, func, help_text in (
-        ("apply", ("graph", "relation"), cli._cmd_apply, "compose a graph with a relation"),
-        ("apply-weak", ("graph", "relation"), cli._cmd_apply, "loop-free composition"),
+        ("apply", ("graph", "relation"), clialgebra._cmd_apply, "compose a graph with a relation"),
+        ("apply-weak", ("graph", "relation"), clialgebra._cmd_apply, "loop-free composition"),
         ("thin", ("graph",), cli._cmd_thin, "quotient by equal neighborhoods"),
         ("rcore", ("graph",), cli._cmd_rcore, "minimum weak-equivalence representative"),
         ("cocore", ("graph",), cli._cmd_core, "minimal generating subgraph"),
@@ -690,7 +690,7 @@ def reference_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("graph")
     p.add_argument("other")
-    p.set_defaults(func=cli._cmd_solve)
+    p.set_defaults(func=clisolver._cmd_solve)
 
     p = sub.add_parser("check", help="boolean predicates with witnesses")
     p.add_argument(
@@ -699,15 +699,15 @@ def reference_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("inputs", nargs="+")
     p.add_argument("--sub", default=None, help="subgraph vertices, e.g. '0,2,3'")
-    p.set_defaults(func=cli._cmd_check)
+    p.set_defaults(func=clialgebra._cmd_check)
 
     p = sub.add_parser("decompose", help="duplicate-then-contract split")
     p.add_argument("relation")
-    p.set_defaults(func=cli._cmd_decompose)
+    p.set_defaults(func=clialgebra._cmd_decompose)
 
     p = sub.add_parser("reduce", help="problem reductions")
     p.add_argument("construction", choices=["hom-to-fulrel", "fulrel-to-shom"])
     p.add_argument("graph")
     p.add_argument("other")
-    p.set_defaults(func=cli._cmd_reduce)
+    p.set_defaults(func=clisolver._cmd_reduce)
     return parser

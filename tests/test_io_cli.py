@@ -32,6 +32,41 @@ def test_relation_round_trip_randomized():
         assert rio.parse_relation(rio.format_relation(r)) == r
 
 
+def test_json_text_matches_json_dumps():
+    """``io.json_text`` gives the text of ``json.dumps(..., indent=2,
+    sort_keys=True)`` on seeded random documents, those that it hands to
+    ``json`` (floats, strings that need escaping) among them."""
+    rng = random.Random(61)
+    characters = 'az AZ09~-_."\\/\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600'
+
+    def text():
+        return "".join(rng.choice(characters) for _ in range(rng.randint(0, 5)))
+
+    def value(depth):
+        kind = rng.randrange(8 if depth < 4 else 5)
+        if kind == 0:
+            return rng.choice([None, True, False, 0, -1, 1, 7, -(10**30), 2**64])
+        if kind == 1:
+            return rng.choice(["", "status", "decided", "a b:c", "x" * 40])
+        if kind == 2:
+            return text()
+        if kind == 3:
+            return rng.choice([0.0, -0.0, 1.5, -2.25, 1e300, 0.1, float("inf"),
+                               float("-inf"), float("nan")])
+        if kind == 4:
+            return rng.randint(-1000, 1000)
+        items = [value(depth + 1) for _ in range(rng.randint(0, 4))]
+        if kind == 5:
+            return items
+        if kind == 6:
+            return tuple(items)
+        return {rng.choice(["a", "b", "pairs", text()]): item for item in items}
+
+    for _ in range(3000):
+        doc = value(0)
+        assert rio.json_text(doc) == json.dumps(doc, indent=2, sort_keys=True), doc
+
+
 def test_parser_reports_line_numbers():
     with pytest.raises(rio.ParseError) as err:
         rio.parse_graph("graph 3\n0 1\n0 7\n")
@@ -356,8 +391,10 @@ def test_each_command_loads_only_the_modules_it_runs(files):
     ]
     # Without ``site``, which may import some of these itself, none of the
     # standard library's slow-to-import modules loads either: the parser
-    # is relgraph's own, so not argparse and the gettext and locale it needs.
-    heavy = {"dataclasses", "inspect", "pathlib", "typing", "argparse", "gettext", "locale"}
+    # is relgraph's own, so not argparse and the gettext and locale it needs,
+    # nor ``re``; and ``io.json_text`` renders the JSON, so not ``json``.
+    heavy = {"dataclasses", "inspect", "pathlib", "typing", "argparse", "gettext", "locale",
+             "json", "re"}
     for args in without_solver:
         loaded = _modules_loaded(*args)
         assert "relgraph.cli" in loaded, args
@@ -365,6 +402,9 @@ def test_each_command_loads_only_the_modules_it_runs(files):
         assert "fractions" not in loaded, args
         # Only help and usage errors render help text.
         assert ("relgraph.clihelp" in loaded) == (args == ["--help"]), args
+        # The reduced forms and equivalences compose through ``core`` alone.
+        composing = loaded & {"relgraph.algebra", "relgraph.clialgebra", "relgraph.clisolver"}
+        assert not composing, (args, composing)
         bare = _modules_loaded(*args, flags=("-S",))
         assert "relgraph.cli" in bare and not bare & heavy, (args, bare & heavy)
         if args[0] in ("rcore", "thin"):
@@ -375,7 +415,7 @@ def test_each_command_loads_only_the_modules_it_runs(files):
     assert "relgraph.solver" in loaded
     unused = {
         "relgraph.algebra", "relgraph.equivalence", "relgraph.retract", "relgraph.generate",
-        "fractions",
+        "relgraph.clialgebra", "fractions",
     }
     assert not loaded & unused, loaded & unused
     for enumeration in ("--all", "--exists"):
@@ -817,6 +857,12 @@ def _parser_corpus() -> list[list[str]]:
         ["rcore", "-hx"], ["rcore", "G", "-h"], ["apply", "G"], ["apply", "-h", "--bogus"],
         ["apply", "--bogus", "-h"],
     ]
+    # Argparse reads an argument as a negative number by a regular expression
+    # in which ``\d`` is any Unicode decimal digit and ``$`` also matches
+    # before a final newline.
+    for number in ("-5", "-٣", "-²", "-5\n", "-5\n\n", "-.5", "-x.5", "-1.", "-1.2.3", "-1e3"):
+        corpus += [["rcore", number], ["solve", "G", number],
+                   ["solve", "--time-budget", number, "G", "H"]]
     # A second "--" is a positional to this parser; argparse on Python 3.11
     # drops one "--" from each positional's words, so the lists above and
     # below hold at most one.

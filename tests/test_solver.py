@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 import os
 import random
@@ -1212,3 +1213,31 @@ def test_core_route_checks_survive_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "checked"
+
+
+def test_column_search_leaves_no_cyclic_garbage():
+    """A column search that finishes, is closed or runs out of budget frees
+    its memo, tables and candidate sets without the cyclic collector."""
+    g, h = rg.cycle_graph(6), rg.path_graph(4)
+
+    def finished():
+        assert sum(1 for _ in solver._search_columns(g, h)) > 1
+
+    def closed():
+        search = solver._search_columns(g, h)
+        next(search)
+        search.close()
+
+    def exhausted():
+        with pytest.raises(solver.BudgetExhaustedError):
+            for _ in solver._search_columns(g, h, budget=solver._Budget(50, None)):
+                pass
+
+    gc.collect()
+    gc.disable()
+    try:
+        for search in (finished, closed, exhausted):
+            search()
+            assert gc.collect() == 0, search.__name__
+    finally:
+        gc.enable()
