@@ -17,7 +17,7 @@ import numpy as np
 
 import relgraph as rg
 from relgraph import cli, clialgebra, clisolver
-from relgraph.solver import _NO_BUDGET, _column_order
+from relgraph.solver import _NO_BUDGET, _column_order, _containing, _unions
 
 
 def naive_neighbor_table(g: rg.Graph) -> np.ndarray:
@@ -447,6 +447,185 @@ def reference_search_columns(
                 held = 0
 
     yield from dfs(0, 0)
+    if held:
+        spend(held)
+
+
+def frozen_search_columns(
+    src: rg.Graph,
+    tgt: rg.Graph,
+    *,
+    weak: bool = False,
+    full_domain: bool = False,
+    required: list[int] | None = None,
+    universe: list[int] | None = None,
+    budget=_NO_BUDGET,
+):
+    """The column search as a recursive generator, one ``yield from`` frame
+    per column, frozen as ``solver._search_columns`` was before it searched
+    in one frame and skipped repeated dead states. The one-frame search
+    must yield the same solutions in the same order, with the same
+    ``nodes_left`` at each, run out of budget before the same yield and
+    read the clock as often."""
+    n, m = src.n, tgt.n
+    full = (1 << n) - 1
+    if m == 0:
+        if not (full_domain and n > 0):
+            yield ()
+        return
+    if n == 0:
+        return
+    tadj, sadj = tgt.adjacency, src.adjacency
+    order = _column_order(tgt)
+    slot = sorted(range(m), key=order.__getitem__)
+    has = _containing(n)
+
+    # The masks meeting a source-vertex set, per set, for this call. It
+    # stores at most 2^22 >> n sets of 2^n bits, 512 KiB in all: every set
+    # it sees for n <= 11.
+    memo: dict[int, int] = {}
+    room = 1 << 22 >> n
+
+    def meeting(vertices: int) -> int:
+        met = memo.get(vertices)
+        if met is None:
+            met, rest = 0, vertices
+            while rest:
+                low = rest & -rest
+                met |= has[low.bit_length() - 1]
+                rest ^= low
+            if len(memo) < room:
+                memo[vertices] = met
+        return met
+
+    # A mask's neighbourhood is the union of two table rows, one per half of
+    # its bits: 2^(n // 2) + 2^(n - n // 2) rows instead of 2^n.
+    half = n // 2
+    low_half = (1 << half) - 1
+    low_nbr, high_nbr = _unions(sadj[:half]), _unions(sadj[half:])
+    # A strong column is loopless iff its mask holds no edge (x, y), y >= x,
+    # of src; ``dep`` holds the masks that do.
+    dep = 0
+    for x, row in enumerate(() if weak else sadj):
+        row >>= x
+        while row:
+            low = row & -row
+            dep |= has[x] & has[x + low.bit_length() - 1]
+            row ^= low
+    # The nonempty masks, per loop kind: looped, then loopless.
+    kinds = (2 << full) - 2
+    kinds = (kinds, kinds) if weak else (kinds & dep, kinds & ~dep)
+    bases = [kinds[not tadj[b] >> b & 1] for b in order]
+    for i, b in enumerate(order if required or universe else ()):
+        for x in range(n):
+            if required and required[b] >> x & 1:
+                bases[i] &= has[x]
+            if universe and not universe[b] >> x & 1:
+                bases[i] &= ~has[x]
+    if not all(bases):
+        return
+    # A node's units: its base set. A cut child costs the same.
+    size = [base.bit_count() for base in bases]
+    # For each position, whether each later column is adjacent to its own.
+    ahead = [[tadj[order[i]] >> c & 1 for c in order[i + 1:]] for i in range(m)]
+
+    # Full-domain pruning rests on one rule: a vertex next to column j's
+    # contents may only sit in columns adjacent to j. ``avail[p]`` holds the
+    # source vertices that may still join the column at position p; in
+    # strong mode a looped vertex never joins a loopless column.
+    # ``spare[v]``: the masks that hold v or avoid N(v).
+    avail = []
+    if full_domain:
+        looped = 0 if weak else sum(1 << x for x in src.loop_vertices())
+        for b in order:
+            uni = universe[b] if universe is not None else full
+            avail.append(uni if tadj[b] >> b & 1 else uni & ~looped)
+        spare = [has[v] | ~meeting(sadj[v]) for v in range(n)]
+
+    chosen = [0] * m
+    last = m - 1
+    limited = not budget.unlimited
+    spend = budget.spend
+    # Units charged but not yet spent, and the count at which they must be.
+    held = 0
+    limit = spend(0) if limited else None
+
+    def dfs(i: int, covered: int, sets: list[int]):
+        nonlocal held, limit
+        base = bases[i]
+        keep = sets[0]
+        later = sets[1:]
+        flags = ahead[i]
+        if full_domain:
+            # What the later columns may take: those adjacent to this one
+            # (``near``) keep it, the rest (``far``) lose a mask's neighbours.
+            near = far = 0
+            far_pos = []
+            for p, adjacent in enumerate(flags, i + 1):
+                if adjacent:
+                    near |= avail[p]
+                else:
+                    far |= avail[p]
+                    far_pos.append(p)
+            rest = full & ~(covered | near)
+            while rest and keep:
+                low = rest & -rest
+                rest ^= low
+                keep &= spare[low.bit_length() - 1] if far & low else has[low.bit_length() - 1]
+        charged = 0
+        while keep:
+            low = keep & -keep
+            keep ^= low
+            mask = low.bit_length() - 1
+            if limited:
+                k = (base & ((low << 1) - 1)).bit_count()
+                held += k - charged
+                charged = k
+                # A solution is yielded with every unit spent.
+                if held >= limit or i == last:
+                    limit = spend(held)
+                    held = 0
+            chosen[i] = mask
+            if i == last:
+                yield tuple(map(chosen.__getitem__, slot))
+                continue
+            nb = low_nbr[mask & low_half] | high_nbr[mask >> half]
+            met = memo.get(nb) or meeting(nb)
+            # Forward check: narrow every later set, and stop at an empty one.
+            narrowed = []
+            for s, adjacent in zip(later, flags):
+                s = s & met if adjacent else s & ~met
+                if not s:
+                    break
+                narrowed.append(s)
+            else:
+                if full_domain:
+                    saved = avail[i + 1:]
+                    for p in far_pos:
+                        avail[p] &= ~nb
+                    yield from dfs(i + 1, covered | mask, narrowed)
+                    avail[i + 1:] = saved
+                else:
+                    yield from dfs(i + 1, covered | mask, narrowed)
+                continue
+            if limited:
+                held += size[i + 1]
+                if held >= limit:
+                    limit = spend(held)
+                    held = 0
+        if limited:
+            held += size[i] - charged
+            if held >= limit:
+                limit = spend(held)
+                held = 0
+
+    try:
+        yield from dfs(0, 0, bases)
+    finally:
+        # ``dfs`` refers to itself through its cell. Unbound, the search's
+        # memo, tables and candidate sets are freed as soon as it finishes,
+        # is closed or runs out of budget, not by the cyclic collector.
+        del dfs
     if held:
         spend(held)
 

@@ -15,6 +15,7 @@ from helpers import (
     blow_up,
     brute_hom_exists,
     brute_surjective_hom_exists,
+    frozen_search_columns,
     matrix_composition,
     min_completing_budget,
     naive_solution_masks,
@@ -617,6 +618,83 @@ def test_budget_units_are_exact_on_random_searches(monkeypatch):
     assert len(sizes) >= 300 and sum(units >= 512 for units in sizes) >= 40
 
 
+def _budgeted_run(monkeypatch, search, args, node_budget, reads_left=None):
+    """Every yield of one column search with the budget's ``nodes_left`` at
+    it, then "exhausted" if the budget ran out, with the budget and the
+    number of clock reads. Under ``reads_left`` the search also has a time
+    budget, on a clock that passes the deadline after that many reads."""
+    g, h, weak, full_domain, required, universe = args
+    budget = solver._Budget(node_budget, None if reads_left is None else 3600.0)
+    reads = []
+    out = []
+    with monkeypatch.context() as patch:
+        if reads_left is not None:
+            budget.deadline = 1.0
+            patch.setattr(
+                solver.time, "monotonic",
+                lambda: reads.append(0) or (2.0 if len(reads) > reads_left else 0.0),
+            )
+        try:
+            for cols in search(
+                g, h, weak=weak, full_domain=full_domain,
+                required=required, universe=universe, budget=budget,
+            ):
+                out.append((cols, budget.nodes_left))
+        except rg.BudgetExhaustedError:
+            out.append("exhausted")
+    return out, budget, len(reads)
+
+
+def test_column_search_matches_the_frozen_recursive_search(monkeypatch):
+    """The one-frame search, which skips the states it found dead and
+    replays their units, against ``helpers.frozen_search_columns``, the
+    recursive search it replaced, on 2,000 random searches with n <= 8 and
+    m <= 5. Each runs without a budget (under 2,500 units if it needs
+    more), under node budgets of its exact units, one less and random ones
+    that run out, under a time budget whose clock passes the deadline at a
+    random read, and under both. Both yield the same solutions in the same
+    order with the same ``nodes_left`` at each, run out before the same
+    yield, read the clock as often (under both budgets, at most once more)
+    and spend the same units when they complete; where a node budget runs
+    out, ``nodes_left`` reads no lower than the frozen search's."""
+    rng = random.Random(37)
+    cap = 2_500
+    skipped = exhausted = 0
+    for trial in range(2_000):
+        args = _random_column_search(rng, trial)
+        runs = [(cap, None), (rng.randint(1, cap), None), (None, rng.randrange(cap // 256))]
+        runs.append((rng.randint(1, cap), rng.randrange(cap // 256)))
+        units = None
+        while runs:
+            node_budget, reads_left = runs.pop(0)
+            want, want_budget, want_reads = _budgeted_run(
+                monkeypatch, frozen_search_columns, args, node_budget, reads_left)
+            got, got_budget, got_reads = _budgeted_run(
+                monkeypatch, solver._search_columns, args, node_budget, reads_left)
+            assert got == want, (args, node_budget, reads_left)
+            if node_budget is None or reads_left is None:
+                assert got_reads == want_reads, (args, node_budget, reads_left)
+            else:
+                # A replay reads the clock at each multiple of 256 it
+                # crosses, where one charge may have crossed one and
+                # overdrawn the node budget at once.
+                assert got_reads - want_reads in (0, 1), (args, node_budget, reads_left)
+            if want[-1:] == ["exhausted"]:
+                exhausted += 1
+                if node_budget is not None and got_budget.nodes_left < 0:
+                    assert got_budget.nodes_left >= want_budget.nodes_left, args
+                continue
+            assert got_budget._ticks == want_budget._ticks, args
+            if node_budget == cap:
+                units = cap - want_budget.nodes_left
+                runs += [(None, None), (units, None), (max(units - 1, 0), None)]
+                runs += [(rng.randint(0, units), None), (None, rng.randrange(units // 256 + 1))]
+        skipped += units is None
+    # The random budgets run out on most draws, and 406 draws need more
+    # than the cap.
+    assert exhausted >= 4_000 and skipped <= 450
+
+
 def _first_or_frame(search, g, h, weak, node_budget):
     """The first yield of a full-domain column search under ``node_budget``
     with the budget's counters, and the search's frame if it ran out."""
@@ -650,6 +728,27 @@ def test_near_cap_searches_match_the_reference_within_the_memo_bound():
             memo = frame.f_locals["memo"]
             assert len(memo) == 64
             assert sum(met.bit_length() for met in memo.values()) <= 1 << 22
+
+
+def test_dead_state_memo_keeps_within_its_bound():
+    """The search stores at most 2^22 >> n later candidate sets as dead
+    states, as its memo of meeting masks does. A strong search of a seeded
+    12-vertex graph onto C7 meets more dead states than that (1,106 sets
+    before its 2,000th yield, with no bound): read from the suspended
+    search's frame at each of its first 2,000 yields, the stored sets
+    never exceed 1,024, and they fill the bound to within one state. The yields are the frozen recursive search's. A full-domain
+    search stores no state."""
+    g, h = random_graph(random.Random(3), 12, p=0.3), rg.cycle_graph(7)
+    bound = 1 << 22 >> g.n
+    search = solver._search_columns(g, h)
+    got, stored = [], []
+    for cols in itertools.islice(search, 2_000):
+        got.append(cols)
+        stored.append(sum(map(len, search.gi_frame.f_locals["dead"])))
+    assert got == list(itertools.islice(frozen_search_columns(g, h), 2_000))
+    assert max(stored) <= bound and max(stored) > bound - (h.n - 2)
+    search = solver._search_columns(rg.cycle_graph(8), rg.path_graph(4), full_domain=True)
+    assert sum(not search.gi_frame.f_locals["dead"] for _ in search) == 192
 
 
 def test_side_doors_enforce_the_vertex_cap():
