@@ -708,7 +708,9 @@ def partition_from_classes(universe_size: int, classes) -> Partition:
     return Partition(universe_size, ordered)
 
 
-def _deletions(g: Graph, *, rcore: bool):
+def _sweep(
+    g: Graph, *, rcore: bool, first: bool = False
+) -> tuple[int, list[tuple[int, tuple[int, ...], int | None]]]:
     """The neighbourhood-deletion rule behind R-cores and R-cocores.
 
     One pass visits the vertices of ``g`` with an edge in ascending order,
@@ -731,12 +733,14 @@ def _deletions(g: Graph, *, rcore: bool):
     containers only shrink as L shrinks, so a vertex kept when visited
     stays kept, and a second pass would delete nothing.
 
-    Yields each deletion as it is made, as ``(vertex, contributors,
-    container)``, so a caller may stop at the first.
+    Returns the surviving vertex mask L and the trace of the deletions, in
+    order, as ``(vertex, contributors, container)``. With ``first`` the
+    pass stops at the first deletion, which settles ``property_n_star``.
     """
     adj = g.adjacency
     live = [v for v, row in enumerate(adj) if row]
     alive = sum(1 << v for v in live)
+    trace = []
     for i in tuple(live):
         ni = adj[i] & alive
         container = None
@@ -759,17 +763,10 @@ def _deletions(g: Graph, *, rcore: bool):
         if union & alive == ni:
             live.remove(i)
             alive ^= 1 << i
-            yield i, tuple(contributors), container
-
-
-def _sweep(
-    g: Graph, *, rcore: bool
-) -> tuple[int, list[tuple[int, tuple[int, ...], int | None]]]:
-    """The surviving vertex mask after every ``_deletions`` of ``g``, and
-    the trace of those deletions, in order."""
-    trace = list(_deletions(g, rcore=rcore))
-    alive = sum(1 << v for v, row in enumerate(g.adjacency) if row)
-    return alive ^ sum(1 << i for i, _, _ in trace), trace
+            trace.append((i, tuple(contributors), container))
+            if first:
+                break
+    return alive, trace
 
 
 def _rcore_maps(

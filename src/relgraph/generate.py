@@ -95,7 +95,9 @@ def canonical_key(g: Graph) -> Rows:
     return canonical_rows(g.adjacency)
 
 
-@lru_cache(maxsize=None)
+# Generation takes canonical forms, practical up to 7 vertices: the
+# tables for n <= 7, with and without loops, all fit.
+@lru_cache(maxsize=16)
 def _all_rows(n: int, loops: bool) -> tuple[Rows, ...]:
     if n == 0:
         return ((),)

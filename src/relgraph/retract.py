@@ -19,7 +19,6 @@ from .core import (
     Record,
     Relation,
     _compose_columns,
-    _deletions,
     _sweep,
     apply_strong,
     check_witness,
@@ -43,12 +42,12 @@ def property_n_star(g: Graph) -> bool:
 
     Greedy test: the union of all neighborhoods contained in N(x) is the
     largest candidate union, so comparing it against N(x) is exact. That is
-    the R-cocore deletion rule, so a pass of ``_deletions`` over the
-    vertices with an edge must delete none of them; the first deletion
-    settles it. The covering family must be nonempty; a lone isolated
-    vertex does not defeat itself, two do.
+    the R-cocore deletion rule, so a pass of ``_sweep`` over the vertices
+    with an edge must delete none of them; the first deletion settles it.
+    The covering family must be nonempty; a lone isolated vertex does not
+    defeat itself, two do.
     """
-    return next(_deletions(g, rcore=False), None) is None and len(g.isolated_vertices()) <= 1
+    return not _sweep(g, rcore=False, first=True)[1] and len(g.isolated_vertices()) <= 1
 
 
 def _identity_within(sub: list[int], rel: Relation) -> bool:

@@ -134,6 +134,37 @@ def _containing(n: int) -> tuple[int, ...]:
     return tuple(has | has << half for has in _containing(n - 1)) + ((1 << half) - 1 << half,)
 
 
+# The largest source order with a ``_meetings`` table: 2^n sets of 2^n bits
+# each, at most 2^22 bits for n <= 11 and about 0.7 MB for all of them.
+_MEETINGS_MAX = 11
+
+
+@lru_cache(maxsize=_MEETINGS_MAX + 1)
+def _meetings(n: int) -> tuple[int, ...]:
+    """For each source-vertex mask S < 2^n, the set of the masks below 2^n
+    that meet S: the OR of ``_containing(n)[x]`` over the x in S."""
+    return tuple(_unions(_containing(n)))
+
+
+class _MeetingMemo(dict):
+    """``_meetings(n)`` for one search at n > ``_MEETINGS_MAX``, filled as
+    its sets are asked for. It stores at most 2^22 >> n sets of 2^n bits,
+    512 KiB in all, and computes any other set again each time."""
+
+    def __init__(self, n: int):
+        self.has, self.room = _containing(n), 1 << 22 >> n
+
+    def __missing__(self, vertices: int) -> int:
+        met, rest = 0, vertices
+        while rest:
+            low = rest & -rest
+            met |= self.has[low.bit_length() - 1]
+            rest ^= low
+        if len(self) < self.room:
+            self[vertices] = met
+        return met
+
+
 def _column_order(tgt: Graph) -> list[int]:
     """The target vertices in the order ``_search_columns`` fills their
     columns: first those whose adjacency row no other vertex shares, fewest
@@ -174,7 +205,12 @@ def _search_columns(
     efficiency for constraint satisfaction problems" (1980): each later set
     keeps the masks that meet the chosen mask's neighbourhood if its column
     is adjacent to this one, and those that avoid it otherwise. A child
-    with an empty later set has no solution below it and is cut.
+    with an empty later set has no solution below it and is cut. The
+    masks meeting a neighbourhood S are one lookup, ``memo[S]``: for
+    n <= ``_MEETINGS_MAX`` (11) in ``_meetings(n)``, which holds every S,
+    at most 2^22 bits, and is built once per process by the first search
+    at n; for larger n in a ``_MeetingMemo`` of this call, which stores at
+    most 2^22 >> n sets, the same 2^22 bits.
 
     The columns are filled in ``_column_order``, fewest target neighbours
     first: the forward check's "avoid" filter removes far more masks than
@@ -226,7 +262,7 @@ def _search_columns(
     add ``covered`` and ``avail``, and keyed so, the C10 -> C5 full-domain
     enumeration ran 19 % slower, since only 6 of its 3,522 children above
     the last position repeat a dead state. The dead states hold at most
-    2^22 >> n sets in all, the bound of ``memo``.
+    2^22 >> n sets in all, the bound of ``_MeetingMemo``.
     """
     n, m = src.n, tgt.n
     full = (1 << n) - 1
@@ -241,23 +277,12 @@ def _search_columns(
     slot = sorted(range(m), key=order.__getitem__)
     has = _containing(n)
 
-    # The masks meeting a source-vertex set, per set, for this call. It
-    # stores at most 2^22 >> n sets of 2^n bits, 512 KiB in all: every set
-    # it sees for n <= 11.
-    memo: dict[int, int] = {}
+    # ``memo[S]``: the masks meeting the source-vertex set S. Up to
+    # ``_MEETINGS_MAX`` vertices it is the process-wide table of every set,
+    # built by the first search at n; past it, a memo for this call that
+    # stores at most 2^22 >> n sets of 2^n bits.
+    memo = _meetings(n) if n <= _MEETINGS_MAX else _MeetingMemo(n)
     room = 1 << 22 >> n
-
-    def meeting(vertices: int) -> int:
-        met = memo.get(vertices)
-        if met is None:
-            met, rest = 0, vertices
-            while rest:
-                low = rest & -rest
-                met |= has[low.bit_length() - 1]
-                rest ^= low
-            if len(memo) < room:
-                memo[vertices] = met
-        return met
 
     # A mask's neighbourhood is the union of two table rows, one per half of
     # its bits: 2^(n // 2) + 2^(n - n // 2) rows instead of 2^n.
@@ -301,7 +326,7 @@ def _search_columns(
         for b in order:
             uni = universe[b] if universe is not None else full
             avail.append(uni if tadj[b] >> b & 1 else uni & ~looped)
-        spare = [has[v] | ~meeting(sadj[v]) for v in range(n)]
+        spare = [has[v] | ~memo[sadj[v]] for v in range(n)]
 
     chosen = [0] * m
     last = m - 1
@@ -312,7 +337,7 @@ def _search_columns(
     limit = spend(0) if limited else None
     # Any-domain states whose subtree yielded nothing: a child's later
     # candidate sets, mapped to the units its subtree charged. At most
-    # 2^22 >> n sets in all, as in ``memo``.
+    # 2^22 >> n sets in all, as in the memo of meeting sets.
     dead: dict[tuple[int, ...], int] = {}
     dead_room = room
     yielded = 0
@@ -359,7 +384,7 @@ def _search_columns(
                     yield tuple(map(chosen.__getitem__, slot))
                     continue
                 nb = low_nbr[mask & low_half] | high_nbr[mask >> half]
-                met = memo.get(nb) or meeting(nb)
+                met = memo[nb]
                 # Forward check: narrow every later set, and stop at an empty one.
                 narrowed = []
                 for s, adjacent in zip(later, flags):

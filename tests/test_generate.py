@@ -49,3 +49,18 @@ def test_generation_output_is_pinned():
         hashlib.sha256(repr(data).encode()).hexdigest()
         == "2b9256a9cf336fa4304055a583205885e2d7112554b8d7b4a1a78d86c5ac3fb8"
     )
+
+
+def test_every_process_wide_cache_is_bounded():
+    # An ``lru_cache`` lives as long as the process: each must have a bound.
+    import importlib
+    import pkgutil
+
+    caches = []
+    for info in pkgutil.iter_modules(rg.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"relgraph.{info.name}")
+        caches += [(info.name, name) for name, obj in vars(module).items()
+                   if hasattr(obj, "cache_info") and obj.cache_info().maxsize is None]
+    assert not caches

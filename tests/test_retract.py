@@ -102,6 +102,29 @@ def test_cocore_fixed_point_and_property_n_star():
         assert rg.property_n_star(core)
 
 
+class _CountingRows(tuple):
+    """Adjacency rows that count how often a row is read."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return tuple.__getitem__(self, v)
+
+
+def test_property_n_star_stops_at_the_first_deletion():
+    """On the 1,600-vertex P5 twin blow-up, vertex 0 and its twins settle
+    the answer: the rule visits vertex 0, reads each other row once and
+    each twin's row once more, and stops. The whole pass would visit every
+    vertex, reading over a thousand rows for each."""
+    g = rg.reduce_fulrel_to_shom(rg.path_graph(5), rg.empty_graph(320))
+    twins = g.adjacency.count(g.adjacency[0]) - 1
+    assert twins == 319
+    rows = g.__dict__["adjacency"] = _CountingRows(g.adjacency)
+    assert not rg.property_n_star(g)
+    assert rows.reads == 1 + (g.n - 1) + twins
+
+
 def test_cocore_oracle_agreement_small():
     for g in rg.all_graphs_up_to(4):
         oracle = rg.cocore_oracle(g)

@@ -730,6 +730,27 @@ def test_near_cap_searches_match_the_reference_within_the_memo_bound():
             assert sum(met.bit_length() for met in memo.values()) <= 1 << 22
 
 
+def test_meeting_tables_hold_every_set_within_the_memo_bound():
+    """``_meetings(n)[S]`` is the set of the masks below 2^n that meet S:
+    for every S at n <= 8 and for random S at n = 9-11. Every search at n
+    reads the one table, and each table holds at most 2^22 bits."""
+    rng = random.Random(4)
+    for n in range(solver._MEETINGS_MAX + 1):
+        table = solver._meetings(n)
+        assert len(table) == 1 << n
+        assert sum(met.bit_length() for met in table) <= 1 << 22
+        sets = range(1 << n) if n <= 8 else [rng.randrange(1 << n) for _ in range(40)]
+        for s in sets:
+            assert table[s] == sum(1 << mask for mask in range(1 << n) if mask & s), (n, s)
+    for n in (5, 11):
+        targets = (rg.path_graph(3), rg.cycle_graph(4))
+        searches = [solver._search_columns(rg.cycle_graph(n), h) for h in targets]
+        for search in searches:
+            next(search)
+        assert searches[0].gi_frame.f_locals["memo"] is searches[1].gi_frame.f_locals["memo"]
+        assert searches[0].gi_frame.f_locals["memo"] is solver._meetings(n)
+
+
 def test_dead_state_memo_keeps_within_its_bound():
     """The search stores at most 2^22 >> n later candidate sets as dead
     states, as its memo of meeting masks does. A strong search of a seeded
